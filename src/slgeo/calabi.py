@@ -77,17 +77,6 @@ def _d2(v: np.ndarray, ax: int, h: float) -> np.ndarray:
     return (np.roll(v, -1, ax) - 2.0 * v + np.roll(v, 1, ax)) / h ** 2
 
 
-def _d1(v: np.ndarray, ax: int, h: float) -> np.ndarray:
-    return (np.roll(v, -1, ax) - np.roll(v, 1, ax)) / (2.0 * h)
-
-
-def _dmix(v: np.ndarray, ax1: int, ax2: int, h: float) -> np.ndarray:
-    # single-pass 4-point cross stencil
-    return (np.roll(v, (-1, -1), (ax1, ax2)) - np.roll(v, (-1, 1), (ax1, ax2))
-            - np.roll(v, (1, -1), (ax1, ax2))
-            + np.roll(v, (1, 1), (ax1, ax2))) / (4.0 * h * h)
-
-
 def _complex_hessian(phi: TorusField):
     """H_{jk} = 2 phi_{z_j zbar_k}; returns (H11, H22, H12) real/complex
     arrays (H22, H12 are None for m = 1)."""

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .core import plane_defects, real_coords
+
 
 class InvalidChiError(ValueError):
     """The area bivector vanishes at some node."""
@@ -206,20 +208,12 @@ def symplectic_drift(surf: EvolvingSurface) -> float:
 def swept_sl_defect(surf: EvolvingSurface, stride: int = 50) -> float:
     """Max SL defect of 3-planes (surface tangents, velocity) over a node
     subsample of all states; the swept 3-fold is SL when this vanishes."""
-    from .core import TangentPlane, sl_defect, standard_cy_package
-    pkg = standard_cy_package(3)
-    worst = 0.0
-    for state in surf.states:
-        T1 = surf.D1 @ state
-        T2 = surf.D2 @ state
-        V = surf.velocity(state)
-        for i in range(0, state.shape[0], stride):
-            basis = np.empty((3, 6))
-            for r, vec in enumerate((T1[i], T2[i], V[i])):
-                basis[r, 0::2] = vec.real
-                basis[r, 1::2] = vec.imag
-            worst = max(worst, sl_defect(TangentPlane(3, basis), pkg))
-    return worst
+    tangents = [np.stack([(surf.D1 @ state)[::stride],
+                          (surf.D2 @ state)[::stride],
+                          surf.velocity(state)[::stride]], axis=1)
+                for state in surf.states]
+    bases = real_coords(np.concatenate(tangents)).reshape(-1, 3, 6)
+    return float(np.max(plane_defects(bases)[0], initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TangentPlane, real_coords, sl_defect, standard_cy_package
+from .core import TangentPlane, plane_defects, real_coords
 
 
 class ParameterRangeError(ValueError):
@@ -206,12 +206,10 @@ def sl_residual_sweep(fam: ModelFamily, n_samples: int = 1000,
                       seed: int = 0) -> float:
     """Max SL defect of analytic tangent planes over seeded samples."""
     rng = np.random.default_rng(seed)
-    pkg = standard_cy_package(3)
-    worst = 0.0
-    for params in fam.sample_params(rng, n_samples):
-        _, plane = family_point(fam, params)
-        worst = max(worst, sl_defect(plane, pkg))
-    return worst
+    bases = [family_point(fam, params)[1].basis
+             for params in fam.sample_params(rng, n_samples)]
+    return float(np.max(plane_defects(np.reshape(bases, (-1, 3, 6)))[0],
+                        initial=0.0))
 
 
 def branched_truncation_bound(patch_size: float) -> float:

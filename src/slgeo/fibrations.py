@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TangentPlane, real_coords, sl_defect, standard_cy_package
+from .core import plane_defects, real_coords
 from .u1 import (BoundaryData, ConvexDomain, PotentialSolution, difference_zeros,
                  lift_to_sl3, singular_points, solve_dirichlet)
 
@@ -189,15 +189,13 @@ def explicit_F_fiber(a: float, b: complex, n_r: int = 12, n_phase: int = 8,
     b = complex(b)
     smin = np.sqrt(max(0.0, -2.0 * a))
     pts = []
-    planes = []
-    pkg = standard_cy_package(3)
+    bases = []
     for s in np.linspace(smin, np.sqrt(smin ** 2 + r_max ** 2), n_r):
         r2 = s
         r1 = np.sqrt(max(r2 ** 2 + 2.0 * a, 0.0))
         rmin = min(r1, r2)
         if r1 < 1e-13 and r2 < 1e-13:
             pts.append(np.array([0.0, 0.0, b]))
-            planes.append(None)
             continue
         for t1 in 2 * np.pi * np.arange(n_phase) / n_phase:
             for t2 in 2 * np.pi * np.arange(n_phase) / n_phase:
@@ -209,7 +207,6 @@ def explicit_F_fiber(a: float, b: complex, n_r: int = 12, n_phase: int = 8,
                     # chart degeneracy where one circle collapses; the
                     # (s, t1, t2) coordinates are singular but the fiber
                     # is smooth there for a != 0
-                    planes.append(None)
                     continue
                 # analytic tangent in (s, t1, t2); r1 dr1 = r2 dr2
                 dr2 = 1.0
@@ -218,13 +215,12 @@ def explicit_F_fiber(a: float, b: complex, n_r: int = 12, n_phase: int = 8,
                 t_s = np.array([dr1 * e1, dr2 * e2, -drmin * e3])
                 t_1 = np.array([1j * r1 * e1, 0.0, 1j * rmin * e3])
                 t_2 = np.array([0.0, 1j * r2 * e2, 1j * rmin * e3])
-                planes.append(TangentPlane(3, real_coords(
-                    np.array([t_s, t_1, t_2]))))
-    defects = [sl_defect(pl, pkg) for pl in planes if pl is not None]
+                bases.append(real_coords(np.array([t_s, t_1, t_2])))
+    defects = plane_defects(np.reshape(bases, (-1, 3, 6)))[0]
     sing = [(0.0, 0.0, b)] if a == 0.0 else []
     topo = "T2_cone" if a == 0.0 else "S1xR2"
     return FiberRecord((a, b.real, b.imag), np.array(pts), topo, sing,
-                       float(np.max(defects)) if defects else 0.0)
+                       float(np.max(defects, initial=0.0)))
 
 
 def explicit_F_smoothness_jump(b: complex = 0.0, r: float = 1.0,
@@ -286,15 +282,15 @@ def classify_fiber_hl(a: float, b: float, c: float, n_rho: int = 10,
     rho_min = np.sqrt(max(0.0, -a, -b))
     pts = []
     sing = []
-    defects = []
-    pkg = standard_cy_package(3)
+    bases = []
     if a == 0.0 and b == 0.0 and c == 0.0:
         pts.append(np.zeros(3, dtype=complex))
         sing.append((0.0, 0.0, 0.0))
     for rho in np.linspace(rho_min, np.sqrt(rho_min ** 2 + rho_max ** 2),
                            n_rho):
-        r1 = np.sqrt(a + rho ** 2)
-        r2 = np.sqrt(b + rho ** 2)
+        # at rho_min the radicand of the vanishing radius can round below 0
+        r1 = np.sqrt(max(a + rho ** 2, 0.0))
+        r2 = np.sqrt(max(b + rho ** 2, 0.0))
         prod = r1 * r2 * rho
         if prod == 0.0 or prod < abs(c):
             continue
@@ -309,14 +305,14 @@ def classify_fiber_hl(a: float, b: float, c: float, n_rho: int = 10,
                 if jacobian_rank(J) < 3:
                     sing.append(tuple(z))
                     continue
-                plane = TangentPlane(3, _nullspace(J))
-                defects.append(sl_defect(plane, pkg))
+                bases.append(_nullspace(J))
     if not pts:
         raise EmptyFiberError("no points on the (%.3g, %.3g, %.3g) level"
                               % (a, b, c))
+    defects = plane_defects(np.reshape(bases, (-1, 3, 6)))[0]
     topo = "T2_cone" if sing else "T3_like"
     return FiberRecord((a, b, c), np.array(pts), topo, sing,
-                       float(np.max(defects)) if defects else 0.0)
+                       float(np.max(defects, initial=0.0)))
 
 
 def _nullspace(J: np.ndarray) -> np.ndarray:

@@ -65,11 +65,6 @@ class GridField:
         y = self.y0 + self.hy * np.arange(self.ny)
         return np.meshgrid(x, y, indexing="ij")
 
-    def interior_count(self) -> int:
-        if self.mask is None:
-            return self.values.size
-        return int(np.count_nonzero(self.mask))
-
 
 def write_grid(path, fld: GridField) -> None:
     vals = fld.values.copy()

@@ -30,7 +30,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import TangentPlane, sl_defect, standard_cy_package
+from .core import plane_defects, real_coords
 from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
@@ -125,11 +125,6 @@ class ConvexDomain:
     def is_symmetric(self) -> bool:
         """The (x, y) -> (x, -y) symmetry; true by construction here."""
         return bool(np.array_equal(self.inside, self.inside[:, ::-1]))
-
-    def boundary_nodes(self):
-        """All cut points where Dirichlet data is injected."""
-        pts = self.arm_cut[self.arm_nbr < 0]
-        return pts.reshape(-1, 2)
 
 
 @dataclass
@@ -554,23 +549,29 @@ def _central4(field: np.ndarray, axis: int, h: float) -> np.ndarray:
 
 @dataclass
 class LiftedCloud:
+    """Sampled points of a lifted SL 3-fold; no tangent planes are kept."""
+
     points: np.ndarray          # (N, 3) complex
-    planes: list                # TangentPlane per point
-    sl_defects: np.ndarray      # (N,)
+    sl_defects: np.ndarray      # (N,), NaN where excluded
     moment_values: np.ndarray   # |z1|^2 - |z2|^2 per point
     n_excluded: int = 0
 
 
 def lift_to_sl3(sol: PotentialSolution, samples_per_node: int = 4) -> LiftedCloud:
-    """Sample the lifted SL 3-fold with tangent planes from finite differences.
+    """Sample the lifted SL 3-fold and the SL defects of its tangent planes.
 
     All derivative fields are fourth-order central differences of the
     potential f on the uniform grid.  Because the stencils commute, the
     discrete identity du/dx = dv/dy holds exactly and the omega pullback
     of the lifted tangent planes vanishes to round-off; the Im Omega
-    defect carries only the solver's truncation error.  Near the singular
-    set of an a = 0 solution (v = y = 0) points are flagged and excluded
-    from the defect statistics.
+    defect carries only the solver's truncation error.  The lift
+    z1 z2 = v + i y, z3 = x + i u, z1 = R e^{i theta} with
+    R = sqrt(a + |w|_a), |w|_a = sqrt(a^2 + |v + i y|^2), is evaluated over
+    all valid nodes and angles at once, node-major; the tangent planes,
+    spanned by d/dx, d/dy and d/dtheta, go to :func:`core.plane_defects`
+    and are not stored.  Nodes where R vanishes are skipped.  Near the
+    singular set of an a = 0 solution (v = y = 0) points are kept with a
+    NaN defect.  Both count in n_excluded.
     """
     dom = sol.domain
     a = sol.a
@@ -583,59 +584,44 @@ def lift_to_sl3(sol: PotentialSolution, samples_per_node: int = 4) -> LiftedClou
         uy = _central4(u, 1, dom.hy)
         vx = _central4(v, 0, dom.hx)
         vy = _central4(v, 1, dom.hy)
-    valid = _deep_interior(dom, 4)
     X, Y = sol.f.coords()
-    pkg = standard_cy_package(3)
+    sel = _deep_interior(dom, 4) & np.isfinite(ux) & np.isfinite(vx)
+    s = a + np.sqrt(a * a + np.abs(v[sel] + 1j * Y[sel]) ** 2)
+    excluded = int(np.count_nonzero(s < 1e-14))
+    sel[sel] = s >= 1e-14
+    # per node, as columns that broadcast against the angles
+    x, y, u, ux, uy, v, vx, vy = [f[sel][:, None]
+                                  for f in (X, Y, u, ux, uy, v, vx, vy)]
+    w = v + 1j * y
+    q = np.sqrt(a * a + np.abs(w) ** 2)
+    R = np.sqrt(a + q)
+    Rx = (v * vx) / q / (2.0 * R)
+    Ry = (v * vy + y) / q / (2.0 * R)
 
-    pts, planes, defects, moments = [], [], [], []
-    excluded = 0
     thetas = 2.0 * np.pi * np.arange(samples_per_node) / samples_per_node
-    for i in range(dom.n):
-        for j in range(dom.n):
-            if not (valid[i, j] and np.isfinite(ux[i, j]) and np.isfinite(vx[i, j])):
-                continue
-            x, y = X[i, j], Y[i, j]
-            w = v[i, j] + 1j * y
-            q = np.sqrt(a * a + abs(w) ** 2)
-            s = a + q
-            if s < 1e-14:
-                excluded += 1
-                continue
-            R = np.sqrt(s)
-            near_singular = (a == 0.0 and abs(w) < 1e-8)
-            qx = (v[i, j] * vx[i, j]) / q if q > 0 else 0.0
-            qy = (v[i, j] * vy[i, j] + y) / q if q > 0 else 0.0
-            Rx = qx / (2.0 * R)
-            Ry = qy / (2.0 * R)
-            for th in thetas:
-                e = np.exp(1j * th)
-                z1 = R * e
-                z2 = w / z1
-                z3 = x + 1j * u[i, j]
-                p = np.array([z1, z2, z3])
-                z1x = Rx * e
-                z1y = Ry * e
-                t_x = np.array([z1x, (vx[i, j] * z1 - w * z1x) / z1 ** 2,
-                                1.0 + 1j * ux[i, j]])
-                t_y = np.array([z1y, ((vy[i, j] + 1j) * z1 - w * z1y) / z1 ** 2,
-                                1j * uy[i, j]])
-                t_th = np.array([1j * z1, -1j * z2, 0.0])
-                basis = np.array([_c2r(t_x), _c2r(t_y), _c2r(t_th)])
-                plane = TangentPlane(3, basis)
-                pts.append(p)
-                planes.append(plane)
-                moments.append(abs(z1) ** 2 - abs(z2) ** 2)
-                if near_singular:
-                    defects.append(np.nan)
-                    excluded += 1
-                else:
-                    defects.append(sl_defect(plane, pkg))
-    return LiftedCloud(np.array(pts), planes, np.array(defects),
-                       np.array(moments), excluded)
+    e = np.exp(1j * thetas)
+    z1 = R * e
+    z2 = w / z1
+    z3 = np.broadcast_to(x + 1j * u, z1.shape)
+    z1x = Rx * e
+    z1y = Ry * e
+    # rows: the tangent vectors d/dx, d/dy, d/dtheta in C^3
+    tangents = np.zeros(z1.shape + (3, 3), dtype=complex)
+    tangents[..., 0, 0] = z1x
+    tangents[..., 0, 1] = (vx * z1 - w * z1x) / z1 ** 2
+    tangents[..., 0, 2] = 1.0 + 1j * ux
+    tangents[..., 1, 0] = z1y
+    tangents[..., 1, 1] = ((vy + 1j) * z1 - w * z1y) / z1 ** 2
+    tangents[..., 1, 2] = 1j * uy
+    tangents[..., 2, 0] = 1j * z1
+    tangents[..., 2, 1] = -1j * z2
 
-
-def _c2r(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * z.shape[0])
-    out[0::2] = z.real
-    out[1::2] = z.imag
-    return out
+    near_singular = (a == 0.0) & (np.abs(w[:, 0]) < 1e-8)
+    defects = np.full(z1.shape, np.nan)
+    defects[~near_singular] = plane_defects(
+        real_coords(tangents[~near_singular]).reshape(-1, 3, 6))[0].reshape(
+            -1, samples_per_node)
+    excluded += int(np.count_nonzero(near_singular)) * samples_per_node
+    points = np.stack([z1, z2, z3], axis=-1).reshape(-1, 3)
+    return LiftedCloud(points, defects.ravel(),
+                       (np.abs(z1) ** 2 - np.abs(z2) ** 2).ravel(), excluded)

@@ -1,7 +1,11 @@
 """Tests for the flat Calabi-Yau package and SL plane predicates."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slgeo import core
 
@@ -135,3 +139,67 @@ def test_random_su_matrix_is_special_unitary():
         g = core.random_su_matrix(m, rng)
         assert np.allclose(g @ g.conj().T, np.eye(m), atol=1e-12)
         assert abs(np.linalg.det(g) - 1.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the batched plane kernel
+
+
+@st.composite
+def plane_stacks(draw):
+    """(m, bases, orientations): Gaussian planes then SU(m)-rotated real
+    planes in C^m, each oriented by a drawn sign."""
+    m = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    su = [core.su_rotated_real_plane(m, core.random_su_matrix(m, rng)).basis
+          for _ in range(n)]
+    bases = np.concatenate([rng.standard_normal((n, m, 2 * m)), su])
+    signs = np.array(draw(st.lists(st.sampled_from((1, -1)),
+                                   min_size=2 * n, max_size=2 * n)))
+    return m, bases, signs
+
+
+@settings(max_examples=60, deadline=None)
+@given(plane_stacks(), st.integers(1, 5))
+def test_plane_defects_match_per_plane(stack, chunk):
+    m, bases, signs = stack
+    pkg = core.standard_cy_package(m)
+    planes = [core.TangentPlane(m, b, int(o)) for b, o in zip(bases, signs)]
+    oriented = bases.copy()
+    oriented[:, -1] *= signs[:, None]
+    with mock.patch.object(core, "PLANE_CHUNK", chunk):
+        sl, slack = core.plane_defects(oriented)
+    assert np.max(np.abs(sl - [core.sl_defect(p, pkg) for p in planes])) <= 1e-14
+    assert np.max(np.abs(
+        slack - [core.calibration_defect(p, pkg) for p in planes])) <= 1e-14
+    # references: the per-plane restriction, and vol_V - Re Omega(basis)
+    # from the Gram determinant
+    ref_sl = [max(abs(w), abs(i)) for w, i, _ in
+              (core.restrict_forms(p, pkg) for p in planes)]
+    assert np.max(np.abs(sl - ref_sl)) <= 1e-14
+    vol = np.sqrt(np.linalg.det(bases @ bases.swapaxes(-1, -2)))
+    ref_slack = vol - signs * np.linalg.det(
+        core.complex_coords(bases).swapaxes(-1, -2)).real
+    assert np.all(np.abs(slack - ref_slack) <= 1e-13 * np.maximum(vol, 1.0))
+    assert np.all(slack >= -1e-12)
+    # the SU(m) orbit of R^m is SL, and calibrated when positively oriented
+    half = len(bases) // 2
+    assert np.all(sl[half:] < 1e-12)
+    assert np.all(np.abs(slack[half:][signs[half:] > 0]) < 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(2, 9), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 4), st.data())
+def test_plane_defects_reject_rank_deficient_basis(m, n, seed, chunk, data):
+    rng = np.random.default_rng(seed)
+    bases = rng.standard_normal((n, m, 2 * m))
+    k = data.draw(st.integers(0, n - 1))
+    row = data.draw(st.integers(0, m - 1))
+    # row `row` of basis k becomes a multiple of another row, or zero for m = 1
+    factor = data.draw(st.floats(-3.0, 3.0))
+    bases[k, row] = factor * bases[k, (row + 1) % m] if m > 1 else 0.0
+    with mock.patch.object(core, "PLANE_CHUNK", chunk):
+        with pytest.raises(core.DegeneratePlaneError):
+            core.plane_defects(bases)

@@ -108,6 +108,17 @@ def test_hl_level_values_round_trip():
         assert abs(vals[2] - 0.3) < 1e-10
 
 
+@pytest.mark.parametrize("level", [(-0.3, 0.2, 0.05), (0.2, -0.3, 0.0)])
+def test_hl_fiber_where_a_negative_level_dominates(level):
+    # at rho_min the radius of the dominant negative level vanishes, and
+    # its radicand rounds below zero
+    rec = fib.classify_fiber_hl(*level)
+    assert np.isfinite(rec.sl_residual_max)
+    assert rec.sl_residual_max <= 1e-10
+    for p in rec.points:
+        assert np.max(np.abs(np.subtract(fib.harvey_lawson_F(p), level))) <= 1e-10
+
+
 # ---------------------------------------------------------------------------
 # Dirichlet fibration families
 

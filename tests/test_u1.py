@@ -4,8 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slgeo import u1
+from slgeo import gridio, u1
 
 
 def _disc(n=65):
@@ -144,6 +146,29 @@ def test_lift_defect_shrinks_under_refinement():
         cloud = u1.lift_to_sl3(sol)
         defects.append(np.nanmax(cloud.sl_defects))
     assert defects[1] < 0.3 * defects[0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-6, 6), st.floats(1e-13, 1e-9), st.sampled_from((1.0, -1.0)))
+def test_lift_keeps_near_singular_points_as_nan(k, offset, sign):
+    # f = 0.2 (x - x0)^2 + 0.1 y^2 lifted at a = 0: v = 0.4 (x - x0) vanishes
+    # just off the node (x_i, 0), so that node lies within 1e-8 of the
+    # singular set v = y = 0 but does not vanish
+    dom = _disc(33)
+    i = dom.n // 2 + k
+    x0 = dom.x[i] + sign * offset
+    X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
+    f = gridio.GridField(0.2 * (X - x0) ** 2 + 0.1 * Y ** 2, -dom.rx, -dom.ry,
+                         dom.hx, dom.hy, mask=dom.inside.copy())
+    sol = u1.PotentialSolution(domain=dom, a=0.0, f=f, u=f, v=f,
+                               residual_P=0.0, residual_CR=0.0,
+                               newton_iters=0, boundary=None)
+    cloud = u1.lift_to_sl3(sol, samples_per_node=4)
+    nan = np.isnan(cloud.sl_defects)
+    assert np.count_nonzero(nan) == 4 == cloud.n_excluded
+    assert np.all(np.abs(cloud.points[nan, 0] * cloud.points[nan, 1]) < 1e-8)
+    assert np.all(np.abs(cloud.points[nan, 2].real - dom.x[i]) < 1e-15)
+    assert np.all(np.isfinite(cloud.sl_defects[~nan]))
 
 
 def test_invalid_tol_rejected():
