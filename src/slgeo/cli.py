@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -19,14 +18,11 @@ import numpy as np
 
 VERSION = "0.1.0"
 
-
-def _apply_thread_cap():
-    cap = os.environ.get("SLGEO_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-    return cap
+# verify --example name -> closed-form family name
+EXAMPLES = {"hl-cone": "hl_cone_L0", "hl-lt": "hl_Lt", "so3": "so3_Lt",
+            "quadric": "quadric_L", "branched": "branched_leading"}
+# evolve --nodes -> icosphere subdivision level
+ICOSPHERE_LEVELS = {162: 2, 642: 3, 2562: 4}
 
 
 class Report:
@@ -91,17 +87,9 @@ def _write_cloud_csv(path, points):
 
 def _cmd_verify(args):
     from . import families
-    name_map = {
-        "hl-cone": ("hl_cone_L0", {}),
-        "hl-lt": ("hl_Lt", {"t": args.t}),
-        "so3": ("so3_Lt", {"t": args.t}),
-        "quadric": ("quadric_L", {"a1": 1, "a2": 2, "c": 1.0}),
-        "branched": ("branched_leading", {}),
-    }
-    if args.example not in name_map:
-        raise SystemExit(2)
-    fam_name, extra = name_map[args.example]
-    fam = families.ModelFamily(fam_name, dict(extra))
+    params = {"hl-lt": {"t": args.t}, "so3": {"t": args.t},
+              "quadric": {"a1": 1, "a2": 2, "c": 1.0}}.get(args.example, {})
+    fam = families.ModelFamily(EXAMPLES[args.example], params)
     rep = Report("verify", {"example": args.example, "samples": args.samples,
                             "seed": args.seed, "tol": args.tol})
     worst = families.sl_residual_sweep(fam, args.samples, args.seed)
@@ -121,10 +109,8 @@ def _boundary_from_name(name, b, c):
         return BoundaryData(lambda x, y: np.zeros_like(np.asarray(x)))
     if name == "affine":
         return BoundaryData(lambda x, y: b * np.asarray(x) + c * np.asarray(y))
-    if name == "x2":
-        return BoundaryData(lambda x, y: np.asarray(x) ** 2
-                            + b * np.asarray(x) + c * np.asarray(y))
-    raise SystemExit(2)
+    return BoundaryData(lambda x, y: np.asarray(x) ** 2
+                        + b * np.asarray(x) + c * np.asarray(y))
 
 
 def _cmd_solve_u1(args):
@@ -133,7 +119,7 @@ def _cmd_solve_u1(args):
     phi = _boundary_from_name(args.boundary, args.b, args.c)
     rep = Report("solve-u1", {"a": args.a, "boundary": args.boundary,
                               "b": args.b, "c": args.c, "grid_n": dom.n,
-                              "tol": args.tol, "seed": args.seed})
+                              "tol": args.tol})
     sol = u1.solve_dirichlet(phi, args.a, dom, tol=args.tol)
     rep.check("residual_P", sol.residual_P, 10.0 * args.tol)
     rep.check("residual_CR", sol.residual_CR, max(1.0, sol.residual_CR),
@@ -150,7 +136,7 @@ def _cmd_fibration(args):
     from . import fibrations
     b = complex(args.b)
     rep = Report("fibration", {"a": args.a, "b": [b.real, b.imag],
-                               "seed": args.seed, "scan": args.scan})
+                               "scan": args.scan})
     if args.scan:
         avals = np.linspace(-1.0, 1.0, 21)
         sing = fibrations.discriminant_scan(avals, b=args.b)
@@ -176,20 +162,16 @@ def _cmd_solve_calabi(args):
     from . import calabi
     rep = Report("solve-calabi", {"m": args.m, "grid": args.grid,
                                   "source": args.source,
-                                  "t_steps": args.t_steps, "tol": args.tol,
-                                  "seed": args.seed})
+                                  "t_steps": args.t_steps, "tol": args.tol})
     if args.source == "zero":
         f = calabi.TorusField(args.m, np.zeros((args.grid,) * (2 * args.m)))
-    elif args.source == "cos":
-        if args.m == 1:
-            f = calabi.TorusField.from_function(
-                1, args.grid, lambda x, y: 0.1 * np.cos(x) * np.cos(y))
-        else:
-            f = calabi.TorusField.from_function(
-                2, args.grid,
-                lambda x1, y1, x2, y2: 0.05 * (np.cos(x1) + np.cos(y2)))
+    elif args.m == 1:
+        f = calabi.TorusField.from_function(
+            1, args.grid, lambda x, y: 0.1 * np.cos(x) * np.cos(y))
     else:
-        raise SystemExit(2)
+        f = calabi.TorusField.from_function(
+            2, args.grid,
+            lambda x1, y1, x2, y2: 0.05 * (np.cos(x1) + np.cos(y2)))
     f = calabi.normalize_source(f)
     path = calabi.solve_calabi(f, tol=args.tol, t_steps=args.t_steps)
     rep.check("ma_residual", path.residual, 10.0 * args.tol)
@@ -200,12 +182,10 @@ def _cmd_solve_calabi(args):
 
 def _cmd_evolve(args):
     from . import evolution
-    sub = {162: 2, 642: 3, 2562: 4}.get(args.nodes, 3)
     rep = Report("evolve", {"surface": args.surface, "nodes": args.nodes,
-                            "dt": args.dt, "t_end": args.t_end,
-                            "seed": args.seed})
+                            "dt": args.dt, "t_end": args.t_end})
     surf = evolution.EvolvingSurface.sphere(
-        sub, scale=np.exp(1j * np.pi / 6), dt=args.dt)
+        ICOSPHERE_LEVELS[args.nodes], scale=np.exp(1j * np.pi / 6), dt=args.dt)
     evolution.evolve_run(surf, args.t_end)
     drift = evolution.symplectic_drift(surf)
     rep.check("symplectic_drift", drift, 1e-6)
@@ -224,11 +204,9 @@ def _cmd_index(args):
     if args.gram == "l0":
         G = families.l0_link_gram()
         expected = 6
-    elif args.gram == "identity":
+    else:
         G = np.eye(2)
         expected = None
-    else:
-        raise SystemExit(2)
     count = families.legendrian_index_flat_torus(G, args.m, args.cutoff)
     rep.envelope["index"] = count
     if expected is not None:
@@ -265,7 +243,7 @@ def build_parser():
     sub = p.add_subparsers(dest="subcommand", required=True)
 
     v = sub.add_parser("verify", parents=[common])
-    v.add_argument("--example", required=True)
+    v.add_argument("--example", required=True, choices=tuple(EXAMPLES))
     v.add_argument("--samples", type=int, default=10000)
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=1e-12)
@@ -275,12 +253,12 @@ def build_parser():
 
     s = sub.add_parser("solve-u1", parents=[common])
     s.add_argument("--a", type=float, default=1.0)
-    s.add_argument("--boundary", default="zero")
+    s.add_argument("--boundary", default="zero",
+                   choices=("zero", "affine", "x2"))
     s.add_argument("--b", type=float, default=0.0)
     s.add_argument("--c", type=float, default=0.0)
     s.add_argument("--grid-n", type=int, default=65)
     s.add_argument("--tol", type=float, default=1e-10)
-    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out-grid", default=None)
     s.set_defaults(func=_cmd_solve_u1)
 
@@ -288,30 +266,28 @@ def build_parser():
     fb.add_argument("--a", type=float, default=0.5)
     fb.add_argument("--b", type=complex, default=0.0)
     fb.add_argument("--scan", action="store_true")
-    fb.add_argument("--seed", type=int, default=0)
     fb.add_argument("--out-csv", default=None)
     fb.set_defaults(func=_cmd_fibration)
 
     c = sub.add_parser("solve-calabi", parents=[common])
     c.add_argument("--m", type=int, default=1, choices=(1, 2))
     c.add_argument("--grid", type=int, default=32)
-    c.add_argument("--source", default="cos")
+    c.add_argument("--source", default="cos", choices=("zero", "cos"))
     c.add_argument("--t-steps", type=int, default=10)
     c.add_argument("--tol", type=float, default=1e-10)
-    c.add_argument("--seed", type=int, default=0)
     c.set_defaults(func=_cmd_solve_calabi)
 
     e = sub.add_parser("evolve", parents=[common])
     e.add_argument("--surface", default="sphere", choices=("sphere",))
-    e.add_argument("--nodes", type=int, default=642)
+    e.add_argument("--nodes", type=int, default=642,
+                   choices=tuple(ICOSPHERE_LEVELS))
     e.add_argument("--dt", type=float, default=0.005)
     e.add_argument("--t-end", type=float, default=0.3)
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("--out-csv", default=None)
     e.set_defaults(func=_cmd_evolve)
 
     ix = sub.add_parser("index", parents=[common])
-    ix.add_argument("--gram", default="l0")
+    ix.add_argument("--gram", default="l0", choices=("l0", "identity"))
     ix.add_argument("--m", type=int, default=3)
     ix.add_argument("--cutoff", type=int, default=20)
     ix.set_defaults(func=_cmd_index)
@@ -325,7 +301,6 @@ def build_parser():
 
 
 def main(argv=None):
-    _apply_thread_cap()
     args = build_parser().parse_args(argv)
     report = args.func(args)
     code = report.finish(args.no_timing)

@@ -44,10 +44,6 @@ class NewtonDivergenceError(RuntimeError):
         self.residual = residual
 
 
-class HypothesisViolationWarning(UserWarning):
-    """Domain does not satisfy the symmetry hypothesis of the solver."""
-
-
 @dataclass
 class ConvexDomain:
     """A disc or axis-aligned ellipse, gridded on its bounding box.
@@ -86,50 +82,43 @@ class ConvexDomain:
         self.nodes = np.stack([ii, jj], axis=1)
         self._build_arms()
 
-    def _level(self, x, y):
-        return (x / self.rx) ** 2 + (y / self.ry) ** 2 - 1.0
-
-    def _cut_fraction(self, x, y, dx, dy):
-        """Fraction t in (0, 1] with (x + t dx, y + t dy) on the boundary."""
-        A = (dx / self.rx) ** 2 + (dy / self.ry) ** 2
-        B = 2.0 * (x * dx / self.rx ** 2 + y * dy / self.ry ** 2)
-        C = self._level(x, y)
-        disc = B * B - 4.0 * A * C
-        t = (-B + np.sqrt(max(disc, 0.0))) / (2.0 * A)
-        return min(max(t, 1e-6), 1.0)
-
     def _build_arms(self):
-        """Per inside node and direction: (neighbor unknown index or -1,
-        arm length, cut point)."""
-        dirs = [(1, 0), (-1, 0), (0, 1), (0, -1)]
-        N = self.nodes.shape[0]
-        self.arm_nbr = -np.ones((N, 4), dtype=int)
+        """Per inside node and direction (+x, -x, +y, -y): the neighbour's
+        unknown index or -1, the arm length, and the boundary cut point of
+        cut arms (zero elsewhere)."""
+        ii, jj = self.nodes.T
+        index = np.pad(self.index, 1, constant_values=-1)
+        x, y = self.x[ii], self.y[jj]
+        N = ii.size
+        self.arm_nbr = np.empty((N, 4), dtype=int)
         self.arm_len = np.empty((N, 4))
         self.arm_cut = np.zeros((N, 4, 2))
-        self.full_stencil = np.ones(N, dtype=bool)
-        for k, (i, j) in enumerate(self.nodes):
-            for d, (di, dj) in enumerate(dirs):
-                ni, nj = i + di, j + dj
-                h = abs(di) * self.hx + abs(dj) * self.hy
-                if 0 <= ni < self.n and 0 <= nj < self.n and self.inside[ni, nj]:
-                    self.arm_nbr[k, d] = self.index[ni, nj]
-                    self.arm_len[k, d] = h
-                else:
-                    t = self._cut_fraction(self.x[i], self.y[j],
-                                           di * self.hx, dj * self.hy)
-                    self.arm_len[k, d] = t * h
-                    self.arm_cut[k, d] = (self.x[i] + t * di * self.hx,
-                                          self.y[j] + t * dj * self.hy)
-                    self.full_stencil[k] = False
-
-    def is_symmetric(self) -> bool:
-        """The (x, y) -> (x, -y) symmetry; true by construction here."""
-        return bool(np.array_equal(self.inside, self.inside[:, ::-1]))
+        for d, (di, dj) in enumerate(((1, 0), (-1, 0), (0, 1), (0, -1))):
+            nbr = index[ii + 1 + di, jj + 1 + dj]
+            cut = nbr < 0
+            dx, dy = di * self.hx, dj * self.hy
+            h = abs(dx) + abs(dy)
+            # fraction t in (0, 1] with (x + t dx, y + t dy) on the boundary
+            xc, yc = x[cut], y[cut]
+            A = (dx / self.rx) ** 2 + (dy / self.ry) ** 2
+            B = 2.0 * (xc * dx / self.rx ** 2 + yc * dy / self.ry ** 2)
+            C = (xc / self.rx) ** 2 + (yc / self.ry) ** 2 - 1.0
+            t = (-B + np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
+            t = np.minimum(np.maximum(t, 1e-6), 1.0)
+            self.arm_nbr[:, d] = nbr
+            self.arm_len[:, d] = h
+            self.arm_len[cut, d] = t * h
+            self.arm_cut[cut, d, 0] = xc + t * dx
+            self.arm_cut[cut, d, 1] = yc + t * dy
 
 
 @dataclass
 class BoundaryData:
-    """Dirichlet data phi on the domain boundary, sampled from a callable."""
+    """Dirichlet data phi on the domain boundary, sampled from a callable.
+
+    func is called with two float arrays of boundary-point coordinates
+    (x, y) and returns the data at those points.
+    """
 
     func: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
@@ -145,49 +134,34 @@ def _direction_ops(dom: ConvexDomain, phi: BoundaryData):
     """Sparse first/second difference operators on the unknown vector.
 
     Returns (Ax, bx, Axx, bxx, Ay, by, Ayy, byy) with A @ f + b the
-    derivative values at the active nodes; b carries the injected boundary
-    values.
+    derivative values at the active nodes; b carries the boundary values
+    injected at the cut points.
     """
     N = dom.nodes.shape[0]
-    ops = {}
-    for axis, (dp, dm) in (("x", (0, 1)), ("y", (2, 3))):
-        rows1, cols1, vals1 = [], [], []
-        rows2, cols2, vals2 = [], [], []
-        b1 = np.zeros(N)
-        b2 = np.zeros(N)
-        for k in range(N):
-            hp = dom.arm_len[k, dp]
-            hm = dom.arm_len[k, dm]
-            np_idx = dom.arm_nbr[k, dp]
-            nm_idx = dom.arm_nbr[k, dm]
-            fp_val = None if np_idx >= 0 else float(phi(*dom.arm_cut[k, dp]))
-            fm_val = None if nm_idx >= 0 else float(phi(*dom.arm_cut[k, dm]))
-            # first derivative, second order on unequal arms
-            cp = hm / (hp * (hp + hm))
-            cm = -hp / (hm * (hp + hm))
-            cc = (hp - hm) / (hp * hm)
-            # second derivative (Shortley-Weller)
-            dpp = 2.0 / (hp * (hp + hm))
-            dmm = 2.0 / (hm * (hp + hm))
-            dcc = -2.0 / (hp * hm)
-            rows1.append(k); cols1.append(k); vals1.append(cc)
-            rows2.append(k); cols2.append(k); vals2.append(dcc)
-            if np_idx >= 0:
-                rows1.append(k); cols1.append(np_idx); vals1.append(cp)
-                rows2.append(k); cols2.append(np_idx); vals2.append(dpp)
-            else:
-                b1[k] += cp * fp_val
-                b2[k] += dpp * fp_val
-            if nm_idx >= 0:
-                rows1.append(k); cols1.append(nm_idx); vals1.append(cm)
-                rows2.append(k); cols2.append(nm_idx); vals2.append(dmm)
-            else:
-                b1[k] += cm * fm_val
-                b2[k] += dmm * fm_val
-        A1 = sp.csr_matrix((vals1, (rows1, cols1)), shape=(N, N))
-        A2 = sp.csr_matrix((vals2, (rows2, cols2)), shape=(N, N))
-        ops[axis] = (A1, b1, A2, b2)
-    return ops["x"] + ops["y"]
+    rows = np.arange(N)
+    ops = ()
+    for dp, dm in ((0, 1), (2, 3)):
+        hp, hm = dom.arm_len[:, dp], dom.arm_len[:, dm]
+        inp, inm = dom.arm_nbr[:, dp] >= 0, dom.arm_nbr[:, dm] >= 0
+        fp = phi(*dom.arm_cut[~inp, dp].T)
+        fm = phi(*dom.arm_cut[~inm, dm].T)
+        # (plus, minus, centre) weights of the first derivative, second
+        # order on unequal arms, and of the Shortley-Weller second derivative
+        first = (hm / (hp * (hp + hm)), -hp / (hm * (hp + hm)),
+                 (hp - hm) / (hp * hm))
+        second = (2.0 / (hp * (hp + hm)), 2.0 / (hm * (hp + hm)),
+                  -2.0 / (hp * hm))
+        for cp, cm, cc in (first, second):
+            A = sp.csr_matrix(
+                (np.concatenate([cc, cp[inp], cm[inm]]),
+                 (np.concatenate([rows, rows[inp], rows[inm]]),
+                  np.concatenate([rows, dom.arm_nbr[inp, dp],
+                                  dom.arm_nbr[inm, dm]]))), shape=(N, N))
+            b = np.zeros(N)
+            b[~inp] += cp[~inp] * fp
+            b[~inm] += cm[~inm] * fm
+            ops += (A, b)
+    return ops
 
 
 @dataclass
@@ -219,18 +193,23 @@ def _coefficient(v, y, a, clamp=True):
     return 1.0 / np.sqrt(s)
 
 
+def _p_residual(ops, yv, a, f):
+    """P(f) = c(f_x, y, a) f_xx + 2 f_yy at the active nodes, from the
+    operators of :func:`_direction_ops`."""
+    Ax, bx, Axx, bxx, _, _, Ayy, byy = ops
+    return (_coefficient(Ax @ f + bx, yv, a) * (Axx @ f + bxx)
+            + 2.0 * (Ayy @ f + byy))
+
+
 def p_operator(f: GridField, a: float, domain: ConvexDomain,
                phi: BoundaryData | None = None) -> GridField:
     """Evaluate P(f) at active nodes.  Boundary arms use phi when given,
     otherwise the stored (masked) grid values must cover a margin."""
     if phi is None:
         phi = BoundaryData(_grid_sampler(f))
-    Ax, bx, Axx, bxx, _, _, Ayy, byy = _direction_ops(domain, phi)
     fv = f.values[domain.inside[: f.nx, : f.ny]] if f.mask is None else f.values[domain.inside]
-    fv = np.asarray(fv, dtype=float)
-    yv = domain.y[domain.nodes[:, 1]]
-    v = Ax @ fv + bx
-    res = _coefficient(v, yv, a) * (Axx @ fv + bxx) + 2.0 * (Ayy @ fv + byy)
+    res = _p_residual(_direction_ops(domain, phi), domain.y[domain.nodes[:, 1]],
+                      a, np.asarray(fv, dtype=float))
     out = np.full((domain.n, domain.n), np.nan)
     out[domain.inside] = res
     return GridField(out, -domain.rx, -domain.ry, domain.hx, domain.hy,
@@ -258,9 +237,6 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if not domain.is_symmetric():
-        warnings.warn("domain violates the (x, y) -> (x, -y) symmetry hypothesis",
-                      HypothesisViolationWarning)
     if a == 0.0:
         return _solve_continuation(phi, domain, tol, max_newton, damping_min)
 
@@ -308,11 +284,7 @@ def _newton(ops, domain, a, tol, max_newton, damping_min, initial=None):
     else:
         fv = np.asarray(initial, dtype=float).copy()
 
-    def residual(f):
-        v = Ax @ f + bx
-        return _coefficient(v, yv, a) * (Axx @ f + bxx) + 2.0 * (Ayy @ f + byy)
-
-    res = residual(fv)
+    res = _p_residual(ops, yv, a, fv)
     rnorm = np.linalg.norm(res)
     for it in range(max_newton):
         if np.max(np.abs(res)) <= tol:
@@ -326,7 +298,7 @@ def _newton(ops, domain, a, tol, max_newton, damping_min, initial=None):
         lam = 1.0
         while lam >= damping_min:
             cand = fv + lam * step
-            cres = residual(cand)
+            cres = _p_residual(ops, yv, a, cand)
             cnorm = np.linalg.norm(cres)
             if cnorm < rnorm:
                 fv, res, rnorm = cand, cres, cnorm
@@ -344,12 +316,11 @@ def _newton(ops, domain, a, tol, max_newton, damping_min, initial=None):
 
 
 def _package(phi, a, domain, ops, fv, iters, tol, a_eval=None):
-    Ax, bx, Axx, bxx, Ay, by, Ayy, byy = ops
-    yv = domain.y[domain.nodes[:, 1]]
+    Ax, bx, _, _, Ay, by, _, _ = ops
     v = Ax @ fv + bx
     u = Ay @ fv + by
-    res = (_coefficient(v, yv, a if a_eval is None else a_eval)
-           * (Axx @ fv + bxx) + 2.0 * (Ayy @ fv + byy))
+    res = _p_residual(ops, domain.y[domain.nodes[:, 1]],
+                      a if a_eval is None else a_eval, fv)
 
     def to_field(vec):
         arr = np.full((domain.n, domain.n), np.nan)

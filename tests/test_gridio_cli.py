@@ -1,6 +1,8 @@
 """Tests for the grid CSV format and the JSON-report command line."""
 
 import json
+import pathlib
+import shlex
 import subprocess
 import sys
 
@@ -76,9 +78,27 @@ def test_cli_exit_codes():
     # usage error -> 2
     p = _run_cli(["verify"])
     assert p.returncode == 2
-    # unknown example name -> 2
-    p = _run_cli(["verify", "--example", "nope"])
-    assert p.returncode == 2
+    # unknown names and unsupported node counts -> 2 with a message
+    for args in (["verify", "--example", "nope"],
+                 ["solve-u1", "--boundary", "quadratic"],
+                 ["evolve", "--nodes", "100"]):
+        p = _run_cli(args)
+        assert p.returncode == 2
+        assert p.stderr.strip()
+
+
+def _readme_commands():
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1]
+    return [shlex.split(line)[1:]
+            for line in block.split("```", 1)[0].splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["--no-timing"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 def test_cli_index_report():

@@ -17,7 +17,36 @@ def _disc(n=65):
 def test_domain_forces_odd_grid():
     dom = u1.ConvexDomain("disc", n=64)
     assert dom.n % 2 == 1
-    assert dom.is_symmetric()
+    assert np.array_equal(dom.inside, dom.inside[:, ::-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(("disc", "ellipse")), st.integers(8, 64),
+       st.floats(0.3, 2.5), st.floats(0.3, 2.5),
+       st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_stencil_exact_on_quadratics(kind, half_n, rx, ry, c):
+    # the three-point first and second differences on unequal arms are exact
+    # for quadratics, so every active node, cut arms included, reproduces
+    # q_x, q_xx, q_y and q_yy up to rounding
+    dom = u1.ConvexDomain(kind, rx, ry, 2 * half_n + 1)
+
+    def q(x, y):
+        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+    ops = u1._direction_ops(dom, u1.BoundaryData(q))
+    x, y = dom.x[dom.nodes[:, 0]], dom.y[dom.nodes[:, 1]]
+    cut = dom.arm_cut[dom.arm_nbr < 0]
+    qv = q(x, y)
+    qmax = max(np.max(np.abs(qv)), np.max(np.abs(q(*cut.T))))
+    exact = (c[1] + 2 * c[3] * x + c[4] * y, 2 * c[3],
+             c[2] + c[4] * x + 2 * c[5] * y, 2 * c[5])
+    for k, (A, b) in enumerate(zip(ops[0::2], ops[1::2])):
+        hp, hm = dom.arm_len[:, 2 * (k // 2)], dom.arm_len[:, 2 * (k // 2) + 1]
+        # sum of |stencil weights|, boundary weights included
+        weights = (2 * np.maximum(hp, hm) ** 2 / (hp * hm * (hp + hm)) if k % 2 == 0
+                   else 4 / (hp * hm))
+        tol = 64 * np.finfo(float).eps * weights * (qmax + 1)
+        assert np.all(np.abs(A @ qv + b - exact[k]) <= tol)
 
 
 def test_affine_data_reproduced_exactly():
