@@ -72,13 +72,9 @@ def _emit(report, args):
 
 def _write_cloud_csv(path, points):
     """Point cloud as CSV columns x1..x6 (real coordinates of C^3)."""
-    with open(path, "w") as fh:
-        fh.write("x1,x2,x3,x4,x5,x6\n")
-        for p in points:
-            row = []
-            for z in p:
-                row += ["%.17g" % complex(z).real, "%.17g" % complex(z).imag]
-            fh.write(",".join(row) + "\n")
+    from .core import real_coords
+    np.savetxt(path, real_coords(points), fmt="%.17g", delimiter=",",
+               header="x1,x2,x3,x4,x5,x6", comments="")
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +92,8 @@ def _cmd_verify(args):
     rep.check("sl_residual_max", worst, args.tol)
     if args.out_csv:
         rng = np.random.default_rng(args.seed)
-        pts = [families.family_point(fam, p)[0]
-               for p in fam.sample_params(rng, min(args.samples, 2000))]
-        _write_cloud_csv(args.out_csv, pts)
+        params = fam.sample_params(rng, min(args.samples, 2000))
+        _write_cloud_csv(args.out_csv, families.family_point(fam, params)[0])
         rep.artifact(args.out_csv)
     return rep
 
@@ -126,6 +121,9 @@ def _cmd_solve_u1(args):
               passed=np.isfinite(sol.residual_CR))
     sing = u1.singular_points(sol)
     rep.envelope["singular_points"] = [[x, z.real, z.imag] for x, z in sing]
+    if args.a == 0.0:
+        # the continuation to a = 0 may stop at a small positive level
+        rep.envelope["continuation_a"] = sol.continuation_a
     if args.out_grid:
         gridio.write_grid(args.out_grid, sol.f)
         rep.artifact(args.out_grid)
@@ -301,8 +299,15 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    report = args.func(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        report = args.func(args)
+    except np.linalg.LinAlgError:
+        raise  # a numerical failure, though it subclasses ValueError
+    except ValueError as exc:
+        # every library input check raises a ValueError subclass
+        parser.error("%s: %s" % (args.subcommand, exc))
     code = report.finish(args.no_timing)
     _emit(report, args)
     return code

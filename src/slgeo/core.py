@@ -48,6 +48,11 @@ def real_coords(z: np.ndarray) -> np.ndarray:
     return out
 
 
+def broadcast_stack(parts, axis: int = -1) -> np.ndarray:
+    """np.stack after broadcasting, so scalar entries fill out the stack."""
+    return np.stack(np.broadcast_arrays(*parts), axis=axis)
+
+
 def standard_J(m: int) -> np.ndarray:
     """Complex-structure matrix J on R^{2m} (rotation by i in each z_j plane)."""
     J = np.zeros((2 * m, 2 * m))

@@ -139,6 +139,8 @@ class EvolvingSurface:
     @classmethod
     def sphere(cls, subdivisions: int = 3, scale: complex = 1.0,
                dt: float = 0.01) -> "EvolvingSurface":
+        if not dt > 0:
+            raise ValueError("dt must be positive, got %r" % (dt,))
         verts, faces = icosphere(subdivisions)
         D1, D2 = _pushforward_matrices(verts, faces)
         surf = cls(verts, faces, D1, D2, dt=dt)
@@ -194,6 +196,8 @@ def evolve_step(surf: EvolvingSurface) -> EvolvingSurface:
 
 
 def evolve_run(surf: EvolvingSurface, t_end: float) -> EvolvingSurface:
+    if not surf.dt > 0:  # a step of dt <= 0 never advances the clock
+        raise ValueError("dt must be positive, got %r" % (surf.dt,))
     while surf.times[-1] < t_end - 1e-12:
         surf.dt = min(surf.dt, t_end - surf.times[-1])
         evolve_step(surf)

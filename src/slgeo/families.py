@@ -13,6 +13,8 @@ Families:
 
 All immersions carry analytic first derivatives, so tangent planes are
 exact and the pointwise SL defect of each family is round-off only.
+`family_point` takes a stack of parameter triples (..., 3) and returns
+the points (..., 3) and their complex tangent rows (..., 3, 3) as arrays.
 The module also fits asymptotic-cone decay rates, enumerates the
 Legendrian index of flat-torus cone links by dual-lattice counting, and
 computes the classical moduli dimensions of complete-intersection
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import TangentPlane, plane_defects, real_coords
+from .core import broadcast_stack, plane_defects, real_coords
 
 
 class ParameterRangeError(ValueError):
@@ -129,87 +131,83 @@ class ModelFamily:
 
 
 def family_point(fam: ModelFamily, params):
-    """Point of the family and its analytic tangent plane."""
-    p = np.asarray(params, dtype=float)
+    """Points (..., 3) of the family at a parameter stack (..., 3) and their
+    analytic tangent rows (..., 3, 3), both complex; real_coords of the
+    rows is a stack of plane bases."""
+    p = np.moveaxis(np.asarray(params, dtype=float), -1, 0)
     name = fam.name
     if name == "hl_cone_L0":
         r, t1, t2 = p
-        if r <= 0:
+        if np.any(r <= 0):
             raise ParameterRangeError("cone radius must be positive")
         e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
         e3 = np.exp(-1j * (t1 + t2))
-        z = r * np.array([e1, e2, e3])
-        tb = np.array([[e1, e2, e3],
-                       [1j * r * e1, 0, -1j * r * e3],
-                       [0, 1j * r * e2, -1j * r * e3]])
+        z = broadcast_stack([r * e1, r * e2, r * e3])
+        tb = [broadcast_stack([e1, e2, e3]),
+              broadcast_stack([1j * r * e1, 0, -1j * r * e3]),
+              broadcast_stack([0, 1j * r * e2, -1j * r * e3])]
     elif name == "hl_Lt":
         t = fam.extra["t"]
         th, x, y = p
         zc = x + 1j * y
         rad = np.sqrt(x * x + y * y + t * t)
         e = np.exp(1j * th)
-        z = np.array([rad * e, zc, np.conj(zc) * np.conj(e)])
-        tb = np.array([[1j * rad * e, 0, -1j * np.conj(zc) * np.conj(e)],
-                       [x / rad * e, 1.0, np.conj(e)],
-                       [y / rad * e, 1j, -1j * np.conj(e)]])
+        z = broadcast_stack([rad * e, zc, np.conj(zc) * np.conj(e)])
+        tb = [broadcast_stack([1j * rad * e, 0, -1j * np.conj(zc) * np.conj(e)]),
+              broadcast_stack([x / rad * e, 1.0, np.conj(e)]),
+              broadcast_stack([y / rad * e, 1j, -1j * np.conj(e)])]
     elif name == "so3_Lt":
         t = fam.extra["t"]
         th, al, be = p
-        if not 0.0 < th < np.pi / 3:
+        if not np.all((0.0 < th) & (th < np.pi / 3)):
             raise ParameterRangeError("theta must lie in (0, pi/3)")
         s3 = np.sin(3 * th)
         r = t * s3 ** (-1.0 / 3.0)
         dr = -r * np.cos(3 * th) / s3
-        u = np.array([np.sin(al) * np.cos(be), np.sin(al) * np.sin(be),
-                      np.cos(al)])
-        du_al = np.array([np.cos(al) * np.cos(be), np.cos(al) * np.sin(be),
-                          -np.sin(al)])
-        du_be = np.array([-np.sin(al) * np.sin(be), np.sin(al) * np.cos(be),
-                          0.0])
+        u = (np.sin(al) * np.cos(be), np.sin(al) * np.sin(be), np.cos(al))
+        du_al = (np.cos(al) * np.cos(be), np.cos(al) * np.sin(be), -np.sin(al))
+        du_be = (-np.sin(al) * np.sin(be), np.sin(al) * np.cos(be), 0.0)
         e = np.exp(1j * th)
-        z = e * r * u
-        tb = np.array([e * (dr + 1j * r) * u,
-                       e * r * du_al,
-                       e * r * du_be])
+        z = broadcast_stack([e * r * x for x in u])
+        tb = [broadcast_stack([e * (dr + 1j * r) * x for x in u]),
+              broadcast_stack([e * r * x for x in du_al]),
+              broadcast_stack([e * r * x for x in du_be])]
     elif name == "quadric_L":
         a1, a2, a3 = fam.extra["a1"], fam.extra["a2"], fam.extra["a3"]
         c = fam.extra["c"]
         th, x1, x2 = p
         x3sq = (a1 * x1 ** 2 + a2 * x2 ** 2 - c) / (a1 + a2)
-        if x3sq < 1e-12:
+        if np.any(x3sq < 1e-12):
             raise ParameterRangeError("(x1, x2) too close to the x3 = 0 slice")
         x3 = np.sqrt(x3sq)
         e1, e2, e3 = (np.exp(1j * a1 * th), np.exp(1j * a2 * th),
                       np.exp(1j * a3 * th))
-        z = np.array([e1 * x1, e2 * x2, 1j * e3 * x3])
+        z = broadcast_stack([e1 * x1, e2 * x2, 1j * e3 * x3])
         d31 = a1 * x1 / ((a1 + a2) * x3)
         d32 = a2 * x2 / ((a1 + a2) * x3)
-        tb = np.array([[1j * a1 * e1 * x1, 1j * a2 * e2 * x2,
-                        1j * 1j * a3 * e3 * x3],
-                       [e1, 0, 1j * e3 * d31],
-                       [0, e2, 1j * e3 * d32]])
+        tb = [broadcast_stack([1j * a1 * e1 * x1, 1j * a2 * e2 * x2,
+                               1j * 1j * a3 * e3 * x3]),
+              broadcast_stack([e1, 0, 1j * e3 * d31]),
+              broadcast_stack([0, e2, 1j * e3 * d32])]
     else:  # branched_leading
         u, v, w = fam.extra["u"], fam.extra["v"], fam.extra["w"]
         g_uv = float(np.real(np.vdot(u, v)))
         nu2 = float(np.real(np.vdot(u, u)))
-        x, y, t = p
+        x, y, t = p[..., None]
         z = (x + 0.25 * g_uv * t * t) * u + (y * y - 0.25 * nu2 * t * t) * v \
             + 2 * y * t * w
-        tb = np.array([u,
-                       2 * y * v + 2 * t * w,
-                       0.5 * g_uv * t * u - 0.5 * nu2 * t * v + 2 * y * w])
-    plane = TangentPlane(3, real_coords(tb))
-    return z, plane
+        tb = [u,
+              2 * y * v + 2 * t * w,
+              0.5 * g_uv * t * u - 0.5 * nu2 * t * v + 2 * y * w]
+    return z, broadcast_stack(tb, axis=-2)
 
 
 def sl_residual_sweep(fam: ModelFamily, n_samples: int = 1000,
                       seed: int = 0) -> float:
     """Max SL defect of analytic tangent planes over seeded samples."""
     rng = np.random.default_rng(seed)
-    bases = [family_point(fam, params)[1].basis
-             for params in fam.sample_params(rng, n_samples)]
-    return float(np.max(plane_defects(np.reshape(bases, (-1, 3, 6)))[0],
-                        initial=0.0))
+    tangents = family_point(fam, fam.sample_params(rng, n_samples))[1]
+    return float(np.max(plane_defects(real_coords(tangents))[0], initial=0.0))
 
 
 def branched_truncation_bound(patch_size: float) -> float:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import plane_defects, real_coords
+from .core import broadcast_stack, plane_defects, real_coords
 from .u1 import (BoundaryData, ConvexDomain, PotentialSolution, difference_zeros,
                  lift_to_sl3, singular_points, solve_dirichlet)
 
@@ -139,10 +139,8 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs, samples: int = 200,
         else:
             c1 = fam.fiber(alpha)
             c2 = fam.fiber(alpha2)
-            lvl1 = 0.5 * np.array([abs(p[0]) ** 2 - abs(p[1]) ** 2
-                                   for p in c1.points])
-            lvl2 = 0.5 * np.array([abs(p[0]) ** 2 - abs(p[1]) ** 2
-                                   for p in c2.points])
+            lvl1, lvl2 = (0.5 * (np.abs(c.points[:, 0]) ** 2
+                                 - np.abs(c.points[:, 1]) ** 2) for c in (c1, c2))
             entry["mechanism"] = "moment-level"
             entry["level_error"] = float(max(np.max(np.abs(lvl1 - alpha[0])),
                                              np.max(np.abs(lvl2 - alpha2[0]))))
@@ -152,10 +150,8 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs, samples: int = 200,
                               replace=False)
             idx2 = rng.choice(len(c2.points), min(samples, len(c2.points)),
                               replace=False)
-            p1 = np.array([np.concatenate([p.real, p.imag])
-                           for p in c1.points[idx1]])
-            p2 = np.array([np.concatenate([p.real, p.imag])
-                           for p in c2.points[idx2]])
+            p1, p2 = (np.concatenate([p.real, p.imag], axis=-1)
+                      for p in (c1.points[idx1], c2.points[idx2]))
             d = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
             entry["min_distance"] = float(np.min(d))
         report.append(entry)
@@ -184,42 +180,39 @@ def explicit_F_fiber(a: float, b: complex, n_r: int = 12, n_phase: int = 8,
     """Sampled fiber of the explicit fibration.
 
     Points are z1 = r1 e^{i t1}, z2 = r2 e^{i t2} with
-    r1^2 - r2^2 = 2a, and z3 = b - min(r1, r2) e^{-i(t1 + t2)}.
+    r1^2 - r2^2 = 2a, and z3 = b - min(r1, r2) e^{-i(t1 + t2)}, over an
+    (s = r2, t1, t2) grid in node-major order.
     """
     b = complex(b)
     smin = np.sqrt(max(0.0, -2.0 * a))
-    pts = []
-    bases = []
-    for s in np.linspace(smin, np.sqrt(smin ** 2 + r_max ** 2), n_r):
-        r2 = s
-        r1 = np.sqrt(max(r2 ** 2 + 2.0 * a, 0.0))
-        rmin = min(r1, r2)
-        if r1 < 1e-13 and r2 < 1e-13:
-            pts.append(np.array([0.0, 0.0, b]))
-            continue
-        for t1 in 2 * np.pi * np.arange(n_phase) / n_phase:
-            for t2 in 2 * np.pi * np.arange(n_phase) / n_phase:
-                e1, e2 = np.exp(1j * t1), np.exp(1j * t2)
-                e3 = np.exp(-1j * (t1 + t2))
-                z = np.array([r1 * e1, r2 * e2, b - rmin * e3])
-                pts.append(z)
-                if rmin < 1e-6:
-                    # chart degeneracy where one circle collapses; the
-                    # (s, t1, t2) coordinates are singular but the fiber
-                    # is smooth there for a != 0
-                    continue
-                # analytic tangent in (s, t1, t2); r1 dr1 = r2 dr2
-                dr2 = 1.0
-                dr1 = r2 / r1 * dr2 if r1 > 1e-13 else 0.0
-                drmin = dr1 if r1 <= r2 else dr2
-                t_s = np.array([dr1 * e1, dr2 * e2, -drmin * e3])
-                t_1 = np.array([1j * r1 * e1, 0.0, 1j * rmin * e3])
-                t_2 = np.array([0.0, 1j * r2 * e2, 1j * rmin * e3])
-                bases.append(real_coords(np.array([t_s, t_1, t_2])))
-    defects = plane_defects(np.reshape(bases, (-1, 3, 6)))[0]
+    s = np.linspace(smin, np.sqrt(smin ** 2 + r_max ** 2), n_r)
+    t = 2 * np.pi * np.arange(n_phase) / n_phase
+    e1, e2 = np.exp(1j * t)[:, None], np.exp(1j * t)[None, :]
+    e3 = np.exp(-1j * (t[:, None] + t[None, :]))
+    r2 = s[:, None, None]
+    r1 = np.sqrt(np.maximum(r2 ** 2 + 2.0 * a, 0.0))
+    rmin = np.minimum(r1, r2)
+    pts = broadcast_stack([r1 * e1, r2 * e2, b - rmin * e3]).reshape(n_r, -1, 3)
+    # where both circles collapse the whole orbit is the single point (0, 0, b)
+    apex = ((r1 < 1e-13) & (r2 < 1e-13))[:, 0, 0]
+    keep = np.ones(pts.shape[:2], dtype=bool)
+    keep[apex, 1:] = False
+    pts[apex, 0] = (0.0, 0.0, b)
+    # analytic tangent in (s, t1, t2), r1 dr1 = r2 dr2; where one circle
+    # collapses (rmin < 1e-6) the chart is singular but the fiber is smooth
+    # for a != 0, so those points carry no tangent
+    tan = rmin[:, 0, 0] >= 1e-6
+    r1, r2, rmin = r1[tan], r2[tan], rmin[tan]
+    dr1 = r2 / r1
+    drmin = np.where(r1 <= r2, dr1, 1.0)
+    rows = broadcast_stack([broadcast_stack([dr1 * e1, e2, -drmin * e3]),
+                            broadcast_stack([1j * r1 * e1, 0, 1j * rmin * e3]),
+                            broadcast_stack([0, 1j * r2 * e2, 1j * rmin * e3])],
+                           axis=-2)
+    defects = plane_defects(real_coords(rows).reshape(-1, 3, 6))[0]
     sing = [(0.0, 0.0, b)] if a == 0.0 else []
     topo = "T2_cone" if a == 0.0 else "S1xR2"
-    return FiberRecord((a, b.real, b.imag), np.array(pts), topo, sing,
+    return FiberRecord((a, b.real, b.imag), pts[keep], topo, sing,
                        float(np.max(defects, initial=0.0)))
 
 
@@ -251,25 +244,31 @@ def harvey_lawson_F(p) -> tuple:
 
 
 def harvey_lawson_jacobian(p) -> np.ndarray:
-    """Real 3 x 6 Jacobian of the T^2-cone fibration at p."""
-    z1, z2, z3 = (complex(v) for v in p)
-    J = np.zeros((3, 6))
-    J[0, 0:2] = 2 * np.array([z1.real, z1.imag])
-    J[0, 4:6] = -2 * np.array([z3.real, z3.imag])
-    J[1, 2:4] = 2 * np.array([z2.real, z2.imag])
-    J[1, 4:6] = -2 * np.array([z3.real, z3.imag])
+    """Real 3 x 6 Jacobians (..., 3, 6) of the T^2-cone fibration at
+    points p (..., 3)."""
+    z = np.asarray(p, dtype=complex)
+    x = real_coords(z)
+    J = np.zeros(z.shape[:-1] + (3, 6))
+    J[..., 0, 0:2] = 2 * x[..., 0:2]
+    J[..., 0, 4:6] = -2 * x[..., 4:6]
+    J[..., 1, 2:4] = 2 * x[..., 2:4]
+    J[..., 1, 4:6] = -2 * x[..., 4:6]
     # d Im(z1 z2 z3) = Im(dz1 z2 z3 + z1 dz2 z3 + z1 z2 dz3)
-    for k, w in enumerate((z2 * z3, z1 * z3, z1 * z2)):
-        J[2, 2 * k] = w.imag
-        J[2, 2 * k + 1] = w.real
+    z1, z2, z3 = np.moveaxis(z, -1, 0)
+    w = broadcast_stack([z2 * z3, z1 * z3, z1 * z2])
+    J[..., 2, 0::2] = w.imag
+    J[..., 2, 1::2] = w.real
     return J
 
 
+def _rank(s: np.ndarray) -> np.ndarray:
+    """Numerical rank from descending singular values (..., k): those above
+    RANK_RTOL times the largest (none if the largest is 0)."""
+    return np.sum(s > RANK_RTOL * s[..., :1], axis=-1)
+
+
 def jacobian_rank(J: np.ndarray) -> int:
-    s = np.linalg.svd(J, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return int(_rank(np.linalg.svd(J, compute_uv=False)))
 
 
 def classify_fiber_hl(a: float, b: float, c: float, n_rho: int = 10,
@@ -277,48 +276,36 @@ def classify_fiber_hl(a: float, b: float, c: float, n_rho: int = 10,
     """Sample the level set of the T^2-cone fibration along U(1)^2 orbits.
 
     Radii follow from rho = |z3| in closed form; the total phase is fixed
-    by the Im(z1 z2 z3) = c equation.
+    by the Im(z1 z2 z3) = c equation.  One batched SVD of the Jacobians
+    gives both the rank test and the tangent planes (their kernels).
     """
     rho_min = np.sqrt(max(0.0, -a, -b))
-    pts = []
-    sing = []
-    bases = []
-    if a == 0.0 and b == 0.0 and c == 0.0:
-        pts.append(np.zeros(3, dtype=complex))
-        sing.append((0.0, 0.0, 0.0))
-    for rho in np.linspace(rho_min, np.sqrt(rho_min ** 2 + rho_max ** 2),
-                           n_rho):
-        # at rho_min the radicand of the vanishing radius can round below 0
-        r1 = np.sqrt(max(a + rho ** 2, 0.0))
-        r2 = np.sqrt(max(b + rho ** 2, 0.0))
-        prod = r1 * r2 * rho
-        if prod == 0.0 or prod < abs(c):
-            continue
-        sigma = np.arcsin(np.clip(c / prod, -1.0, 1.0))
-        for t1 in 2 * np.pi * np.arange(n_phase) / n_phase:
-            for t2 in 2 * np.pi * np.arange(n_phase) / n_phase:
-                t3 = sigma - t1 - t2
-                z = np.array([r1 * np.exp(1j * t1), r2 * np.exp(1j * t2),
-                              rho * np.exp(1j * t3)])
-                pts.append(z)
-                J = harvey_lawson_jacobian(z)
-                if jacobian_rank(J) < 3:
-                    sing.append(tuple(z))
-                    continue
-                bases.append(_nullspace(J))
-    if not pts:
+    rho = np.linspace(rho_min, np.sqrt(rho_min ** 2 + rho_max ** 2), n_rho)
+    # at rho_min the radicand of the vanishing radius can round below 0
+    r1 = np.sqrt(np.maximum(a + rho ** 2, 0.0))
+    r2 = np.sqrt(np.maximum(b + rho ** 2, 0.0))
+    prod = r1 * r2 * rho
+    on = (prod > 0.0) & (prod >= abs(c))
+    r1, r2, rho, prod = (v[on, None, None] for v in (r1, r2, rho, prod))
+    sigma = np.arcsin(np.clip(c / prod, -1.0, 1.0))
+    t = 2 * np.pi * np.arange(n_phase) / n_phase
+    t1, t2 = t[:, None], t[None, :]
+    z = broadcast_stack([r1 * np.exp(1j * t1), r2 * np.exp(1j * t2),
+                         rho * np.exp(1j * (sigma - t1 - t2))]).reshape(-1, 3)
+    origin = a == 0.0 and b == 0.0 and c == 0.0
+    if not (len(z) or origin):
         raise EmptyFiberError("no points on the (%.3g, %.3g, %.3g) level"
                               % (a, b, c))
-    defects = plane_defects(np.reshape(bases, (-1, 3, 6)))[0]
+    _, s, vt = np.linalg.svd(harvey_lawson_jacobian(z))
+    singular = _rank(s) < 3
+    sing = [tuple(p) for p in z[singular]]
+    if origin:
+        z = np.concatenate([np.zeros((1, 3), dtype=complex), z])
+        sing.insert(0, (0.0, 0.0, 0.0))
+    defects = plane_defects(vt[~singular, 3:, :])[0]
     topo = "T2_cone" if sing else "T3_like"
-    return FiberRecord((a, b, c), np.array(pts), topo, sing,
+    return FiberRecord((a, b, c), z, topo, sing,
                        float(np.max(defects, initial=0.0)))
-
-
-def _nullspace(J: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of Ker J as rows (m = 3 tangent vectors in R^6)."""
-    _, _, vt = np.linalg.svd(J)
-    return vt[3:, :]
 
 
 def discriminant_scan(a_values, fam: FibrationFamily | None = None,

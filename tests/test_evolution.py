@@ -89,3 +89,15 @@ def test_probe_index_out_of_range():
     evolution.evolve_run(surf, 0.1)
     with pytest.raises(evolution.NoMatchError):
         evolution.compare_so3(surf, probe_indices=[10 ** 6])
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01])
+def test_nonpositive_dt_rejected(dt):
+    # a step of dt <= 0 never advances the clock, so the run would not end
+    with pytest.raises(ValueError):
+        evolution.EvolvingSurface.sphere(1, dt=dt)
+    surf = evolution.EvolvingSurface.sphere(1, dt=0.01)
+    surf.dt = dt
+    with pytest.raises(ValueError):
+        evolution.evolve_run(surf, 0.1)
+    assert surf.times == [0.0]

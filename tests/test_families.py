@@ -13,18 +13,50 @@ from slgeo import families
 # model families are pointwise special Lagrangian
 
 
-@pytest.mark.parametrize("name,extra", [
+FAMILIES = [
     ("hl_cone_L0", {}),
     ("hl_Lt", {"t": 1.0}),
     ("hl_Lt", {"t": 0.3}),
     ("so3_Lt", {"t": 1.0}),
     ("quadric_L", {"a1": 1, "a2": 2, "c": 1.0}),
     ("branched_leading", {}),
-])
+]
+
+
+@pytest.mark.parametrize("name,extra", FAMILIES)
 def test_family_sweep_is_sl(name, extra):
     fam = families.ModelFamily(name, extra)
     worst = families.sl_residual_sweep(fam, n_samples=400, seed=0)
     assert worst < 1e-12
+
+
+@pytest.mark.parametrize("name,extra", FAMILIES)
+def test_family_point_stack_matches_single_calls(name, extra):
+    fam = families.ModelFamily(name, extra)
+    params = fam.sample_params(np.random.default_rng(1), 64)
+    z, rows = families.family_point(fam, params)
+    assert z.shape == (64, 3) and rows.shape == (64, 3, 3)
+    eps = np.finfo(float).eps
+    for k, p in enumerate(params):
+        z1, rows1 = families.family_point(fam, p)
+        for stacked, single in ((z[k], z1), (rows[k], rows1)):
+            assert stacked.shape == single.shape
+            assert np.all(np.abs(stacked - single)
+                          <= 8 * eps * np.maximum(1.0, np.abs(single)))
+
+
+@pytest.mark.parametrize("name,extra,bad", [
+    ("hl_cone_L0", {}, (0.0, 1.0, 2.0)),                      # radius 0
+    ("so3_Lt", {"t": 1.0}, (0.0, 1.0, 2.0)),                  # theta 0
+    ("quadric_L", {"a1": 1, "a2": 2, "c": 1.0}, (0.3, 1.0, 0.0)),  # x3 = 0
+])
+def test_family_point_stack_rejects_one_bad_row(name, extra, bad):
+    fam = families.ModelFamily(name, extra)
+    params = fam.sample_params(np.random.default_rng(2), 64)
+    families.family_point(fam, params)
+    params[17] = bad
+    with pytest.raises(families.ParameterRangeError):
+        families.family_point(fam, params)
 
 
 def test_family_parameter_validation():

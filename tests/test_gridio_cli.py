@@ -5,18 +5,20 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from slgeo import cli, gridio
+from slgeo import cli, fibrations, gridio, u1
+from slgeo.core import real_coords
 
 
 def _run_cli(args):
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from slgeo.cli import main; "
                            "sys.exit(main(sys.argv[1:]))"] + list(args),
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=300)
     return proc
 
 
@@ -78,10 +80,16 @@ def test_cli_exit_codes():
     # usage error -> 2
     p = _run_cli(["verify"])
     assert p.returncode == 2
-    # unknown names and unsupported node counts -> 2 with a message
+    # unknown names, unsupported node counts and numbers the library
+    # rejects -> 2 with a message
     for args in (["verify", "--example", "nope"],
                  ["solve-u1", "--boundary", "quadratic"],
-                 ["evolve", "--nodes", "100"]):
+                 ["evolve", "--nodes", "100"],
+                 ["solve-u1", "--grid-n", "5"],
+                 ["solve-u1", "--tol", "0"],
+                 ["index", "--cutoff", "1"],
+                 ["moduli-dim", "--vars", "5", "--degrees", "x"],
+                 ["evolve", "--dt", "0"]):
         p = _run_cli(args)
         assert p.returncode == 2
         assert p.stderr.strip()
@@ -117,6 +125,22 @@ def test_cli_point_cloud_artifact(tmp_path):
     assert str(csv) in report["artifacts"]
     header = csv.read_text().splitlines()[0]
     assert header == "x1,x2,x3,x4,x5,x6"
+    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+    assert np.array_equal(
+        rows, real_coords(fibrations.explicit_F_fiber(0.5, 0.2).points))
+
+
+def test_cli_solve_u1_reports_continuation_level(capsys):
+    # a = 0 is reached by continuation, which may stop at a small a > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cli.main(["--no-timing", "solve-u1", "--a", "0", "--boundary", "x2",
+                  "--grid-n", "33"])
+        sol = u1.solve_dirichlet(cli._boundary_from_name("x2", 0.0, 0.0), 0.0,
+                                 u1.ConvexDomain("disc", rx=1.0, n=33))
+    report = json.loads(capsys.readouterr().out)
+    assert report["continuation_a"] > 0
+    assert report["continuation_a"] == sol.continuation_a
 
 
 def test_report_envelope_failure_lists_checks():
