@@ -20,8 +20,10 @@ Modules:
 
 __version__ = "0.1.0"
 
-from . import (calabi, cli, core, evolution, families, fibrations, graphs,
-               gridio, u1)
+# cli is left out: importing it here would put it in sys.modules before
+# ``python -m slgeo.cli`` runs it, which makes runpy warn
+from . import (calabi, core, evolution, families, fibrations, graphs, gridio,
+               u1)
 
 __all__ = ["calabi", "cli", "core", "evolution", "families", "fibrations",
            "graphs", "gridio", "u1", "__version__"]

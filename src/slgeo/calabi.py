@@ -4,22 +4,26 @@ Solves (omega + i ddbar phi)^m = e^f omega^m by the continuity method:
 f_t = t f + c_t with e^{c_t} int e^{t f} = int 1, each step solved by a
 damped Newton iteration preconditioned with the flat-metric Laplacian
 (inverted by FFT with the second-order difference symbol, so the
-preconditioner is the exact Jacobian at phi = 0).
+preconditioner is the exact Jacobian at phi = 0).  The inverse symbol is
+built once per grid, in the half-spectrum shape of the real FFT.
 
 The nodewise volume ratio is det(I + H) with H_{jk} = 2 phi_{z_j zbar_k};
-for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  Ricci
-forms of volume ratios are computed as -i ddbar log f, and the radial
-Ricci-flat profile on C^2 integrates f'(f' + u f'') = 1.
+for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  One
+stencil computes H for the operator, the Ricci form and the Newton loop:
+it pads the field once by wrapping and walks axis 0 in slabs of a few
+planes, taking every difference from slices and forming |H12|^2 as
+re^2 + im^2, so each slab's temporaries stay in cache.  Ricci forms of
+volume ratios are computed as -i ddbar log f, and the radial Ricci-flat
+profile on C^2 integrates f'(f' + u f'') = 1.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as _fft
-from scipy.integrate import solve_ivp
-from scipy.interpolate import make_interp_spline
 
 from .gridio import GridField
 
@@ -73,52 +77,82 @@ class TorusField:
         return cls(m, func(*grids))
 
 
-def _d2(v: np.ndarray, ax: int, h: float) -> np.ndarray:
-    return (np.roll(v, -1, ax) - 2.0 * v + np.roll(v, 1, ax)) / h ** 2
+# nodes per slab of the Hessian stencil, so that a slab's temporaries stay
+# in cache (n = 32, m = 2: four planes of 32^3 nodes, 1 MB per temporary)
+SLAB_NODES = 2 ** 17
+
+
+def _hessian_slabs(v: np.ndarray, h: float):
+    """Complex Hessian H_{jk} = 2 v_{z_j zbar_k} of periodic samples, one
+    slab of SLAB_NODES // v[0].size axis-0 planes at a time.
+
+    Pads v once by wrapping and takes every difference from slices of the
+    padded array, in real arithmetic.  Yields (rows, H11, H22, re, im), new
+    arrays on the nodes v[rows] with H12 = re + i im; H22, re and im are
+    None for m = 1.
+    """
+    n, dims = v.shape[0], v.ndim
+    planes = max(1, SLAB_NODES // v[0].size)
+    P = np.pad(v, 1, mode="wrap")
+    c = slice(1, n + 1)
+    h2 = h ** 2
+    s = 0.5 / (4.0 * h * h)
+    for lo in range(0, n, planes):
+        S = P[lo:lo + planes + 2]     # the slab and a halo plane each side
+
+        def at(ax, d):
+            """v shifted by d along axis ax, on the slab's nodes."""
+            idx = [slice(1, S.shape[0] - 1)] + [c] * (dims - 1)
+            idx[ax] = slice(idx[ax].start + d, idx[ax].stop + d)
+            return S[tuple(idx)]
+
+        def d2(ax):
+            """(v[+1] - 2 v + v[-1]) / h^2 along axis ax."""
+            return (at(ax, 1) - two + at(ax, -1)) / h2
+
+        two = 2.0 * at(0, 0)
+        H11 = 0.5 * (d2(0) + d2(1))
+        if dims == 2:
+            yield slice(lo, lo + planes), H11, None, None, None
+            continue
+        H22 = 0.5 * (d2(2) + d2(3))
+        # first differences along axes 2 and 3, on the halo planes too,
+        # shared by the four mixed derivatives
+        g2 = S[:, :, 2:, c] - S[:, :, :-2, c]
+        g3 = S[:, :, c, 2:] - S[:, :, c, :-2]
+        re = s * (g2[2:, c] - g2[:-2, c] + (g3[1:-1, 2:] - g3[1:-1, :-2]))
+        im = s * (g3[2:, c] - g3[:-2, c] - (g2[1:-1, 2:] - g2[1:-1, :-2]))
+        yield slice(lo, lo + planes), H11, H22, re, im
 
 
 def _complex_hessian(phi: TorusField):
     """H_{jk} = 2 phi_{z_j zbar_k}; returns (H11, H22, H12) real/complex
     arrays (H22, H12 are None for m = 1)."""
-    v, h = phi.values, phi.h
-    if phi.m == 1:
-        H11 = 0.5 * (_d2(v, 0, h) + _d2(v, 1, h))
-        return H11, None, None
-    H11 = 0.5 * (_d2(v, 0, h) + _d2(v, 1, h))
-    H22 = 0.5 * (_d2(v, 2, h) + _d2(v, 3, h))
-    # share the axis-2 and axis-3 first differences across the four mixed
-    # derivatives (12 rolls instead of 16)
-    g2 = np.roll(v, -1, 2)
-    g2 -= np.roll(v, 1, 2)
-    g3 = np.roll(v, -1, 3)
-    g3 -= np.roll(v, 1, 3)
-    s = 0.5 / (4.0 * h * h)
-
-    def mix(g, ax):
-        out = np.roll(g, -1, ax)
-        out -= np.roll(g, 1, ax)
-        return out
-
-    re = mix(g2, 0)
-    re += mix(g3, 1)
-    im = mix(g3, 0)
-    im -= mix(g2, 1)
-    H12 = s * re + (1j * s) * im
-    return H11, H22, H12
+    _, *parts = zip(*_hessian_slabs(phi.values, phi.h))
+    H11, H22, re, im = (None if p[0] is None else np.concatenate(p)
+                        for p in parts)
+    return H11, H22, None if re is None else re + 1j * im
 
 
 def ma_operator(phi: TorusField, check_positivity: bool = True) -> TorusField:
     """Nodewise ratio (omega + i ddbar phi)^m / omega^m = det(I + H)."""
-    H11, H22, H12 = _complex_hessian(phi)
-    if phi.m == 1:
-        ratio = 1.0 + H11
-        if check_positivity and np.min(ratio) <= 0.0:
-            raise NonKahlerIterateError("1 + H11 has nonpositive nodes")
-        return TorusField(1, ratio)
-    ratio = (1.0 + H11) * (1.0 + H22) - np.abs(H12) ** 2
-    if check_positivity and (np.min(1.0 + H11) <= 0.0 or np.min(ratio) <= 0.0):
-        raise NonKahlerIterateError("omega + i ddbar phi lost positivity")
-    return TorusField(2, ratio)
+    ratio = np.empty_like(phi.values)
+    min11 = min_ratio = np.inf
+    for rows, H11, H22, re, im in _hessian_slabs(phi.values, phi.h):
+        out = ratio[rows]
+        np.add(H11, 1.0, out=out)
+        if phi.m == 2:
+            # (1 + H11)(1 + H22) - |H12|^2
+            min11 = min(min11, np.min(out))
+            H22 += 1.0
+            out *= H22
+            out -= re * re + im * im
+        min_ratio = min(min_ratio, np.min(out))
+    if check_positivity and (min11 <= 0.0 or min_ratio <= 0.0):
+        raise NonKahlerIterateError(
+            "1 + H11 has nonpositive nodes" if phi.m == 1
+            else "omega + i ddbar phi lost positivity")
+    return TorusField(phi.m, ratio)
 
 
 def normalize_source(f: TorusField) -> TorusField:
@@ -130,32 +164,45 @@ def normalize_source(f: TorusField) -> TorusField:
 def _poisson_solve(rhs: np.ndarray, h: float) -> np.ndarray:
     """Zero-mean solution of the 2nd-order-difference Laplace equation
     Delta s = rhs on the periodic grid, via FFT with the FD symbol."""
-    n = rhs.shape[0]
-    dims = rhs.ndim
+    rhat = _fft.rfftn(rhs, workers=-1)
+    rhat *= _inverse_symbol(rhs.shape[0], rhs.ndim, h)
+    return _fft.irfftn(rhat, s=rhs.shape, workers=-1, overwrite_x=True)
+
+
+@functools.lru_cache(maxsize=1)
+def _inverse_symbol(n: int, dims: int, h: float) -> np.ndarray:
+    """1 / (FD Laplacian symbol) in the rfftn half-spectrum shape, 0 on the
+    constant mode; read-only, since every solve on the grid shares it."""
     k = np.arange(n)
     sym1 = (2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / h ** 2
-    symbol = np.zeros(rhs.shape)
-    for ax in range(dims):
-        shape = [1] * dims
-        shape[ax] = n
-        symbol = symbol + sym1.reshape(shape)
-    rhat = _fft.rfftn(rhs, workers=-1)
-    sym_r = symbol[tuple([slice(None)] * (dims - 1) + [slice(0, n // 2 + 1)])]
-    sym_r = sym_r.copy()
-    zero = np.abs(sym_r) < 1e-300
-    sym_r[zero] = 1.0
-    shat = rhat / sym_r
-    shat[tuple([0] * dims)] = 0.0
-    out = _fft.irfftn(shat, s=rhs.shape, axes=tuple(range(dims)), workers=-1)
-    return out
+    symbol = sum(np.ix_(*[sym1] * (dims - 1), sym1[:n // 2 + 1]))
+    symbol.flat[0] = 1.0        # the constant mode, mapped to 0 below
+    inverse = 1.0 / symbol
+    inverse.flat[0] = 0.0
+    inverse.flags.writeable = False
+    return inverse
 
 
 @dataclass
 class ContinuityPath:
+    """A continuity-method solve and what it did.
+
+    For each accepted step: the level t (``steps``), the discrete constant
+    c_t, the Newton iteration count, the max-norm residual before each
+    Newton iteration and at the end (``residuals``) and the accepted
+    line-search step of each iteration (``step_lengths``).  Each failed
+    step is one ``halvings`` entry (t, dt, reason): the step of length dt
+    from level t raised the exception whose text is reason, and dt was
+    halved.
+    """
+
     f: TorusField
     steps: list = field(default_factory=list)       # t values
     c_values: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
+    residuals: list = field(default_factory=list)
+    step_lengths: list = field(default_factory=list)
+    halvings: list = field(default_factory=list)
     phi: TorusField = None
     residual: float = np.nan
 
@@ -177,73 +224,86 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     updated from the current iterate.  The reported c_values and
     residual use the discrete constant.
     """
-    m, h = f.m, f.h
     path = ContinuityPath(f=f)
     phi = np.zeros_like(f.values) if initial is None else initial.values.copy()
     phi = phi - np.mean(phi)
+    det = None          # det(I + H(phi)) of the accepted iterate
     t = 0.0
     dt = 1.0 / t_steps
     while t < 1.0 - 1e-14:
         t_next = min(1.0, t + dt)
         try:
-            phi_new, iters, ct = _newton_step(phi, f, t_next, tol, max_newton)
+            phi, det, ct, rnorms, lams = _newton_step(phi, det, f, t_next,
+                                                      tol, max_newton)
         except (NonKahlerIterateError, RuntimeError) as exc:
+            path.halvings.append((t, dt, str(exc)))
             dt *= 0.5
             if dt < 1e-4:
                 raise PathFailureError(
                     "continuity path stalled at t = %.6f: %s" % (t, exc), t)
             continue
-        phi = phi_new
         t = t_next
         path.steps.append(t)
         path.c_values.append(ct)
-        path.newton_iters.append(iters)
-    path.phi = TorusField(m, phi)
+        path.newton_iters.append(len(lams))
+        path.residuals.append(rnorms)
+        path.step_lengths.append(lams)
+    path.phi = TorusField(f.m, phi)
     base = np.exp(f.values)
-    R, _ = _discrete_residual(phi, m, base, np.mean(base))
+    R, _ = _discrete_residual(det, base, np.mean(base))
     path.residual = float(np.max(np.abs(R)))
     return path
 
 
-def _discrete_residual(phi_values, m, base, base_mean):
+def _discrete_residual(det, base, base_mean):
     """Residual det(I + H) - e^{t f + c} with c fixed by the grid-mean
     solvability condition; zero grid mean by construction."""
-    det = ma_operator(TorusField(m, phi_values)).values
     s = np.mean(det) / base_mean
     return det - s * base, s
 
 
-def _newton_step(phi0, f: TorusField, t, tol, max_newton):
+def _newton_step(phi, det, f: TorusField, t, tol, max_newton):
+    """Damped quasi-Newton solve at level t, starting from the iterate phi
+    whose det(I + H) is det (None: computed here).
+
+    Returns (phi, det, c_t, residuals, step_lengths) for the accepted
+    iterate: the max-norm residual before each iteration and at the end,
+    and the accepted line-search step of each iteration.
+    """
     m, h = f.m, f.h
     base = np.exp(t * f.values)
     base_mean = np.mean(base)
-
-    phi = phi0.copy()
-    R, s = _discrete_residual(phi, m, base, base_mean)
-    rnorm = np.max(np.abs(R))
-    for it in range(max_newton):
+    if det is None:
+        det = ma_operator(TorusField(m, phi)).values
+    R, s = _discrete_residual(det, base, base_mean)
+    rnorm = float(np.max(np.abs(R)))
+    rnorms, lams = [rnorm], []
+    for _ in range(max_newton):
         if rnorm <= tol:
-            return phi, it, float(np.log(s))
+            break
         step = _poisson_solve(-2.0 * R, h)
         lam = 1.0
         while lam >= 2.0 ** -12:
             cand = phi + lam * step
-            cand = cand - np.mean(cand)
+            cand -= np.mean(cand)
             try:
-                Rc, sc = _discrete_residual(cand, m, base, base_mean)
+                dc = ma_operator(TorusField(m, cand)).values
             except NonKahlerIterateError:
                 lam *= 0.5
                 continue
-            cnorm = np.max(np.abs(Rc))
+            Rc, sc = _discrete_residual(dc, base, base_mean)
+            cnorm = float(np.max(np.abs(Rc)))
             if cnorm < rnorm:
-                phi, R, rnorm, s = cand, Rc, cnorm, sc
+                phi, det, R, rnorm, s = cand, dc, Rc, cnorm, sc
+                rnorms.append(rnorm)
+                lams.append(lam)
                 break
             lam *= 0.5
         else:
             raise RuntimeError("line search failed at residual %.3e" % rnorm)
-    if rnorm <= tol:
-        return phi, max_newton, float(np.log(s))
-    raise RuntimeError("Newton did not reach tol, residual %.3e" % rnorm)
+    if rnorm > tol:
+        raise RuntimeError("Newton did not reach tol, residual %.3e" % rnorm)
+    return phi, det, float(np.log(s)), rnorms, lams
 
 
 def poisson_reference_solution(f: TorusField) -> TorusField:
@@ -288,17 +348,22 @@ def ricci_form(ratio):
     vals = ratio.values
     if np.min(vals) <= 0.0:
         raise InvalidVolumeError("volume ratio must be positive")
-    logf = TorusField(ratio.m, np.log(vals))
-    H11, H22, H12 = _complex_hessian(logf)
+    logf = np.log(vals)
     if ratio.m == 1:
-        coeff = -H11  # -2 (log f)_{z zbar} = -Laplacian(log f) / 2
-        return coeff, 0.0
+        H11, _, _ = _complex_hessian(TorusField(1, logf))
+        return -H11, 0.0  # -2 (log f)_{z zbar} = -Laplacian(log f) / 2
     rho = np.empty(vals.shape + (2, 2), dtype=complex)
-    rho[..., 0, 0] = -0.5 * H11
-    rho[..., 1, 1] = -0.5 * H22
-    rho[..., 0, 1] = -0.5 * H12
-    rho[..., 1, 0] = -0.5 * np.conj(H12)
-    residual = float(np.max(np.abs(rho[..., 0, 1] - np.conj(rho[..., 1, 0]))))
+    r = rho.view(float)  # (..., 2, 4): row j is Re, Im of rho_{j0}, rho_{j1}
+    residual = 0.0
+    for rows, H11, H22, re, im in _hessian_slabs(logf, ratio.h):
+        q = r[rows]
+        q[..., 0, 0], q[..., 1, 2] = -0.5 * H11, -0.5 * H22
+        q[..., 0, 2], q[..., 0, 3] = -0.5 * re, -0.5 * im
+        q[..., 1, 0], q[..., 1, 1] = -0.5 * re, 0.5 * im
+        q[..., 0, 1] = q[..., 1, 3] = 0.0
+        # Hermitian-symmetry defect |rho_{0 1} - conj(rho_{1 0})|
+        residual = max(residual, float(np.max(np.hypot(
+            q[..., 0, 2] - q[..., 1, 0], q[..., 0, 3] + q[..., 1, 1]))))
     return rho, residual
 
 
@@ -323,6 +388,9 @@ def radial_ricci_flat_profile(C: float, u_max: float = 4.0,
     the trajectory; an independent Ricci diagnostic evaluates
     -i ddbar log(det g) on a 2D slice through the numerical profile.
     """
+    from scipy.integrate import solve_ivp
+    from scipy.interpolate import make_interp_spline
+
     if C < 0:
         raise ValueError("C must be nonnegative")
     if u_max < 3.0:

@@ -175,6 +175,8 @@ def _cmd_solve_calabi(args):
     rep.check("ma_residual", path.residual, 10.0 * args.tol)
     rep.check("phi_mean", path.phi.mean(), 1e-12)
     rep.envelope["t_steps_taken"] = len(path.steps)
+    rep.envelope["newton_iters"] = path.newton_iters
+    rep.envelope["halvings"] = path.halvings   # [t, dt, reason] per halving
     return rep
 
 

@@ -1,10 +1,31 @@
 """Tests for the torus Monge-Ampere solver, Ricci forms, and the radial
 Ricci-flat profile."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from slgeo import calabi
+
+EPS = np.finfo(float).eps
+
+
+def _roll_hessian(v, h):
+    """Reference complex Hessian (H11, H22, H12) of an m = 2 field, built
+    from whole-array rolls as the solver once did."""
+    def d2(ax):
+        return (np.roll(v, -1, ax) - 2.0 * v + np.roll(v, 1, ax)) / h ** 2
+
+    def mix(a, b):      # 4 h^2 times the centred mixed difference
+        g = np.roll(v, -1, b) - np.roll(v, 1, b)
+        return np.roll(g, -1, a) - np.roll(g, 1, a)
+
+    s = 0.5 / (4.0 * h * h)
+    H12 = s * (mix(0, 2) + mix(1, 3)) + 1j * s * (mix(0, 3) - mix(1, 2))
+    return 0.5 * (d2(0) + d2(1)), 0.5 * (d2(2) + d2(3)), H12
 
 
 def _recovery_error(path, phi_exact):
@@ -56,6 +77,87 @@ def test_positivity_guard():
         1, 16, lambda x, y: 3.0 * np.cos(x))
     with pytest.raises(calabi.NonKahlerIterateError):
         calabi.ma_operator(phi)
+
+
+# m = 2 fields that break each branch of the guard: a spike of height h^2
+# makes 1 + H11 = -1 at its node while det(I + H) stays >= 0.98 everywhere;
+# the wave 1.5 cos(x1 + x2) keeps 1 + H11 >= 0.26 but has det = -0.44.
+def _spike(n):
+    v = np.zeros((n,) * 4)
+    v[11, 5, 7, 9] = (2.0 * np.pi / n) ** 2
+    return calabi.TorusField(2, v)
+
+
+def _wave(n):
+    return calabi.TorusField.from_function(
+        2, n, lambda x1, y1, x2, y2: 1.5 * np.cos(x1 + x2))
+
+
+@pytest.mark.parametrize("planes", [None, 3])
+@pytest.mark.parametrize("field, h11_positive", [(_spike, False),
+                                                  (_wave, True)])
+def test_positivity_guard_m2(field, h11_positive, planes):
+    phi = field(16)
+    H11, _, _ = calabi._complex_hessian(phi)
+    ratio = calabi.ma_operator(phi, check_positivity=False).values
+    assert (np.min(1.0 + H11) > 0.0) == h11_positive
+    assert (np.min(ratio) > 0.0) != h11_positive
+    # with slabs of 3 planes the spike (plane 11) sits in the fourth slab
+    slab_nodes = calabi.SLAB_NODES if planes is None else planes * 16 ** 3
+    with mock.patch.object(calabi, "SLAB_NODES", slab_nodes):
+        with pytest.raises(calabi.NonKahlerIterateError):
+            calabi.ma_operator(phi)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(4, 24), planes=st.none() | st.integers(1, 5),
+       seed=st.integers(0, 2 ** 32 - 1), scale=st.floats(0.0, 1.0))
+@example(n=23, planes=None, seed=1, scale=1.0)
+@example(n=7, planes=2, seed=2, scale=0.5)
+def test_slab_stencil_matches_roll_reference(n, planes, seed, scale):
+    # slabs of `planes` planes (None: the module's own slab size) against
+    # the whole-array roll stencil, on fields with |H| of order one
+    h = 2.0 * np.pi / n
+    v = scale * h * h * np.random.default_rng(seed).uniform(-1, 1, (n,) * 4)
+    slab_nodes = calabi.SLAB_NODES if planes is None else planes * n ** 3
+    with mock.patch.object(calabi, "SLAB_NODES", slab_nodes):
+        ratio = calabi.ma_operator(calabi.TorusField(2, v),
+                                   check_positivity=False).values
+        hess = calabi._complex_hessian(calabi.TorusField(2, v))
+        rho, residual = calabi.ricci_form(calabi.TorusField(2, np.exp(v)))
+    H11, H22, H12 = _roll_hessian(v, h)
+    tol = 64 * EPS * (1.0 + np.max(np.abs(v))) / h ** 2
+    for got, ref in zip(hess, (H11, H22, H12)):
+        assert np.max(np.abs(got - ref)) <= tol
+    ref = (1.0 + H11) * (1.0 + H22) - np.abs(H12) ** 2
+    assert np.max(np.abs(ratio - ref)) <= tol
+    logf = np.log(np.exp(v))
+    L11, L22, L12 = _roll_hessian(logf, h)
+    tol = 64 * EPS * (1.0 + np.max(np.abs(logf))) / h ** 2
+    refs = (-0.5 * L11, -0.5 * L12), (-0.5 * np.conj(L12), -0.5 * L22)
+    for j in range(2):
+        for k in range(2):
+            assert np.max(np.abs(rho[..., j, k] - refs[j][k])) <= tol
+    assert residual <= 1e-13
+
+
+def test_path_records_newton_trace_and_halvings():
+    # at most 9 Newton iterations: the full step needs 10, so the path
+    # halves twice and reaches t = 1 in steps 0.5, 0.25, 0.25
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 8, lambda x1, y1, x2, y2: 0.1 * (np.cos(x1) + np.cos(y2))))
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=9)
+    assert path.steps == [0.5, 0.75, 1.0]
+    assert [(t, dt) for t, dt, _ in path.halvings] == [(0.0, 1.0), (0.5, 0.5)]
+    for _, _, reason in path.halvings:
+        assert reason.startswith("Newton did not reach tol, residual")
+    assert path.newton_iters == [len(lams) for lams in path.step_lengths]
+    for rnorms, lams in zip(path.residuals, path.step_lengths):
+        assert len(rnorms) == len(lams) + 1
+        assert rnorms[-1] <= 1e-10 < rnorms[0]
+        assert all(b < a for a, b in zip(rnorms, rnorms[1:]))
+        assert all(0.0 < lam <= 1.0 for lam in lams)
+    assert path.residual <= 1e-10
 
 
 def test_manufactured_order_two_m1():

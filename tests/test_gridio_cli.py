@@ -76,6 +76,29 @@ def test_cli_shared_flags_after_subcommand(tmp_path):
     assert report["dimension"] == 101
 
 
+def test_cli_solve_calabi_reports_newton_trace():
+    args = ["--no-timing", "solve-calabi", "--m", "2", "--grid", "8",
+            "--t-steps", "2"]
+    p1 = _run_cli(args)
+    p2 = _run_cli(args)
+    assert p1.returncode == 0
+    assert p1.stdout == p2.stdout
+    report = json.loads(p1.stdout)
+    assert len(report["newton_iters"]) == report["t_steps_taken"] == 2
+    assert all(it > 0 for it in report["newton_iters"])
+    assert report["halvings"] == []
+
+
+def test_cli_runs_as_module_without_runpy_warning():
+    # runpy warns when slgeo.cli is already imported (by the package)
+    # before ``python -m slgeo.cli`` executes it
+    p = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                        "slgeo.cli", "--no-timing", "moduli-dim", "--vars",
+                        "5", "--degrees", "5"],
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+
+
 def test_cli_exit_codes():
     # usage error -> 2
     p = _run_cli(["verify"])
