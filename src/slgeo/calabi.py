@@ -33,11 +33,13 @@ class NonKahlerIterateError(RuntimeError):
 
 
 class PathFailureError(RuntimeError):
-    """Continuity path could not be completed."""
+    """Continuity path could not be completed; path is the partial
+    :class:`ContinuityPath` up to last_good_t (phi and residual unset)."""
 
-    def __init__(self, msg, last_good_t):
+    def __init__(self, msg, last_good_t, path=None):
         super().__init__(msg)
         self.last_good_t = last_good_t
+        self.path = path
 
 
 class InvalidVolumeError(ValueError):
@@ -72,9 +74,11 @@ class TorusField:
 
     @classmethod
     def from_function(cls, m: int, n: int, func) -> "TorusField":
+        """Samples of func(x1, y1[, x2, y2]), called elementwise on
+        broadcasting axis arrays rather than 2m full-size grids."""
         x = 2.0 * np.pi * np.arange(n) / n
-        grids = np.meshgrid(*([x] * 2 * m), indexing="ij")
-        return cls(m, func(*grids))
+        axes = np.meshgrid(*([x] * 2 * m), indexing="ij", sparse=True)
+        return cls(m, np.broadcast_to(func(*axes), (n,) * 2 * m).copy())
 
 
 # nodes per slab of the Hessian stencil, so that a slab's temporaries stay
@@ -240,7 +244,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
             dt *= 0.5
             if dt < 1e-4:
                 raise PathFailureError(
-                    "continuity path stalled at t = %.6f: %s" % (t, exc), t)
+                    "continuity path stalled at t = %.6f: %s" % (t, exc), t,
+                    path)
             continue
         t = t_next
         path.steps.append(t)

@@ -119,6 +119,9 @@ def _cmd_solve_u1(args):
     rep.check("residual_P", sol.residual_P, 10.0 * args.tol)
     rep.check("residual_CR", sol.residual_CR, max(1.0, sol.residual_CR),
               passed=np.isfinite(sol.residual_CR))
+    rep.envelope["newton_iters"] = sol.newton_iters
+    rep.envelope["factorizations"] = sol.factorizations
+    rep.envelope["levels"] = [rec.a for rec in sol.trace]   # a per Newton solve
     sing = u1.singular_points(sol)
     rep.envelope["singular_points"] = [[x, z.real, z.imag] for x, z in sing]
     if args.a == 0.0:

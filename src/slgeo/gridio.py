@@ -70,12 +70,11 @@ def write_grid(path, fld: GridField) -> None:
     vals = fld.values.copy()
     if fld.mask is not None:
         vals[~fld.mask] = np.nan
-    with open(path, "w") as fh:
-        fh.write("%s, %d, %d, %.17g, %.17g, %.17g, %.17g, %d\n" % (
-            _HEADER_TAG, fld.nx, fld.ny, fld.x0, fld.y0, fld.hx, fld.hy,
-            0 if fld.mask is None else 1))
-        for i in range(fld.nx):
-            fh.write(", ".join("%.17g" % v for v in vals[i]) + "\n")
+    header = "%s, %d, %d, %.17g, %.17g, %.17g, %.17g, %d" % (
+        _HEADER_TAG, fld.nx, fld.ny, fld.x0, fld.y0, fld.hx, fld.hy,
+        0 if fld.mask is None else 1)
+    np.savetxt(path, vals, fmt="%.17g", delimiter=", ", header=header,
+               comments="")
 
 
 def read_grid(path) -> GridField:

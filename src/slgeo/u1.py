@@ -16,8 +16,9 @@ and lift to U(1)-invariant special Lagrangian 3-folds of C^3 through
 
 Discretization: second-order finite differences on a boundary-fitted mask
 (Shortley-Weller unequal arms at cut nodes, boundary values injected along
-grid lines), damped Newton with a harmonic-extension initial guess, and
-continuation a_k = a0 * 2^{-k} for the degenerate a = 0 problem.
+grid lines), damped Newton with a harmonic-extension initial guess and
+chord steps on a kept sparse LU, and continuation a_k = a0 * 2^{-k} for
+the degenerate a = 0 problem.
 """
 
 from __future__ import annotations
@@ -37,11 +38,29 @@ EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
 
 
 class NewtonDivergenceError(RuntimeError):
-    """Damped Newton failed; carries the last residual norm."""
+    """Damped Newton failed; carries the last residual norm and the
+    :class:`NewtonRecord` of the failed solve."""
 
-    def __init__(self, msg, residual):
+    def __init__(self, msg, residual, record=None):
         super().__init__(msg)
         self.residual = residual
+        self.record = record
+
+
+@dataclass
+class NewtonRecord:
+    """One Newton solve at level a: the max-norm residual before each step
+    and at the end; per step the accepted line-search step (0.0 where none
+    was found) and whether its Jacobian was factored at that iterate; the
+    factorisation count; and why it stopped ("converged", "damping
+    underflow" or "max iterations")."""
+
+    a: float
+    residuals: list = field(default_factory=list)
+    step_lengths: list = field(default_factory=list)
+    fresh: list = field(default_factory=list)
+    factorizations: int = 0
+    stop: str = ""
 
 
 @dataclass
@@ -181,16 +200,14 @@ class PotentialSolution:
     # for a = 0 solves: the smallest continuation level that converged;
     # residual_P is evaluated against the equation at this level
     continuation_a: float = None
+    # one NewtonRecord per Newton solve (continuation level), and the
+    # sparse factorisations summed over them
+    trace: list = field(default_factory=list)
+    factorizations: int = 0
 
-    def grids(self):
-        return self.f, self.u, self.v
 
-
-def _coefficient(v, y, a, clamp=True):
-    s = v * v + y * y + a * a
-    if clamp:
-        s = np.maximum(s, EPS_REG ** 2)
-    return 1.0 / np.sqrt(s)
+def _coefficient(v, y, a):
+    return 1.0 / np.sqrt(np.maximum(v * v + y * y + a * a, EPS_REG ** 2))
 
 
 def _p_residual(ops, yv, a, f):
@@ -208,11 +225,16 @@ def p_operator(f: GridField, a: float, domain: ConvexDomain,
     if phi is None:
         phi = BoundaryData(_grid_sampler(f))
     fv = f.values[domain.inside[: f.nx, : f.ny]] if f.mask is None else f.values[domain.inside]
-    res = _p_residual(_direction_ops(domain, phi), domain.y[domain.nodes[:, 1]],
-                      a, np.asarray(fv, dtype=float))
-    out = np.full((domain.n, domain.n), np.nan)
-    out[domain.inside] = res
-    return GridField(out, -domain.rx, -domain.ry, domain.hx, domain.hy,
+    return _to_field(domain, _p_residual(
+        _direction_ops(domain, phi), domain.y[domain.nodes[:, 1]], a,
+        np.asarray(fv, dtype=float)))
+
+
+def _to_field(domain: ConvexDomain, vec) -> GridField:
+    """Active-node values as a masked grid field, NaN elsewhere."""
+    arr = np.full((domain.n, domain.n), np.nan)
+    arr[domain.inside] = vec
+    return GridField(arr, -domain.rx, -domain.ry, domain.hx, domain.hy,
                      mask=domain.inside.copy())
 
 
@@ -241,8 +263,8 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
         return _solve_continuation(phi, domain, tol, max_newton, damping_min)
 
     ops = _direction_ops(domain, phi)
-    fv, iters = _newton(ops, domain, a, tol, max_newton, damping_min, initial)
-    return _package(phi, a, domain, ops, fv, iters, tol)
+    fv, rec = _newton(ops, domain, a, tol, max_newton, damping_min, initial)
+    return _package(phi, a, domain, ops, fv, [rec])
 
 
 class ContinuationStalledWarning(UserWarning):
@@ -253,86 +275,117 @@ def _solve_continuation(phi, domain, tol, max_newton, damping_min, a0=1.0):
     ops = _direction_ops(domain, phi)
     fv = None
     prev = None
-    iters = 0
+    trace = []
     a_good = None
     for k in range(60):
         ak = a0 * 2.0 ** -k
         try:
-            fv, it = _newton(ops, domain, ak, tol, max_newton, damping_min, fv)
+            fv, rec = _newton(ops, domain, ak, tol, max_newton, damping_min, fv)
         except NewtonDivergenceError as exc:
+            trace.append(exc.record)
             if fv is None:
                 raise
             warnings.warn("continuation stalled at a = %g (residual %.2e); "
                           "returning the last converged level" % (ak, exc.residual),
                           ContinuationStalledWarning)
             break
-        iters += it
+        trace.append(rec)
         a_good = ak
         if prev is not None and np.max(np.abs(fv - prev)) < tol:
             break
         prev = fv.copy()
-    return _package(phi, 0.0, domain, ops, fv, iters, tol, a_eval=a_good)
+    return _package(phi, 0.0, domain, ops, fv, trace, a_eval=a_good)
+
+
+def _factor(J):
+    """Sparse LU of J: minimum-degree ordering on the pattern of J^T + J,
+    as for a structurally symmetric matrix, with partial pivoting."""
+    return spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     options=dict(SymmetricMode=True))
 
 
 def _newton(ops, domain, a, tol, max_newton, damping_min, initial=None):
+    """Damped Newton for P(f) = 0 at level a; returns (f, NewtonRecord).
+
+    The Jacobian's LU is kept while full steps at least halve the residual
+    2-norm (chord steps) and refactored after a damped or weaker step.  A
+    line search that fails on a kept LU is retried on a fresh one, so a
+    stall is declared only on a fresh Jacobian.
+    """
     Ax, bx, Axx, bxx, _, _, Ayy, byy = ops
     yv = domain.y[domain.nodes[:, 1]]
-    L = Axx + Ayy  # harmonic-extension operator for the initial guess
+    rec = NewtonRecord(float(a))
 
-    if initial is None:
-        fv = spla.spsolve(L.tocsc(), -(bxx + byy))
-    else:
-        fv = np.asarray(initial, dtype=float).copy()
+    def factor(M):
+        rec.factorizations += 1
+        return _factor(M)
 
-    res = _p_residual(ops, yv, a, fv)
-    rnorm = np.linalg.norm(res)
-    for it in range(max_newton):
-        if np.max(np.abs(res)) <= tol:
-            return fv, it
+    def jacobian(fv):
         v = Ax @ fv + bx
-        fxx = Axx @ fv + bxx
         c = _coefficient(v, yv, a)
-        dc = -v * c ** 3
-        J = sp.diags(c) @ Axx + 2.0 * Ayy + sp.diags(fxx * dc) @ Ax
-        step = spla.spsolve(J.tocsc(), -res)
+        return factor(sp.diags(c) @ Axx + 2.0 * Ayy
+                      + sp.diags((Axx @ fv + bxx) * (-v * c ** 3)) @ Ax)
+
+    def line_search(fv, rnorm, step):
         lam = 1.0
         while lam >= damping_min:
             cand = fv + lam * step
             cres = _p_residual(ops, yv, a, cand)
-            cnorm = np.linalg.norm(cres)
-            if cnorm < rnorm:
-                fv, res, rnorm = cand, cres, cnorm
-                break
+            if np.linalg.norm(cres) < rnorm:
+                return lam, cand, cres
             lam *= 0.5
-        else:
-            raise NewtonDivergenceError(
-                "damping underflow at residual %.3e" % np.max(np.abs(res)),
-                float(np.max(np.abs(res))))
-    if np.max(np.abs(res)) <= tol:
-        return fv, max_newton
-    raise NewtonDivergenceError(
-        "no convergence after %d iterations, residual %.3e"
-        % (max_newton, np.max(np.abs(res))), float(np.max(np.abs(res))))
+        return None
+
+    if initial is None:   # harmonic extension of phi
+        fv = factor(Axx + Ayy).solve(-(bxx + byy))
+    else:
+        fv = np.asarray(initial, dtype=float).copy()
+    res = _p_residual(ops, yv, a, fv)
+    lu = None
+    for it in range(max_newton + 1):
+        rec.residuals.append(float(np.max(np.abs(res))))
+        if rec.residuals[-1] <= tol:
+            rec.stop = "converged"
+            return fv, rec
+        if it == max_newton:
+            rec.stop = "max iterations"
+            break
+        rnorm = np.linalg.norm(res)
+        fresh = lu is None
+        if fresh:
+            lu = jacobian(fv)
+        found = line_search(fv, rnorm, lu.solve(-res))
+        if found is None and not fresh:
+            fresh, lu = True, jacobian(fv)
+            found = line_search(fv, rnorm, lu.solve(-res))
+        rec.fresh.append(fresh)
+        if found is None:
+            rec.step_lengths.append(0.0)
+            rec.residuals.append(rec.residuals[-1])
+            rec.stop = "damping underflow"
+            break
+        lam, fv, res = found
+        rec.step_lengths.append(lam)
+        if lam < 1.0 or np.linalg.norm(res) > 0.5 * rnorm:
+            lu = None
+    raise NewtonDivergenceError("%s at residual %.3e" % (
+        rec.stop, rec.residuals[-1]), rec.residuals[-1], rec)
 
 
-def _package(phi, a, domain, ops, fv, iters, tol, a_eval=None):
+def _package(phi, a, domain, ops, fv, trace, a_eval=None):
     Ax, bx, _, _, Ay, by, _, _ = ops
     v = Ax @ fv + bx
     u = Ay @ fv + by
     res = _p_residual(ops, domain.y[domain.nodes[:, 1]],
                       a if a_eval is None else a_eval, fv)
-
-    def to_field(vec):
-        arr = np.full((domain.n, domain.n), np.nan)
-        arr[domain.inside] = vec
-        return GridField(arr, -domain.rx, -domain.ry, domain.hx, domain.hy,
-                         mask=domain.inside.copy())
-
     sol = PotentialSolution(
-        domain=domain, a=a, f=to_field(fv), u=to_field(u), v=to_field(v),
+        domain=domain, a=a, f=_to_field(domain, fv), u=_to_field(domain, u),
+        v=_to_field(domain, v),
         residual_P=float(np.max(np.abs(res))), residual_CR=np.nan,
-        newton_iters=iters, boundary=phi, fvec=fv,
-        continuation_a=a_eval if a == 0.0 else None)
+        newton_iters=sum(len(r.step_lengths) for r in trace
+                         if r.stop == "converged"),
+        boundary=phi, fvec=fv, continuation_a=a_eval if a == 0.0 else None,
+        trace=trace, factorizations=sum(r.factorizations for r in trace))
     sol.residual_CR = cr_residual(sol)
     return sol
 
@@ -407,47 +460,23 @@ def singular_points(sol: PotentialSolution):
     urow = sol.u.values[:, j0]
     vmax = np.nanmax(np.abs(sol.v.values))
     thresh = max(10 * np.finfo(float).eps, 1e-3 * (vmax if np.isfinite(vmax) else 0.0))
-    idx = [i for i in range(dom.n)
-           if dom.inside[i, j0] and np.isfinite(vrow[i])]
-    # group consecutive below-threshold nodes; a run bracketed by a sign
-    # change is one transversal zero (keep its best node), while a run
-    # with no sign information is a genuine segment of zeros
-    runs = []
-    run = []
-    for i in idx:
-        if abs(vrow[i]) < thresh:
-            if run and i != run[-1] + 1:
-                runs.append(run)
-                run = []
-            run.append(i)
-        elif run:
-            runs.append(run)
-            run = []
-    if run:
-        runs.append(run)
-    out = []
-    for run in runs:
-        lo, hi = run[0] - 1, run[-1] + 1
-        has_left = lo in idx and abs(vrow[lo]) >= thresh
-        has_right = hi in idx and abs(vrow[hi]) >= thresh
-        if has_left and has_right:
-            best = min(run, key=lambda i: abs(vrow[i]))
-            out.append((float(dom.x[best]),
-                        complex(dom.x[best], urow[best])))
+    ok = dom.inside[:, j0] & np.isfinite(vrow)
+    small = ok & (np.abs(vrow) < thresh)
+    # runs [lo, hi) of consecutive below-threshold nodes: a run with active
+    # nodes on both sides is one transversal zero (keep its best node),
+    # otherwise it is a genuine segment of zeros
+    edges = np.diff(np.concatenate([[0], small.astype(int), [0]]))
+    picks = []
+    for lo, hi in zip(np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)):
+        if lo > 0 and hi < dom.n and ok[lo - 1] and ok[hi]:
+            picks.append(lo + int(np.argmin(np.abs(vrow[lo:hi]))))
         else:
-            out.extend((float(dom.x[i]), complex(dom.x[i], urow[i]))
-                       for i in run)
+            picks.extend(range(lo, hi))
     # transversal crossings that jump the threshold between two nodes
-    small = {i for r in runs for i in r}
-    for k in range(1, len(idx)):
-        i0, i1 = idx[k - 1], idx[k]
-        if (i1 == i0 + 1 and i0 not in small and i1 not in small
-                and vrow[i0] * vrow[i1] < 0.0):
-            best = i0 if abs(vrow[i0]) <= abs(vrow[i1]) else i1
-            out.append((float(dom.x[best]),
-                        complex(dom.x[best], urow[best])))
-    out.sort(key=lambda t: t[0])
-    return out
+    big = ok & ~small
+    i0 = np.flatnonzero(big[:-1] & big[1:] & (vrow[:-1] * vrow[1:] < 0.0))
+    picks.extend(np.where(np.abs(vrow[i0]) <= np.abs(vrow[i0 + 1]), i0, i0 + 1))
+    return [(float(dom.x[i]), complex(dom.x[i], urow[i])) for i in sorted(picks)]
 
 
 # ---------------------------------------------------------------------------

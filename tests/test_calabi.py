@@ -160,6 +160,26 @@ def test_path_records_newton_trace_and_halvings():
     assert path.residual <= 1e-10
 
 
+def test_path_failure_keeps_partial_path():
+    # at A = 2 a five-iteration Newton budget fails every full step, so
+    # the path halves down to dt < 1e-4 and gives up early on
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 8, lambda x1, y1, x2, y2: 2.0 * (np.cos(x1) + np.cos(y2))))
+    with pytest.raises(calabi.PathFailureError) as info:
+        calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=5)
+    exc = info.value
+    path = exc.path
+    assert path.steps and path.steps[-1] == exc.last_good_t
+    assert len(path.c_values) == len(path.residuals) == len(path.steps)
+    assert path.newton_iters == [len(lams) for lams in path.step_lengths]
+    for rnorms, lams in zip(path.residuals, path.step_lengths):
+        assert len(rnorms) == len(lams) + 1 and rnorms[-1] <= 1e-10
+    t, dt, reason = path.halvings[-1]
+    assert t == exc.last_good_t and 0.5 * dt < 1e-4
+    assert reason in str(exc)
+    assert path.phi is None
+
+
 def test_manufactured_order_two_m1():
     errs = []
     for n in (16, 32, 64):

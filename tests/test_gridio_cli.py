@@ -166,6 +166,24 @@ def test_cli_solve_u1_reports_continuation_level(capsys):
     assert report["continuation_a"] == sol.continuation_a
 
 
+def test_cli_solve_u1_reports_newton_trace():
+    args = ["--no-timing", "solve-u1", "--a", "0", "--boundary", "x2",
+            "--grid-n", "33"]
+    p1 = _run_cli(args)
+    p2 = _run_cli(args)
+    assert p1.returncode == 0
+    assert p1.stdout == p2.stdout
+    report = json.loads(p1.stdout)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        sol = u1.solve_dirichlet(cli._boundary_from_name("x2", 0.0, 0.0), 0.0,
+                                 u1.ConvexDomain("disc", rx=1.0, n=33))
+    assert report["newton_iters"] == sol.newton_iters > 0
+    assert report["factorizations"] == sol.factorizations > 0
+    assert report["levels"] == [rec.a for rec in sol.trace]
+    assert report["levels"][0] == 1.0
+
+
 def test_report_envelope_failure_lists_checks():
     rep = cli.Report("demo", {})
     rep.check("good", 0.0, 1.0)

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -120,6 +122,70 @@ def test_zero_data_singular_segment():
     assert len(pts) > 5
 
 
+def _singular_points_loop(sol):
+    """Reference: the node-by-node walk of the y = 0 row that
+    singular_points replaced."""
+    dom = sol.domain
+    j0 = np.argmin(np.abs(dom.y))
+    vrow, urow = sol.v.values[:, j0], sol.u.values[:, j0]
+    vmax = np.nanmax(np.abs(sol.v.values))
+    thresh = max(10 * np.finfo(float).eps,
+                 1e-3 * (vmax if np.isfinite(vmax) else 0.0))
+    idx = [i for i in range(dom.n) if dom.inside[i, j0] and np.isfinite(vrow[i])]
+    runs, run = [], []
+    for i in idx:
+        if abs(vrow[i]) < thresh:
+            if run and i != run[-1] + 1:
+                runs.append(run)
+                run = []
+            run.append(i)
+        elif run:
+            runs.append(run)
+            run = []
+    if run:
+        runs.append(run)
+    out = []
+    for run in runs:
+        lo, hi = run[0] - 1, run[-1] + 1
+        if (lo in idx and abs(vrow[lo]) >= thresh
+                and hi in idx and abs(vrow[hi]) >= thresh):
+            best = min(run, key=lambda i: abs(vrow[i]))
+            out.append((float(dom.x[best]), complex(dom.x[best], urow[best])))
+        else:
+            out.extend((float(dom.x[i]), complex(dom.x[i], urow[i])) for i in run)
+    small = {i for r in runs for i in r}
+    for i0, i1 in zip(idx, idx[1:]):
+        if (i1 == i0 + 1 and i0 not in small and i1 not in small
+                and vrow[i0] * vrow[i1] < 0.0):
+            best = i0 if abs(vrow[i0]) <= abs(vrow[i1]) else i1
+            out.append((float(dom.x[best]), complex(dom.x[best], urow[best])))
+    return sorted(out, key=lambda t: t[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 24), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((0.0, 0.2, 0.5)), st.sampled_from((0.0, 0.1)))
+def test_singular_points_match_node_walk(half_n, seed, zero_share, nan_share):
+    # zeros, runs of tiny values and NaNs on the y = 0 row, sign changes
+    # that jump the threshold, and rows that vanish entirely
+    dom = _disc(2 * half_n + 1)
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((dom.n, dom.n))
+    row = V[:, dom.n // 2]
+    row *= 10.0 ** rng.uniform(-20, 0, dom.n)
+    row[rng.random(dom.n) < zero_share] = 0.0
+    row[rng.random(dom.n) < nan_share] = np.nan
+    if seed % 5 == 0:
+        row[:] = 0.0
+    V[~dom.inside] = np.nan
+    v = gridio.GridField(V, -dom.rx, -dom.ry, dom.hx, dom.hy, mask=dom.inside.copy())
+    u = gridio.GridField(rng.standard_normal((dom.n, dom.n)), -dom.rx, -dom.ry,
+                         dom.hx, dom.hy)
+    sol = u1.PotentialSolution(domain=dom, a=0.0, f=v, u=u, v=v, residual_P=0.0,
+                               residual_CR=0.0, newton_iters=0, boundary=None)
+    assert u1.singular_points(sol) == _singular_points_loop(sol)
+
+
 def test_singular_points_empty_for_nonzero_a():
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
     sol = u1.solve_dirichlet(phi, 0.5, _disc(33), tol=1e-8)
@@ -204,3 +270,114 @@ def test_invalid_tol_rejected():
     phi = u1.BoundaryData(lambda x, y: np.zeros_like(np.asarray(x, dtype=float)))
     with pytest.raises(ValueError):
         u1.solve_dirichlet(phi, 1.0, _disc(33), tol=0.0)
+
+
+def _full_newton(phi, a, dom, tol, max_newton=40, damping_min=2.0 ** -20):
+    """Reference damped Newton: harmonic-extension start, a fresh spsolve
+    of the Jacobian at every step and the solver's line search."""
+    ops = u1._direction_ops(dom, phi)
+    Ax, bx, Axx, bxx, _, _, Ayy, byy = ops
+    yv = dom.y[dom.nodes[:, 1]]
+    fv = spla.spsolve((Axx + Ayy).tocsc(), -(bxx + byy))
+    res = u1._p_residual(ops, yv, a, fv)
+    for _ in range(max_newton):
+        if np.max(np.abs(res)) <= tol:
+            return fv
+        v = Ax @ fv + bx
+        c = u1._coefficient(v, yv, a)
+        J = (sp.diags(c) @ Axx + 2.0 * Ayy
+             + sp.diags(-(Axx @ fv + bxx) * v * c ** 3) @ Ax)
+        step = spla.spsolve(J.tocsc(), -res)
+        lam = 1.0
+        while True:
+            assert lam >= damping_min, "reference line search failed"
+            cres = u1._p_residual(ops, yv, a, fv + lam * step)
+            if np.linalg.norm(cres) < np.linalg.norm(res):
+                break
+            lam *= 0.5
+        fv, res = fv + lam * step, cres
+    assert np.max(np.abs(res)) <= tol, "reference Newton did not converge"
+    return fv
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from(("disc", "ellipse")), st.integers(8, 32),
+       st.floats(0.6, 1.5), st.floats(0.6, 1.5),
+       st.one_of(st.floats(0.05, 2.0), st.floats(-1.0, -0.2)),
+       st.floats(-0.3, 0.3), st.floats(-0.3, 0.3))
+def test_reused_factor_matches_full_newton(kind, half_n, rx, ry, a, b, c):
+    # chord steps on a kept LU reach the same discrete solution as Newton
+    # with a fresh Jacobian at every step
+    tol = 1e-10
+    dom = u1.ConvexDomain(kind, rx, ry, 2 * half_n + 1)
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + b * x + c * y)
+    sol = u1.solve_dirichlet(phi, a, dom, tol=tol)
+    ref = _full_newton(phi, a, dom, tol)
+    assert np.max(np.abs(sol.fvec - ref)) <= 10.0 * tol
+
+
+def test_trace_of_a_nonzero_solve():
+    phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
+    sol = u1.solve_dirichlet(phi, 1.0, _disc(65), tol=1e-10)
+    (rec,) = sol.trace
+    assert rec.a == 1.0 and rec.stop == "converged"
+    steps = len(rec.step_lengths)
+    assert sol.newton_iters == steps == len(rec.fresh)
+    assert len(rec.residuals) == steps + 1
+    assert rec.residuals[-1] <= 1e-10 < rec.residuals[0]
+    # the harmonic extension and the first Jacobian are factored; chord
+    # steps reuse the Jacobian's LU
+    assert sol.factorizations == rec.factorizations < steps
+    assert rec.fresh[0] and not all(rec.fresh)
+
+
+def test_exhausted_newton_budget_keeps_its_record():
+    phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
+    with pytest.raises(u1.NewtonDivergenceError) as info:
+        u1.solve_dirichlet(phi, 0.1, _disc(33), tol=1e-10, max_newton=3)
+    rec = info.value.record
+    assert rec.stop == "max iterations"
+    assert len(rec.step_lengths) == len(rec.fresh) == len(rec.residuals) - 1 == 3
+    assert info.value.residual == rec.residuals[-1] > 1e-10
+
+
+def test_stalled_continuation_ends_on_a_fresh_factor():
+    # data near b = c = 0 stall at the round-off floor before a = 0
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
+    with pytest.warns(u1.ContinuationStalledWarning):
+        sol = u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
+    *done, last = sol.trace
+    assert [rec.a for rec in sol.trace] == [2.0 ** -k for k in range(len(sol.trace))]
+    assert all(rec.stop == "converged" for rec in done)
+    assert sol.continuation_a == done[-1].a
+    assert last.stop == "damping underflow"
+    assert last.fresh[-1] and last.step_lengths[-1] == 0.0
+    assert last.residuals[-1] == last.residuals[-2] > 1e-10
+    assert sol.newton_iters == sum(len(rec.step_lengths) for rec in done)
+    assert sol.factorizations == sum(rec.factorizations for rec in sol.trace)
+
+
+def test_failed_chord_step_is_retried_on_a_fresh_factor(monkeypatch):
+    # a kept LU that points uphill when reused: each chord step's line
+    # search fails and is retried on the Jacobian of its own iterate, so
+    # the solve is full Newton with one factorisation per step
+    factor = u1._factor
+
+    class UphillOnReuse:
+        def __init__(self, J):
+            self.lu, self.used = factor(J), False
+
+        def solve(self, rhs):
+            step = self.lu.solve(rhs)
+            step, self.used = (-step if self.used else step), True
+            return step
+
+    monkeypatch.setattr(u1, "_factor", UphillOnReuse)
+    tol = 1e-10
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.1 * y)
+    sol = u1.solve_dirichlet(phi, 0.5, _disc(33), tol=tol)
+    (rec,) = sol.trace
+    assert rec.stop == "converged" and all(rec.fresh)
+    assert rec.factorizations == len(rec.step_lengths) + 1
+    ref = _full_newton(phi, 0.5, _disc(33), tol)
+    assert np.max(np.abs(sol.fvec - ref)) <= 10.0 * tol
