@@ -194,6 +194,9 @@ def _cmd_evolve(args):
     rep.check("symplectic_drift", drift, 1e-6)
     dev = evolution.compare_so3(surf)
     rep.check("so3_family_deviation", dev, 1e-3)
+    rep.envelope["steps"] = len(surf.states) - 1
+    rep.envelope["final_dt"] = surf.dt
+    rep.envelope["halvings"] = surf.halvings   # [t, dt, drift] per halving
     if args.out_csv:
         _write_cloud_csv(args.out_csv, surf.states[-1])
         rep.artifact(args.out_csv)

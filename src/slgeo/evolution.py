@@ -78,45 +78,36 @@ def icosphere(subdivisions: int = 3):
     return verts, faces
 
 
-def _vertex_neighbors(n_verts, faces):
-    nbrs = [set() for _ in range(n_verts)]
-    for a, b, c in faces:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return [sorted(s) for s in nbrs]
-
-
 def _pushforward_matrices(verts, faces):
     """Sparse operators D1, D2 with (D @ positions) the pushforwards of two
     orthonormal reference tangents t1, t2 at each node (t1 x t2 outward).
 
     Coefficients are the minimum-norm exact solution of
     sum_j c_j (x_j - x_i) = t, so they reproduce d(phi)(t) exactly
-    whenever phi is affine on the ambient space.
+    whenever phi is affine on the ambient space.  Nodes of equal degree
+    share one batched solve of A^T A y = [t1 t2].
     """
     n = len(verts)
-    nbrs = _vertex_neighbors(n, faces)
-    rows1, cols1, vals1 = [], [], []
-    rows2, cols2, vals2 = [], [], []
-    for i in range(n):
-        nv = verts[i]
-        t1 = np.cross(nv, [0.0, 0.0, 1.0])
-        if np.linalg.norm(t1) < 1e-8:
-            t1 = np.cross(nv, [1.0, 0.0, 0.0])
-        t1 /= np.linalg.norm(t1)
-        t2 = np.cross(nv, t1)
-        A = (verts[nbrs[i]] - nv).T                     # 3 x k
-        AAT = A @ A.T
-        for t, rows, cols, vals in ((t1, rows1, cols1, vals1),
-                                    (t2, rows2, cols2, vals2)):
-            c = A.T @ np.linalg.solve(AAT, t)
-            rows.extend([i] * len(nbrs[i]) + [i])
-            cols.extend(list(nbrs[i]) + [i])
-            vals.extend(list(c) + [-float(np.sum(c))])
-    D1 = sp.csr_matrix((vals1, (rows1, cols1)), shape=(n, n))
-    D2 = sp.csr_matrix((vals2, (rows2, cols2)), shape=(n, n))
-    return D1, D2
+    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+    loops = np.repeat(np.arange(n)[:, None], 2, axis=1)   # the diagonal slots
+    rows, cols = np.divmod(np.unique(
+        np.concatenate([edges, edges[:, ::-1], loops]) @ [n, 1]), n)
+    deg = np.bincount(rows, minlength=n)
+    indptr = np.concatenate([[0], np.cumsum(deg)])
+    t1 = np.cross(verts, [0.0, 0.0, 1.0])
+    pole = np.linalg.norm(t1, axis=1) < 1e-8
+    t1[pole] = np.cross(verts[pole], [1.0, 0.0, 0.0])
+    t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
+    T = np.stack([t1, np.cross(verts, t1)], axis=2)           # (n, 3, 2)
+    vals = np.empty((len(rows), 2))
+    for k in np.unique(deg):
+        idx = np.flatnonzero(deg == k)
+        slots = indptr[idx, None] + np.arange(k)                # (g, k)
+        A = verts[cols[slots]] - verts[idx, None]   # (g, k, 3), zero self row
+        vals[slots] = A @ np.linalg.solve(np.swapaxes(A, 1, 2) @ A, T[idx])
+    vals[rows == cols] = -np.add.reduceat(vals, indptr[:-1])
+    return tuple(sp.csr_matrix((vals[:, d], cols, indptr), shape=(n, n))
+                 for d in (0, 1))
 
 
 @dataclass
@@ -124,7 +115,9 @@ class EvolvingSurface:
     """A triangulated surface evolving in C^3.
 
     states holds complex (N, 3) node-position snapshots; chi is the unit
-    area bivector encoded by the two pushforward operators.
+    area bivector encoded by the two pushforward operators, stacked as D.
+    drifts[i] is the symplectic drift of states[i]; halvings holds
+    (t, dt, drift) for each rejected RK4 candidate.
     """
 
     verts: np.ndarray
@@ -135,6 +128,12 @@ class EvolvingSurface:
     times: list = field(default_factory=list)
     dt: float = 0.01
     drift_budget: float = 1e-6
+    drifts: list = field(default_factory=list)
+    halvings: list = field(default_factory=list)
+    D: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.D = sp.vstack([self.D1, self.D2], format="csr")
 
     @classmethod
     def sphere(cls, subdivisions: int = 3, scale: complex = 1.0,
@@ -146,18 +145,32 @@ class EvolvingSurface:
         surf = cls(verts, faces, D1, D2, dt=dt)
         surf.states.append(scale * verts.astype(complex))
         surf.times.append(0.0)
-        surf._check_chi(surf.states[0])
-        return surf
-
-    def _check_chi(self, state):
-        c = np.cross(self.D1 @ state, self.D2 @ state)
-        if np.min(np.linalg.norm(c, axis=1)) < 1e-12:
+        chi = surf.velocity(surf.states[0])
+        if np.min(np.linalg.norm(chi, axis=1)) < 1e-12:
             raise InvalidChiError("area bivector vanishes at a node")
+        return surf
 
     def velocity(self, state: np.ndarray) -> np.ndarray:
         """conj(T1 x T2) rowwise; the contraction of the pushed-forward
         bivector with Re Omega, metric-raised."""
-        return np.conj(np.cross(self.D1 @ state, self.D2 @ state))
+        return _conj_cross(*_tangents(self.D, state))
+
+
+def _tangents(D, z):
+    """(T1, T2), the two row halves of D @ z, for complex node-major
+    (N, ..., 3) z: one real matvec over all of it."""
+    z = np.ascontiguousarray(z, dtype=complex)
+    t = (D @ z.reshape(len(z), -1).view(float)).view(complex)
+    return t.reshape((2, -1) + z.shape[1:])
+
+
+def _conj_cross(a, b):
+    """conj(a x b) over the last axis."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                 axis=-1)
+    return np.conj(c, out=c)
 
 
 def _rk4(surf: EvolvingSurface, state: np.ndarray, dt: float) -> np.ndarray:
@@ -170,26 +183,37 @@ def _rk4(surf: EvolvingSurface, state: np.ndarray, dt: float) -> np.ndarray:
 
 def state_drift(surf: EvolvingSurface, state: np.ndarray) -> float:
     """Max discrete symplectic pullback over mesh triangles."""
-    p0 = state[surf.faces[:, 0]]
-    e1 = state[surf.faces[:, 1]] - p0
-    e2 = state[surf.faces[:, 2]] - p0
-    om = np.imag(np.sum(np.conj(e1) * e2, axis=1))
-    return float(np.max(np.abs(om)))
+    p0 = np.take(state, surf.faces[:, 0], axis=0)
+    e1 = np.take(state, surf.faces[:, 1], axis=0) - p0
+    e2 = np.take(state, surf.faces[:, 2], axis=0) - p0
+    om = (np.conj(e1) * e2).imag
+    return float(np.max(np.abs(om[:, 0] + om[:, 1] + om[:, 2])))
+
+
+def _recorded_drifts(surf: EvolvingSurface) -> list:
+    """surf.drifts, extended by the states it does not cover yet."""
+    surf.drifts.extend(state_drift(surf, s)
+                       for s in surf.states[len(surf.drifts):])
+    return surf.drifts
 
 
 def evolve_step(surf: EvolvingSurface) -> EvolvingSurface:
-    """One accepted RK4 step; halves dt while the drift budget is exceeded."""
+    """One accepted RK4 step; halves dt while the drift budget is exceeded,
+    recording each rejected candidate in surf.halvings."""
     state = surf.states[-1]
-    base = state_drift(surf, state)
+    base = _recorded_drifts(surf)[-1]
     dt = surf.dt
     while True:
         cand = _rk4(surf, state, dt)
-        if state_drift(surf, cand) <= max(base, 0.0) + surf.drift_budget:
+        drift = state_drift(surf, cand)
+        if drift <= max(base, 0.0) + surf.drift_budget:
             break
+        surf.halvings.append((surf.times[-1], dt, drift))
         dt *= 0.5
         if dt < 1e-12:
             raise StepRejectedError("drift budget unattainable at dt = %g" % dt)
     surf.states.append(cand)
+    surf.drifts.append(drift)
     surf.times.append(surf.times[-1] + dt)
     surf.dt = dt
     return surf
@@ -206,17 +230,19 @@ def evolve_run(surf: EvolvingSurface, t_end: float) -> EvolvingSurface:
 
 def symplectic_drift(surf: EvolvingSurface) -> float:
     """Max discrete pullback of omega over all cells and recorded times."""
-    return max(state_drift(surf, s) for s in surf.states)
+    return max(_recorded_drifts(surf))
 
 
 def swept_sl_defect(surf: EvolvingSurface, stride: int = 50) -> float:
     """Max SL defect of 3-planes (surface tangents, velocity) over a node
     subsample of all states; the swept 3-fold is SL when this vanishes."""
-    tangents = [np.stack([(surf.D1 @ state)[::stride],
-                          (surf.D2 @ state)[::stride],
-                          surf.velocity(state)[::stride]], axis=1)
-                for state in surf.states]
-    bases = real_coords(np.concatenate(tangents)).reshape(-1, 3, 6)
+    n = len(surf.verts)
+    D = surf.D[np.r_[0:n:stride, n:2 * n:stride]]
+    cols = np.unique(D.indices)              # the nodes the subsample reads
+    T1, T2 = _tangents(D[:, cols], np.stack([s[cols] for s in surf.states],
+                                            axis=1))
+    tangents = np.stack([T1, T2, _conj_cross(T1, T2)], axis=-2)
+    bases = real_coords(tangents).reshape(-1, 3, 6)
     return float(np.max(plane_defects(bases)[0], initial=0.0))
 
 
@@ -239,22 +265,17 @@ def compare_so3(surf: EvolvingSurface, probe_indices=None) -> float:
     probe_indices = list(probe_indices)
     if any(idx < 0 or idx >= len(surf.states) for idx in probe_indices):
         raise NoMatchError("probe index outside the recorded states")
-    worst = 0.0
-    consts = []
-    for idx in probe_indices:
+    consts = np.empty((len(probe_indices), len(surf.verts)))
+    for k, idx in enumerate(probe_indices):
         w = sphere_scale(surf.states[idx])
         r = np.abs(w)
         th = np.angle(w)
         if np.any(r < 1e-12) or np.any(th <= 0) or np.any(th >= np.pi / 3):
             raise NoMatchError("state %d left the family parameter range" % idx)
-        consts.append(r ** 3 * np.sin(3 * th))
-    t3 = float(np.mean(np.concatenate([c.ravel() for c in consts])))
+        consts[k] = r ** 3 * np.sin(3 * th)
+    t3 = float(np.mean(consts))
     if t3 <= 0:
         raise NoMatchError("fitted family constant is nonpositive")
-    for idx in probe_indices:
-        w = sphere_scale(surf.states[idx])
-        r = np.abs(w)
-        th = np.angle(w)
-        r_model = t3 ** (1.0 / 3.0) * np.sin(3 * th) ** (-1.0 / 3.0)
-        worst = max(worst, float(np.max(np.abs(r - r_model) / r_model)))
-    return worst
+    consts /= t3
+    ratio = np.cbrt(consts, out=consts)   # r / r_model, r_model on the family
+    return float(max(ratio.max() - 1.0, 1.0 - ratio.min()))

@@ -483,12 +483,13 @@ def singular_points(sol: PotentialSolution):
 # zero counting for pairs of solutions
 
 
-def winding_number(vectors: np.ndarray) -> int:
-    """Winding of a closed polyline of 2D vectors around the origin."""
-    ang = np.arctan2(vectors[:, 1], vectors[:, 0])
-    d = np.diff(np.concatenate([ang, ang[:1]]))
-    d = (d + np.pi) % (2.0 * np.pi) - np.pi
-    return int(np.round(np.sum(d) / (2.0 * np.pi)))
+def winding_number(vectors: np.ndarray):
+    """Winding of a closed polyline of 2D vectors around the origin; a
+    (..., k, 2) stack of polylines gives an integer array."""
+    ang = np.arctan2(vectors[..., 1], vectors[..., 0])
+    d = (np.roll(ang, -1, axis=-1) - ang + np.pi) % (2.0 * np.pi) - np.pi
+    w = np.round(np.sum(d, axis=-1) / (2.0 * np.pi)).astype(int)
+    return w if w.ndim else int(w)
 
 
 @dataclass
@@ -512,21 +513,17 @@ def difference_zeros(s1: PotentialSolution, s2: PotentialSolution,
        np.nanmax(np.abs(dv[sel])) <= identical_tol:
         return DifferenceZeroReport([], 0, identical=True)
     dom = s1.domain
-    zeros = []
-    for i in range(dom.n - 1):
-        for j in range(dom.n - 1):
-            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
-            if not all(sel[c] for c in corners):
-                continue
-            vecs = np.array([[du[c], dv[c]] for c in corners])
-            if np.min(np.hypot(vecs[:, 0], vecs[:, 1])) == 0.0:
-                w = 1  # zero exactly on a corner: count it once
-            else:
-                w = winding_number(vecs)
-            if w != 0:
-                cx = dom.x[i] + 0.5 * dom.hx
-                cy = dom.y[j] + 0.5 * dom.hy
-                zeros.append(((float(cx), float(cy)), int(w)))
+    # one (n-1, n-1, 4, 2) stack of cell corners (i,j), (i+1,j), (i+1,j+1),
+    # (i,j+1); unselected nodes are filled with a harmless (1, 0)
+    vec = np.stack([np.where(sel, du, 1.0), np.where(sel, dv, 0.0)], axis=-1)
+    corners = [np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:]]
+    vecs = np.stack([vec[c] for c in corners], axis=2)
+    cells = np.all([sel[c] for c in corners], axis=0)
+    w = winding_number(vecs)
+    # zero exactly on a corner: count it once
+    w[np.min(np.hypot(vecs[..., 0], vecs[..., 1]), axis=-1) == 0.0] = 1
+    zeros = [((float(dom.x[i] + 0.5 * dom.hx), float(dom.y[j] + 0.5 * dom.hy)),
+              int(w[i, j])) for i, j in zip(*np.nonzero(cells & (w != 0)))]
     return DifferenceZeroReport(zeros, int(sum(abs(w) for _, w in zeros)))
 
 

@@ -89,6 +89,20 @@ def test_cli_solve_calabi_reports_newton_trace():
     assert report["halvings"] == []
 
 
+def test_cli_evolve_reports_step_trace():
+    args = ["--no-timing", "evolve", "--nodes", "162", "--dt", "0.03",
+            "--t-end", "0.1"]
+    p1 = _run_cli(args)
+    p2 = _run_cli(args)
+    assert p1.returncode == 0
+    assert p1.stdout == p2.stdout
+    report = json.loads(p1.stdout)
+    # three steps of 0.03, then the last step is cut to reach t = 0.1
+    assert report["steps"] == 4
+    assert abs(report["final_dt"] - 0.01) < 1e-12
+    assert report["halvings"] == []
+
+
 def test_cli_runs_as_module_without_runpy_warning():
     # runpy warns when slgeo.cli is already imported (by the package)
     # before ``python -m slgeo.cli`` executes it

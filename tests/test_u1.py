@@ -202,6 +202,68 @@ def test_winding_number_oracle():
     assert u1.winding_number(shifted) == 0
 
 
+def _difference_zeros_loop(s1, s2):
+    # the per-cell walk and winding formula difference_zeros replaced,
+    # kept as the reference
+    du = s1.u.values - s2.u.values
+    dv = s1.v.values - s2.v.values
+    sel = u1._deep_interior(s1.domain, 1) & np.isfinite(du) & np.isfinite(dv)
+    dom = s1.domain
+    zeros = []
+    for i in range(dom.n - 1):
+        for j in range(dom.n - 1):
+            corners = [(i, j), (i + 1, j), (i + 1, j + 1), (i, j + 1)]
+            if not all(sel[c] for c in corners):
+                continue
+            vecs = np.array([[du[c], dv[c]] for c in corners])
+            if np.min(np.hypot(vecs[:, 0], vecs[:, 1])) == 0.0:
+                w = 1
+            else:
+                ang = np.arctan2(vecs[:, 1], vecs[:, 0])
+                d = np.diff(np.concatenate([ang, ang[:1]]))
+                d = (d + np.pi) % (2.0 * np.pi) - np.pi
+                w = int(np.round(np.sum(d) / (2.0 * np.pi)))
+            if w != 0:
+                zeros.append(((float(dom.x[i] + 0.5 * dom.hx),
+                               float(dom.y[j] + 0.5 * dom.hy)), int(w)))
+    return zeros
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(8, 20), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from((0.0, 0.1, 0.4)), st.sampled_from((0.0, 0.05)))
+def test_difference_zeros_match_cell_walk(half_n, seed, zero_share, nan_share):
+    # random and smooth differences, exact zeros on nodes (the w = 1 rule),
+    # NaNs that drop cells, and zeros of one component only
+    dom = _disc(2 * half_n + 1)
+    rng = np.random.default_rng(seed)
+    X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
+    if seed % 2:
+        du, dv = rng.standard_normal((2, dom.n, dom.n))
+    else:
+        k = rng.uniform(2.0, 12.0, 4)
+        du = np.sin(k[0] * X + rng.uniform(0, 6)) * np.cos(k[1] * Y)
+        dv = np.cos(k[2] * X) * np.sin(k[3] * Y + rng.uniform(0, 6))
+    zero = rng.random((dom.n, dom.n)) < zero_share
+    du[zero] = 0.0
+    dv[zero & (rng.random((dom.n, dom.n)) < 0.7)] = 0.0
+    du[rng.random((dom.n, dom.n)) < nan_share] = np.nan
+
+    def sol(u, v):
+        fields = [gridio.GridField(g, -dom.rx, -dom.ry, dom.hx, dom.hy)
+                  for g in (u, v)]
+        return u1.PotentialSolution(domain=dom, a=0.0, f=fields[1], u=fields[0],
+                                    v=fields[1], residual_P=0.0, residual_CR=0.0,
+                                    newton_iters=0, boundary=None)
+
+    s1 = sol(du + X, dv - Y)
+    s2 = sol(X, -Y)
+    rep = u1.difference_zeros(s1, s2)
+    assert not rep.identical
+    assert rep.zeros == _difference_zeros_loop(s1, s2)
+    assert rep.total == sum(abs(w) for _, w in rep.zeros)
+
+
 def test_difference_zeros_identical_flag():
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
     dom = _disc(33)
