@@ -25,8 +25,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft as _fft
 
-from .gridio import GridField
-
 
 class NonKahlerIterateError(RuntimeError):
     """An iterate lost positivity of omega + i ddbar phi."""
@@ -66,6 +64,8 @@ class TorusField:
         n = self.values.shape[0]
         if any(s != n for s in self.values.shape):
             raise ValueError("all axes must have equal length")
+        if n == 0:
+            raise ValueError("grid must have at least one node per axis")
         self.n = n
         self.h = 2.0 * np.pi / n
 
@@ -212,8 +212,7 @@ class ContinuityPath:
 
 
 def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
-                 max_newton: int = 200, initial: TorusField | None = None
-                 ) -> ContinuityPath:
+                 max_newton: int = 200) -> ContinuityPath:
     """Continuity-method solve of det(I + H(phi)) = e^{f_t} up to t = 1.
 
     Each step runs damped quasi-Newton with the flat-Laplacian
@@ -228,9 +227,12 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     updated from the current iterate.  The reported c_values and
     residual use the discrete constant.
     """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    if t_steps < 1:
+        raise ValueError("t_steps must be at least 1")
     path = ContinuityPath(f=f)
-    phi = np.zeros_like(f.values) if initial is None else initial.values.copy()
-    phi = phi - np.mean(phi)
+    phi = np.zeros_like(f.values)
     det = None          # det(I + H(phi)) of the accepted iterate
     t = 0.0
     dt = 1.0 / t_steps
@@ -325,7 +327,7 @@ def poisson_reference_solution(f: TorusField) -> TorusField:
 # Ricci forms of volume ratios
 
 
-def ricci_form(ratio):
+def ricci_form(ratio: TorusField):
     """rho = -i ddbar log f for a positive volume-ratio field.
 
     m = 1: returns (coefficient field, closedness residual) where the
@@ -334,22 +336,7 @@ def ricci_form(ratio):
     arrays rho_{j kbar} = -(log f)_{z_j zbar_k} and the residual.
     Closedness is automatic for commuting central stencils; the reported
     residual is the Hermitian-symmetry defect of the coefficients.
-
-    Accepts a periodic TorusField or a plain GridField (non-periodic;
-    the coefficient is then computed on interior nodes only).
     """
-    if isinstance(ratio, GridField):
-        vals = ratio.values
-        if np.nanmin(vals) <= 0.0:
-            raise InvalidVolumeError("volume ratio must be positive")
-        logf = np.log(vals)
-        coeff = np.full_like(vals, np.nan)
-        coeff[1:-1, 1:-1] = -0.5 * (
-            (logf[2:, 1:-1] - 2 * logf[1:-1, 1:-1] + logf[:-2, 1:-1])
-            / ratio.hx ** 2
-            + (logf[1:-1, 2:] - 2 * logf[1:-1, 1:-1] + logf[1:-1, :-2])
-            / ratio.hy ** 2)
-        return GridField(coeff, ratio.x0, ratio.y0, ratio.hx, ratio.hy), 0.0
     vals = ratio.values
     if np.min(vals) <= 0.0:
         raise InvalidVolumeError("volume ratio must be positive")
@@ -426,7 +413,10 @@ def radial_ricci_flat_profile(C: float, u_max: float = 4.0,
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     U = X ** 2 + Y ** 2
     detg = spline(U) * (spline(U) + U * dspline(U))
-    patch = GridField(detg, ax[0], ax[0], hp, hp)
-    coeff, _ = ricci_form(patch)
-    ricci_res = float(np.nanmax(np.abs(coeff.values)))
+    # -(1/2) Laplacian(log det g), 5-point stencil on the interior nodes
+    logf = np.log(detg)
+    coeff = -0.5 * (
+        (logf[2:, 1:-1] - 2 * logf[1:-1, 1:-1] + logf[:-2, 1:-1]) / hp ** 2
+        + (logf[1:-1, 2:] - 2 * logf[1:-1, 1:-1] + logf[1:-1, :-2]) / hp ** 2)
+    ricci_res = float(np.nanmax(np.abs(coeff)))
     return RadialProfile(us, fprime, conserved_res, ricci_res)

@@ -55,11 +55,7 @@ def broadcast_stack(parts, axis: int = -1) -> np.ndarray:
 
 def standard_J(m: int) -> np.ndarray:
     """Complex-structure matrix J on R^{2m} (rotation by i in each z_j plane)."""
-    J = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        J[2 * j, 2 * j + 1] = -1.0
-        J[2 * j + 1, 2 * j] = 1.0
-    return J
+    return complex_matrix_to_real(1j * np.eye(m))
 
 
 def _perm_sign(perm) -> int:
@@ -77,16 +73,12 @@ class CYPackage:
     """The standard flat Calabi-Yau package (g, omega, Omega) on C^m.
 
     The metric is the identity; kahler_form is the dense 2m x 2m real
-    matrix of omega; Omega is evaluated as a complex determinant of
-    coordinates.
+    matrix W of omega, omega(v, w) = v^T W w; Omega is evaluated as a
+    complex determinant of coordinates.
     """
 
     m: int
     kahler_form: np.ndarray = field(repr=False)
-
-    def omega(self, v: np.ndarray, w: np.ndarray) -> float:
-        """Pair the Kahler form against two real vectors."""
-        return float(np.asarray(v) @ self.kahler_form @ np.asarray(w))
 
     def holomorphic_volume(self, vectors: np.ndarray) -> complex:
         """Omega(v_1, ..., v_m) as the complex determinant of coordinates."""
@@ -101,11 +93,8 @@ def standard_cy_package(m: int) -> CYPackage:
     if not isinstance(m, (int, np.integer)) or m < 1:
         raise InvalidDimensionError("complex dimension must be an integer >= 1, got %r" % (m,))
     m = int(m)
-    W = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        W[2 * j, 2 * j + 1] = 1.0
-        W[2 * j + 1, 2 * j] = -1.0
-    return CYPackage(m=m, kahler_form=W)
+    # omega(v, w) = g(Jv, w), so W = J^T
+    return CYPackage(m=m, kahler_form=standard_J(m).T)
 
 
 def normalization_residual(pkg: CYPackage) -> float:
@@ -117,8 +106,7 @@ def normalization_residual(pkg: CYPackage) -> float:
     """
     m = pkg.m
     basis = np.eye(2 * m)
-    lhs = _pfaffian(np.array([[pkg.omega(basis[i], basis[j]) for j in range(2 * m)]
-                              for i in range(2 * m)]))
+    lhs = _pfaffian(pkg.kahler_form)
     rhs = 0.0 + 0.0j
     for subset in itertools.combinations(range(2 * m), m):
         comp = tuple(i for i in range(2 * m) if i not in subset)
@@ -279,29 +267,19 @@ def calibration_defect(plane: TangentPlane, pkg: CYPackage) -> float:
 def complex_matrix_to_real(A: np.ndarray) -> np.ndarray:
     """Real 2m x 2m representation of a complex m x m matrix."""
     A = np.asarray(A, dtype=complex)
-    m = A.shape[0]
-    M = np.zeros((2 * m, 2 * m))
-    for j in range(m):
-        for k in range(m):
-            M[2 * j, 2 * k] = A[j, k].real
-            M[2 * j, 2 * k + 1] = -A[j, k].imag
-            M[2 * j + 1, 2 * k] = A[j, k].imag
-            M[2 * j + 1, 2 * k + 1] = A[j, k].real
-    return M
+    # columns 2k and 2k + 1 are A e_k and A (i e_k) in real coordinates
+    cols = np.stack([A.T, 1j * A.T], axis=1).reshape(-1, A.shape[0])
+    return real_coords(cols).T
 
 
 def real_matrix_to_complex(M: np.ndarray) -> np.ndarray:
     """Inverse of :func:`complex_matrix_to_real` (requires J-commuting M)."""
     M = np.asarray(M, dtype=float)
-    m = M.shape[0] // 2
-    J = standard_J(m)
+    J = standard_J(M.shape[0] // 2)
     if not np.allclose(M @ J, J @ M, atol=1e-10):
         raise ValueError("matrix is not complex-linear")
-    A = np.empty((m, m), dtype=complex)
-    for j in range(m):
-        for k in range(m):
-            A[j, k] = M[2 * j, 2 * k] + 1j * M[2 * j + 1, 2 * k]
-    return A
+    # column k of A is column 2k of M in complex coordinates
+    return complex_coords(M[:, 0::2].T).T
 
 
 @dataclass
@@ -315,7 +293,6 @@ class LieAlgebraAction:
 
     m: int
     generators: list
-    labels: list | None = None
 
     def __post_init__(self):
         W = standard_cy_package(self.m).kahler_form
@@ -325,8 +302,6 @@ class LieAlgebraAction:
             if not np.allclose(M.T @ W + W @ M, 0.0, atol=1e-10):
                 raise InvalidActionError("generator %d does not preserve omega" % i)
             self.generators[i] = (M, tau)
-        if self.labels is None:
-            self.labels = ["g%d" % i for i in range(len(self.generators))]
 
 
 def su_diagonal_action(m: int, weights) -> LieAlgebraAction:
@@ -380,7 +355,4 @@ def random_plane(m: int, rng: np.random.Generator) -> TangentPlane:
 
 def su_rotated_real_plane(m: int, gamma: np.ndarray) -> TangentPlane:
     """The plane gamma . R^m for gamma in SU(m), with its pushed-forward basis."""
-    basis = np.zeros((m, 2 * m))
-    for j in range(m):
-        basis[j] = real_coords(gamma[:, j])
-    return TangentPlane(m, basis)
+    return TangentPlane(m, real_coords(np.asarray(gamma).T))

@@ -57,24 +57,21 @@ def icosphere(subdivisions: int = 3):
         [4, 9, 5], [2, 4, 11], [6, 2, 10], [8, 6, 7], [9, 8, 1],
     ])
     for _ in range(subdivisions):
-        vlist = list(verts)
-        midpoint = {}
-
-        def mid(a, b):
-            key = (min(a, b), max(a, b))
-            if key not in midpoint:
-                p = vlist[a] + vlist[b]
-                vlist.append(p / np.linalg.norm(p))
-                midpoint[key] = len(vlist) - 1
-            return midpoint[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
-            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c],
-                          [ab, bc, ca]]
-        verts = np.array(vlist)
-        faces = np.array(new_faces)
+        # edges ab, bc, ca of each face in turn; the midpoints are new
+        # vertices, numbered in the order their edges are first met
+        edges = np.sort(faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+        uniq, first, inverse = np.unique(edges, axis=0, return_index=True,
+                                         return_inverse=True)
+        order = np.argsort(first)
+        p = verts[uniq[order, 0]] + verts[uniq[order, 1]]
+        # each row's norm as np.linalg.norm computes it, one dot product
+        p /= np.sqrt(p[:, None, :] @ p[:, :, None])[:, 0]
+        ab, bc, ca = (len(verts) + np.argsort(order)[inverse.reshape(-1)]
+                      ).reshape(-1, 3).T
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+        verts = np.concatenate([verts, p])
     return verts, faces
 
 

@@ -309,6 +309,15 @@ def l0_link_gram() -> np.ndarray:
     return G
 
 
+def _lattice_eigenvalues(Ginv: np.ndarray, cutoff: int) -> np.ndarray:
+    """lambda(n) = n^T Ginv n for every nonzero integer frequency n in the
+    box |n1|, |n2| <= cutoff."""
+    k = np.arange(-cutoff, cutoff + 1)
+    n1, n2 = np.meshgrid(k, k, indexing="ij", sparse=True)
+    lam = Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2 + Ginv[1, 1] * n2 * n2
+    return lam[(n1 != 0) | (n2 != 0)]
+
+
 def legendrian_index_flat_torus(gram: np.ndarray, m: int,
                                 cutoff: int = 20) -> int:
     """Eigenvalues of the Laplacian on the flat torus R^2 / 2 pi Z^2 with
@@ -318,6 +327,8 @@ def legendrian_index_flat_torus(gram: np.ndarray, m: int,
     The cutoff is certified: every frequency outside the enumeration box
     must have lambda > 2m, else the count could be short.
     """
+    if m < 1:
+        raise ValueError("complex dimension m must be at least 1")
     G = np.asarray(gram, dtype=float)
     if G.shape != (2, 2) or not np.allclose(G, G.T):
         raise ValueError("gram must be a symmetric 2x2 matrix")
@@ -330,33 +341,17 @@ def legendrian_index_flat_torus(gram: np.ndarray, m: int,
     if lam_min_out <= 2 * m:
         raise NeedsLargerCutoffError(
             "cutoff %d cannot exclude eigenvalues below 2m = %d" % (cutoff, 2 * m))
-    count = 0
-    for n1 in range(-cutoff, cutoff + 1):
-        for n2 in range(-cutoff, cutoff + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            lam = Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2 \
-                + Ginv[1, 1] * n2 * n2
-            if 0.0 < lam < 2.0 * m - 1e-12:
-                count += 1
-    return count
+    lam = _lattice_eigenvalues(Ginv, cutoff)
+    return int(np.count_nonzero((0.0 < lam) & (lam < 2.0 * m - 1e-12)))
 
 
 def eigenvalue_multiplicity(gram: np.ndarray, value: float,
                             cutoff: int = 20, tol: float = 1e-9) -> int:
     """Multiplicity of a given Laplacian eigenvalue on the flat torus link
     (raw report used for rigidity inspection)."""
-    Ginv = np.linalg.inv(np.asarray(gram, dtype=float))
-    count = 0
-    for n1 in range(-cutoff, cutoff + 1):
-        for n2 in range(-cutoff, cutoff + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            lam = Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2 \
-                + Ginv[1, 1] * n2 * n2
-            if abs(lam - value) <= tol:
-                count += 1
-    return count
+    lam = _lattice_eigenvalues(np.linalg.inv(np.asarray(gram, dtype=float)),
+                               cutoff)
+    return int(np.count_nonzero(np.abs(lam - value) <= tol))
 
 
 def lower_bound_lind(k_spheres: int, k_other: int, m: int) -> int:

@@ -18,6 +18,8 @@ from typing import Callable
 
 import numpy as np
 
+FD_STEP = 1e-5  # central-difference step for closed-form potentials
+
 
 class OutOfStencilError(IndexError):
     """Central differences were requested at a node without interior margin."""
@@ -37,7 +39,6 @@ class GraphPotential:
     values: np.ndarray | None = None
     spacing: np.ndarray | None = None
     func: Callable[[np.ndarray], float] | None = None
-    fd_step: float = 1e-5
 
     def __post_init__(self):
         if (self.values is None) == (self.func is None):
@@ -59,7 +60,7 @@ def hessian(f: GraphPotential, node) -> np.ndarray:
     m = f.m
     if f.func is not None:
         x = np.asarray(node, dtype=float)
-        h = f.fd_step
+        h = FD_STEP
         H = np.empty((m, m))
         f0 = f.func(x)
         for i in range(m):

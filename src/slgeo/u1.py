@@ -17,7 +17,7 @@ and lift to U(1)-invariant special Lagrangian 3-folds of C^3 through
 Discretization: second-order finite differences on a boundary-fitted mask
 (Shortley-Weller unequal arms at cut nodes, boundary values injected along
 grid lines), damped Newton with a harmonic-extension initial guess and
-chord steps on a kept sparse LU, and continuation a_k = a0 * 2^{-k} for
+chord steps on a kept sparse LU, and continuation a_k = 2^{-k} for
 the degenerate a = 0 problem.
 """
 
@@ -35,6 +35,7 @@ from .core import plane_defects, real_coords
 from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
+DAMPING_MIN = 2.0 ** -20  # smallest line-search step before a stall
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -219,15 +220,12 @@ def _p_residual(ops, yv, a, f):
 
 
 def p_operator(f: GridField, a: float, domain: ConvexDomain,
-               phi: BoundaryData | None = None) -> GridField:
-    """Evaluate P(f) at active nodes.  Boundary arms use phi when given,
-    otherwise the stored (masked) grid values must cover a margin."""
-    if phi is None:
-        phi = BoundaryData(_grid_sampler(f))
-    fv = f.values[domain.inside[: f.nx, : f.ny]] if f.mask is None else f.values[domain.inside]
+               phi: BoundaryData) -> GridField:
+    """Evaluate P(f) at the active nodes of a field on the domain's grid,
+    with the boundary arms taking their values from phi."""
     return _to_field(domain, _p_residual(
         _direction_ops(domain, phi), domain.y[domain.nodes[:, 1]], a,
-        np.asarray(fv, dtype=float)))
+        f.values[domain.inside]))
 
 
 def _to_field(domain: ConvexDomain, vec) -> GridField:
@@ -238,17 +236,8 @@ def _to_field(domain: ConvexDomain, vec) -> GridField:
                      mask=domain.inside.copy())
 
 
-def _grid_sampler(f: GridField):
-    def sample(x, y):
-        i = np.clip(np.round((np.asarray(x) - f.x0) / f.hx).astype(int), 0, f.nx - 1)
-        j = np.clip(np.round((np.asarray(y) - f.y0) / f.hy).astype(int), 0, f.ny - 1)
-        return f.values[i, j]
-    return sample
-
-
 def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
                     tol: float = 1e-10, max_newton: int = 40,
-                    damping_min: float = 2.0 ** -20,
                     initial: np.ndarray | None = None) -> PotentialSolution:
     """Damped-Newton Dirichlet solve; continuation in a when a = 0.
 
@@ -260,10 +249,10 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     if tol <= 0:
         raise ValueError("tol must be positive")
     if a == 0.0:
-        return _solve_continuation(phi, domain, tol, max_newton, damping_min)
+        return _solve_continuation(phi, domain, tol, max_newton)
 
     ops = _direction_ops(domain, phi)
-    fv, rec = _newton(ops, domain, a, tol, max_newton, damping_min, initial)
+    fv, rec = _newton(ops, domain, a, tol, max_newton, initial)
     return _package(phi, a, domain, ops, fv, [rec])
 
 
@@ -271,16 +260,16 @@ class ContinuationStalledWarning(UserWarning):
     """Continuation toward a = 0 stopped before the iterate tolerance."""
 
 
-def _solve_continuation(phi, domain, tol, max_newton, damping_min, a0=1.0):
+def _solve_continuation(phi, domain, tol, max_newton):
     ops = _direction_ops(domain, phi)
     fv = None
     prev = None
     trace = []
     a_good = None
     for k in range(60):
-        ak = a0 * 2.0 ** -k
+        ak = 2.0 ** -k
         try:
-            fv, rec = _newton(ops, domain, ak, tol, max_newton, damping_min, fv)
+            fv, rec = _newton(ops, domain, ak, tol, max_newton, fv)
         except NewtonDivergenceError as exc:
             trace.append(exc.record)
             if fv is None:
@@ -304,7 +293,7 @@ def _factor(J):
                      options=dict(SymmetricMode=True))
 
 
-def _newton(ops, domain, a, tol, max_newton, damping_min, initial=None):
+def _newton(ops, domain, a, tol, max_newton, initial=None):
     """Damped Newton for P(f) = 0 at level a; returns (f, NewtonRecord).
 
     The Jacobian's LU is kept while full steps at least halve the residual
@@ -328,7 +317,7 @@ def _newton(ops, domain, a, tol, max_newton, damping_min, initial=None):
 
     def line_search(fv, rnorm, step):
         lam = 1.0
-        while lam >= damping_min:
+        while lam >= DAMPING_MIN:
             cand = fv + lam * step
             cres = _p_residual(ops, yv, a, cand)
             if np.linalg.norm(cres) < rnorm:
@@ -416,7 +405,7 @@ def _central(field: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
-def cr_residual(sol: PotentialSolution, grid_tol: float | None = None) -> float:
+def cr_residual(sol: PotentialSolution) -> float:
     """Max deep-interior residual of the nonlinear Cauchy-Riemann system.
 
     For a = 0 the nodes (x, 0) where v vanishes to grid tolerance are
@@ -438,9 +427,8 @@ def cr_residual(sol: PotentialSolution, grid_tol: float | None = None) -> float:
     r2 = np.abs(vx + 2.0 * root * uy)
     sel = deep & np.isfinite(r1) & np.isfinite(r2)
     if sol.a == 0.0:
-        if grid_tol is None:
-            grid_tol = max(10 * np.finfo(float).eps,
-                           1e-3 * np.nanmax(np.abs(vvals)))
+        grid_tol = max(10 * np.finfo(float).eps,
+                       1e-3 * np.nanmax(np.abs(vvals)))
         axis = np.abs(Y) < 0.5 * dom.hy
         sel &= ~(axis & (np.abs(vvals) < grid_tol))
     if not np.any(sel):
@@ -499,20 +487,20 @@ class DifferenceZeroReport:
     identical: bool = False
 
 
-def difference_zeros(s1: PotentialSolution, s2: PotentialSolution,
-                     identical_tol: float = 0.0) -> DifferenceZeroReport:
+def difference_zeros(s1: PotentialSolution,
+                     s2: PotentialSolution) -> DifferenceZeroReport:
     """Isolated zeros of (u1 - u2, v1 - v2) in the open domain, with winding
-    number as the multiplicity surrogate."""
-    if s1.domain.n != s2.domain.n or s1.domain.rx != s2.domain.rx:
+    number as the multiplicity surrogate; identical when the difference
+    vanishes at every deep-interior node."""
+    dom, other = s1.domain, s2.domain
+    if (dom.n, dom.rx, dom.ry) != (other.n, other.rx, other.ry):
         raise ValueError("solutions live on different grids")
     du = s1.u.values - s2.u.values
     dv = s1.v.values - s2.v.values
-    deep = _deep_interior(s1.domain, 1)
+    deep = _deep_interior(dom, 1)
     sel = deep & np.isfinite(du) & np.isfinite(dv)
-    if np.nanmax(np.abs(du[sel])) <= identical_tol and \
-       np.nanmax(np.abs(dv[sel])) <= identical_tol:
+    if np.nanmax(np.abs(du[sel])) <= 0.0 and np.nanmax(np.abs(dv[sel])) <= 0.0:
         return DifferenceZeroReport([], 0, identical=True)
-    dom = s1.domain
     # one (n-1, n-1, 4, 2) stack of cell corners (i,j), (i+1,j), (i+1,j+1),
     # (i,j+1); unselected nodes are filled with a harmless (1, 0)
     vec = np.stack([np.where(sel, du, 1.0), np.where(sel, dv, 0.0)], axis=-1)

@@ -247,6 +247,17 @@ def test_solved_metric_ricci_matches_source():
     assert np.max(np.abs(coeff + H11)) < 1e-10
 
 
+def test_bad_calabi_input_rejected():
+    for m in (1, 2):
+        with pytest.raises(ValueError):
+            calabi.TorusField(m, np.zeros((0,) * (2 * m)))
+    f = calabi.TorusField(1, np.zeros((8, 8)))
+    for kwargs in ({"t_steps": 0}, {"t_steps": -1}, {"tol": 0.0},
+                   {"tol": -1e-10}):
+        with pytest.raises(ValueError):
+            calabi.solve_calabi(f, **kwargs)
+
+
 def test_nonpositive_ratio_rejected():
     bad = calabi.TorusField(1, np.full((8, 8), -1.0))
     with pytest.raises(calabi.InvalidVolumeError):

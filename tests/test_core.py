@@ -108,6 +108,47 @@ def test_coordinate_round_trip():
     assert np.allclose(M @ J, J @ M)
 
 
+def _loop_matrix_to_real(A):
+    # reference: the (Re, Im) interleaving written out entry by entry
+    m = A.shape[0]
+    M = np.zeros((2 * m, 2 * m))
+    for j in range(m):
+        for k in range(m):
+            M[2 * j, 2 * k] = A[j, k].real
+            M[2 * j, 2 * k + 1] = -A[j, k].imag
+            M[2 * j + 1, 2 * k] = A[j, k].imag
+            M[2 * j + 1, 2 * k + 1] = A[j, k].real
+    return M
+
+
+def _loop_kahler_form(m):
+    W = np.zeros((2 * m, 2 * m))
+    for j in range(m):
+        W[2 * j, 2 * j + 1] = 1.0
+        W[2 * j + 1, 2 * j] = -1.0
+    return W
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_coordinate_layout_matches_loops(m):
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    M = core.complex_matrix_to_real(A)
+    assert np.array_equal(M, _loop_matrix_to_real(A))
+    back = np.array([[M[2 * j, 2 * k] + 1j * M[2 * j + 1, 2 * k]
+                      for k in range(m)] for j in range(m)])
+    assert np.array_equal(core.real_matrix_to_complex(M), back)
+    # bitwise, so no entry of the Kahler form is a negative zero
+    W = core.standard_cy_package(m).kahler_form
+    assert W.tobytes() == _loop_kahler_form(m).tobytes()
+    assert np.array_equal(core.standard_J(m), _loop_kahler_form(m).T)
+    gamma = core.random_su_matrix(m, rng)
+    basis = np.zeros((m, 2 * m))
+    for j in range(m):
+        basis[j] = core.real_coords(gamma[:, j])
+    assert np.array_equal(core.su_rotated_real_plane(m, gamma).basis, basis)
+
+
 def test_moment_map_constant_on_invariant_torus():
     # the diagonal U(1)^2 subgroup of SU(3) preserves the torus
     # |z_1| = |z_2| = |z_3| = r and its moment map is constant there

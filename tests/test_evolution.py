@@ -20,6 +20,39 @@ def test_icosphere_counts():
         assert np.allclose(np.linalg.norm(verts, axis=1), 1.0)
 
 
+def _loop_icosphere(subdivisions):
+    # reference: each level built face by face with a midpoint dict
+    verts, faces = evolution.icosphere(0)
+    for _ in range(subdivisions):
+        vlist = list(verts)
+        midpoint = {}
+
+        def mid(a, b):
+            key = (min(a, b), max(a, b))
+            if key not in midpoint:
+                p = vlist[a] + vlist[b]
+                vlist.append(p / np.linalg.norm(p))
+                midpoint[key] = len(vlist) - 1
+            return midpoint[key]
+
+        new_faces = []
+        for a, b, c in faces:
+            ab, bc, ca = mid(a, b), mid(b, c), mid(c, a)
+            new_faces += [[a, ab, ca], [ab, b, bc], [ca, bc, c],
+                          [ab, bc, ca]]
+        verts = np.array(vlist)
+        faces = np.array(new_faces)
+    return verts, faces
+
+
+@pytest.mark.parametrize("sub", [0, 1, 2, 3, 4])
+def test_icosphere_matches_midpoint_loop(sub):
+    verts, faces = evolution.icosphere(sub)
+    ref_verts, ref_faces = _loop_icosphere(sub)
+    assert verts.tobytes() == ref_verts.tobytes()
+    assert np.array_equal(faces, ref_faces)
+
+
 def _reference_tangents(verts):
     t1 = np.cross(verts, [0.0, 0.0, 1.0])
     pole = np.linalg.norm(t1, axis=1) < 1e-8

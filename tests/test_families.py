@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slgeo import families
 
@@ -139,6 +141,44 @@ def test_cutoff_certification():
     G = families.l0_link_gram()
     with pytest.raises(families.NeedsLargerCutoffError):
         families.legendrian_index_flat_torus(G, 3, cutoff=2)
+
+
+def _loop_eigenvalues(gram, cutoff):
+    # reference: the frequency box walked one (n1, n2) at a time
+    Ginv = np.linalg.inv(gram)
+    lams = []
+    for n1 in range(-cutoff, cutoff + 1):
+        for n2 in range(-cutoff, cutoff + 1):
+            if n1 == 0 and n2 == 0:
+                continue
+            lams.append(Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2
+                        + Ginv[1, 1] * n2 * n2)
+    return lams
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0), st.floats(0.3, 3.0),
+       st.integers(3, 25), st.integers(1, 4), st.data())
+def test_lattice_counts_match_double_loop(l11, l21, l22, cutoff, m, data):
+    L = np.array([[l11, 0.0], [l21, l22]])
+    G = L @ L.T
+    lams = _loop_eigenvalues(G, cutoff)
+    try:
+        count = families.legendrian_index_flat_torus(G, m, cutoff)
+    except families.NeedsLargerCutoffError:
+        lam_min = np.min(np.linalg.eigvalsh(np.linalg.inv(G)))
+        assert lam_min * cutoff ** 2 <= 2 * m
+    else:
+        assert count == sum(0.0 < lam < 2.0 * m - 1e-12 for lam in lams)
+    # the multiplicity of an eigenvalue that occurs in the box
+    value = lams[data.draw(st.integers(0, len(lams) - 1))]
+    assert families.eigenvalue_multiplicity(G, value, cutoff) == \
+        sum(abs(lam - value) <= 1e-9 for lam in lams)
+
+
+def test_index_rejects_nonpositive_dimension():
+    with pytest.raises(ValueError):
+        families.legendrian_index_flat_torus(families.l0_link_gram(), 0)
 
 
 def test_lower_bound_composition():

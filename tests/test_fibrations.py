@@ -82,6 +82,34 @@ def test_hl_jacobian_matches_finite_differences():
         assert np.max(np.abs(fd - J[:, col])) < 1e-6
 
 
+def _indexed_hl_jacobian(z):
+    # reference: the rows written out with index arithmetic
+    x = np.empty(z.shape[:-1] + (6,))
+    x[..., 0::2], x[..., 1::2] = z.real, z.imag
+    J = np.zeros(z.shape[:-1] + (3, 6))
+    J[..., 0, 0:2] = 2 * x[..., 0:2]
+    J[..., 0, 4:6] = -2 * x[..., 4:6]
+    J[..., 1, 2:4] = 2 * x[..., 2:4]
+    J[..., 1, 4:6] = -2 * x[..., 4:6]
+    z1, z2, z3 = np.moveaxis(z, -1, 0)
+    w = np.stack(np.broadcast_arrays(z2 * z3, z1 * z3, z1 * z2), axis=-1)
+    J[..., 2, 0::2] = w.imag
+    J[..., 2, 1::2] = w.real
+    return J
+
+
+def test_hl_jacobian_matches_indexed_rows():
+    rng = np.random.default_rng(3)
+    z = rng.standard_normal((4, 5, 3)) + 1j * rng.standard_normal((4, 5, 3))
+    z[0, 0] = 0.0
+    z[1, 1, 2] = 0.0
+    J = fib.harvey_lawson_jacobian(z)
+    assert J.shape == (4, 5, 3, 6)
+    assert np.array_equal(J, _indexed_hl_jacobian(z))
+    assert np.array_equal(fib.harvey_lawson_jacobian(z[2, 3]),
+                          _indexed_hl_jacobian(z[2, 3]))
+
+
 def test_hl_rank_drops_only_at_singular_orbits():
     assert fib.jacobian_rank(
         fib.harvey_lawson_jacobian([1.0, 1.0, 1.0])) == 3

@@ -126,7 +126,12 @@ def test_cli_exit_codes():
                  ["solve-u1", "--tol", "0"],
                  ["index", "--cutoff", "1"],
                  ["moduli-dim", "--vars", "5", "--degrees", "x"],
-                 ["evolve", "--dt", "0"]):
+                 ["evolve", "--dt", "0"],
+                 ["solve-calabi", "--grid", "0"],
+                 ["solve-calabi", "--t-steps", "0"],
+                 ["solve-calabi", "--t-steps", "-1"],
+                 ["solve-calabi", "--tol", "0"],
+                 ["index", "--m", "0"]):
         p = _run_cli(args)
         assert p.returncode == 2
         assert p.stderr.strip()

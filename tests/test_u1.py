@@ -285,6 +285,15 @@ def test_difference_zeros_distinct_data():
     assert rep.total == sum(abs(w) for _, w in rep.zeros)
 
 
+def test_difference_zeros_rejects_other_ellipse():
+    # same n and rx, different ry: the nodes sit at different points
+    phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
+    s1, s2 = (u1.solve_dirichlet(phi, 0.5, u1.ConvexDomain(
+        "ellipse", rx=1.0, ry=ry, n=33), tol=1e-10) for ry in (0.5, 0.9))
+    with pytest.raises(ValueError):
+        u1.difference_zeros(s1, s2)
+
+
 def test_lift_moment_value_is_2a():
     a = 0.35
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
