@@ -371,10 +371,10 @@ class RadialProfile:
     ricci_residual: float
 
 
-def radial_ricci_flat_profile(C: float, u_max: float = 4.0,
-                              n: int = 200) -> RadialProfile:
+def radial_ricci_flat_profile(C: float) -> RadialProfile:
     """Integrate the Ricci-flat condition f'(u) (f'(u) + u f''(u)) = 1 for
-    radial Kahler potentials f(|z|^2) on C^2.
+    radial Kahler potentials f(|z|^2) on C^2, reporting f' at 200 points
+    of u up to 4.
 
     The first integral is u^2 f'(u)^2 - u^2 = 2C, which is verified along
     the trajectory; an independent Ricci diagnostic evaluates
@@ -385,8 +385,7 @@ def radial_ricci_flat_profile(C: float, u_max: float = 4.0,
 
     if C < 0:
         raise ValueError("C must be nonnegative")
-    if u_max < 3.0:
-        raise ValueError("u_max must cover the diagnostic patch (>= 3)")
+    u_max, n = 4.0, 200   # u_max covers the diagnostic patch, u < 2.5
     u0 = min(u_max / n, 0.02)
     us = np.linspace(u0, u_max, n)
     h0 = np.sqrt(1.0 + 2.0 * C / u0 ** 2)
@@ -397,8 +396,8 @@ def radial_ricci_flat_profile(C: float, u_max: float = 4.0,
     dense = np.linspace(u0, u_max, 2001)
     sol = solve_ivp(rhs, (u0, u_max), [h0], t_eval=dense, rtol=1e-12,
                     atol=1e-14, method="DOP853")
-    profile_spline = make_interp_spline(dense, sol.y[0], k=5)
-    fprime = profile_spline(us)
+    spline = make_interp_spline(dense, sol.y[0], k=5)
+    fprime = spline(us)
     conserved = us ** 2 * fprime ** 2 - us ** 2
     conserved_res = float(np.max(np.abs(conserved - 2.0 * C)))
 
@@ -406,7 +405,6 @@ def radial_ricci_flat_profile(C: float, u_max: float = 4.0,
     # det g = f'(u) (f'(u) + u f''(u)) should be identically 1, so
     # rho = -i ddbar log(det g) vanishes.  The profile enters through a
     # quintic spline so the slice field carries only solver error.
-    spline = profile_spline
     dspline = spline.derivative()
     hp = 0.05
     ax = np.arange(0.6, 1.101, hp)

@@ -26,6 +26,8 @@ import scipy.sparse as sp
 
 from .core import plane_defects, real_coords
 
+DRIFT_BUDGET = 1e-6  # symplectic drift a step may add before dt is halved
+
 
 class InvalidChiError(ValueError):
     """The area bivector vanishes at some node."""
@@ -124,7 +126,6 @@ class EvolvingSurface:
     states: list = field(default_factory=list)
     times: list = field(default_factory=list)
     dt: float = 0.01
-    drift_budget: float = 1e-6
     drifts: list = field(default_factory=list)
     halvings: list = field(default_factory=list)
     D: sp.csr_matrix = field(init=False, repr=False)
@@ -203,7 +204,7 @@ def evolve_step(surf: EvolvingSurface) -> EvolvingSurface:
     while True:
         cand = _rk4(surf, state, dt)
         drift = state_drift(surf, cand)
-        if drift <= max(base, 0.0) + surf.drift_budget:
+        if drift <= max(base, 0.0) + DRIFT_BUDGET:
             break
         surf.halvings.append((surf.times[-1], dt, drift))
         dt *= 0.5
@@ -254,21 +255,16 @@ def sphere_scale(state: np.ndarray) -> np.ndarray:
     return np.sqrt(w2)
 
 
-def compare_so3(surf: EvolvingSurface, probe_indices=None) -> float:
-    """Max relative radial deviation of probe states from the family
+def compare_so3(surf: EvolvingSurface) -> float:
+    """Max relative radial deviation of the recorded states from the family
     r^3 sin(3 theta) = const, with the constant fitted per run."""
-    if probe_indices is None:
-        probe_indices = range(len(surf.states))
-    probe_indices = list(probe_indices)
-    if any(idx < 0 or idx >= len(surf.states) for idx in probe_indices):
-        raise NoMatchError("probe index outside the recorded states")
-    consts = np.empty((len(probe_indices), len(surf.verts)))
-    for k, idx in enumerate(probe_indices):
-        w = sphere_scale(surf.states[idx])
+    consts = np.empty((len(surf.states), len(surf.verts)))
+    for k, state in enumerate(surf.states):
+        w = sphere_scale(state)
         r = np.abs(w)
         th = np.angle(w)
         if np.any(r < 1e-12) or np.any(th <= 0) or np.any(th >= np.pi / 3):
-            raise NoMatchError("state %d left the family parameter range" % idx)
+            raise NoMatchError("state %d left the family parameter range" % k)
         consts[k] = r ** 3 * np.sin(3 * th)
     t3 = float(np.mean(consts))
     if t3 <= 0:

@@ -221,25 +221,24 @@ def branched_truncation_bound(patch_size: float) -> float:
 # distance to the asymptotic cone and decay-rate fitting
 
 
-def distance_to_cone(fam: ModelFamily, point: np.ndarray) -> float:
-    """Euclidean distance from a family point to its asymptotic cone.
+def distance_to_cone(fam: ModelFamily, points) -> np.ndarray:
+    """Euclidean distances from family points (..., 3) to their cone.
 
     hl_Lt projects onto the T^2-cone in closed form (phases match, the
     radius minimizes a quadratic); so3_Lt uses the plane pair
-    R^3 union e^{i pi/3} R^3; the cone families are their own cone.
+    R^3 union e^{i pi/3} R^3, at distances |Im z| and |Im(e^{-i pi/3} z)|;
+    the cone families are their own cone.
     """
-    z = np.asarray(point, dtype=complex)
+    z = np.asarray(points, dtype=complex)
     if fam.name in ("hl_cone_L0", "hl_Lt"):
-        rho1, rho2 = abs(z[0]), abs(z[1])
+        rho1, rho2 = np.abs(z[..., 0]), np.abs(z[..., 1])
         # matched phases leave a 1D least squares over the cone radius
-        r = max((rho1 + 2.0 * rho2) / 3.0, 0.0)
-        return float(np.sqrt((rho1 - r) ** 2 + 2.0 * (rho2 - r) ** 2))
+        r = np.maximum((rho1 + 2.0 * rho2) / 3.0, 0.0)
+        return np.sqrt((rho1 - r) ** 2 + 2.0 * (rho2 - r) ** 2)
     if fam.name == "so3_Lt":
-        x = real_coords(z[None, :])[0]
-        d1 = np.linalg.norm(x[1::2])                      # distance to R^3
-        zr = np.exp(-1j * np.pi / 3) * z
-        d2 = np.linalg.norm(real_coords(zr[None, :])[0][1::2])
-        return float(min(d1, d2))
+        return np.minimum(
+            np.linalg.norm(z.imag, axis=-1),
+            np.linalg.norm((np.exp(-1j * np.pi / 3) * z).imag, axis=-1))
     raise ValueError("family %r has no registered asymptotic cone" % fam.name)
 
 
@@ -251,40 +250,36 @@ class DecayFit:
     degenerate: bool = False
 
 
-def ac_decay_rate(fam: ModelFamily, radii, n_phase: int = 16,
-                  seed: int = 0) -> DecayFit:
-    """Least-squares slope of log(sup distance to cone) against log r."""
+def ac_decay_rate(fam: ModelFamily, radii) -> DecayFit:
+    """Least-squares slope of log(sup distance to cone) against log r, the
+    sup taken over 16 seeded parameter draws per radius."""
+    n_phase = 16
     radii = np.asarray(radii, dtype=float)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     t = fam.extra.get("t", 0.0)
     if np.any(radii < 3.0 * t):
         warnings.warn("some radii lie inside the compact core; fit may be "
                       "unreliable", UnreliableFitWarning)
     dists = np.empty(radii.size)
     for k, rho in enumerate(radii):
-        worst = 0.0
-        for _ in range(n_phase):
-            if fam.name == "hl_Lt":
-                th = rng.uniform(0, 2 * np.pi)
-                phi = rng.uniform(0, 2 * np.pi)
-                params = (th, rho * np.cos(phi), rho * np.sin(phi))
-            elif fam.name == "so3_Lt":
-                # radius r(theta) = rho picks theta near the cone ends
-                s3 = min((t / rho) ** 3, 1.0)
-                th = np.arcsin(s3) / 3.0
-                if rng.uniform() < 0.5:
-                    th = np.pi / 3 - th
-                th = min(max(th, 1e-6), np.pi / 3 - 1e-6)
-                params = (th, rng.uniform(0.3, np.pi - 0.3),
-                          rng.uniform(0, 2 * np.pi))
-            elif fam.name == "hl_cone_L0":
-                params = (rho, rng.uniform(0, 2 * np.pi),
-                          rng.uniform(0, 2 * np.pi))
-            else:
-                raise ValueError("no decay model for %r" % fam.name)
-            z, _ = family_point(fam, params)
-            worst = max(worst, distance_to_cone(fam, z))
-        dists[k] = worst
+        if fam.name == "hl_Lt":
+            th, phi = rng.uniform(0, 2 * np.pi, (n_phase, 2)).T
+            params = np.column_stack([th, rho * np.cos(phi), rho * np.sin(phi)])
+        elif fam.name == "so3_Lt":
+            coin, al, be = rng.uniform([0.0, 0.3, 0.0],
+                                       [1.0, np.pi - 0.3, 2 * np.pi],
+                                       (n_phase, 3)).T
+            # radius r(theta) = rho picks theta near the cone ends
+            th = np.arcsin(min((t / rho) ** 3, 1.0)) / 3.0
+            th = np.clip(np.where(coin < 0.5, np.pi / 3 - th, th),
+                         1e-6, np.pi / 3 - 1e-6)
+            params = np.column_stack([th, al, be])
+        elif fam.name == "hl_cone_L0":
+            params = np.column_stack([np.full(n_phase, rho),
+                                      rng.uniform(0, 2 * np.pi, (n_phase, 2))])
+        else:
+            raise ValueError("no decay model for %r" % fam.name)
+        dists[k] = np.max(distance_to_cone(fam, family_point(fam, params)[0]))
     if np.max(dists) < 1e-13:
         return DecayFit(np.nan, radii, dists, degenerate=True)
     slope = float(np.polyfit(np.log(radii), np.log(dists), 1)[0])
@@ -302,16 +297,15 @@ def l0_link_gram() -> np.ndarray:
     e^{-i(t1+t2)}) / sqrt(3) in the unit 5-sphere; the pulled-back metric
     is constant, so one base point determines it.
     """
-    d1 = np.array([1j, 0.0, -1j]) / np.sqrt(3.0)
-    d2 = np.array([0.0, 1j, -1j]) / np.sqrt(3.0)
-    frame = [d1, d2]
-    G = np.array([[np.real(np.vdot(a, b)) for b in frame] for a in frame])
-    return G
+    frame = np.array([[1j, 0.0, -1j], [0.0, 1j, -1j]]) / np.sqrt(3.0)
+    return np.array([[np.real(np.vdot(a, b)) for b in frame] for a in frame])
 
 
 def _lattice_eigenvalues(Ginv: np.ndarray, cutoff: int) -> np.ndarray:
     """lambda(n) = n^T Ginv n for every nonzero integer frequency n in the
     box |n1|, |n2| <= cutoff."""
+    if cutoff < 1:
+        raise ValueError("cutoff must be at least 1, got %r" % (cutoff,))
     k = np.arange(-cutoff, cutoff + 1)
     n1, n2 = np.meshgrid(k, k, indexing="ij", sparse=True)
     lam = Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2 + Ginv[1, 1] * n2 * n2
@@ -346,12 +340,12 @@ def legendrian_index_flat_torus(gram: np.ndarray, m: int,
 
 
 def eigenvalue_multiplicity(gram: np.ndarray, value: float,
-                            cutoff: int = 20, tol: float = 1e-9) -> int:
-    """Multiplicity of a given Laplacian eigenvalue on the flat torus link
-    (raw report used for rigidity inspection)."""
+                            cutoff: int = 20) -> int:
+    """Multiplicity of a given Laplacian eigenvalue on the flat torus link,
+    to 1e-9 (raw report used for rigidity inspection)."""
     lam = _lattice_eigenvalues(np.linalg.inv(np.asarray(gram, dtype=float)),
                                cutoff)
-    return int(np.count_nonzero(np.abs(lam - value) <= tol))
+    return int(np.count_nonzero(np.abs(lam - value) <= 1e-9))
 
 
 def lower_bound_lind(k_spheres: int, k_other: int, m: int) -> int:

@@ -58,7 +58,6 @@ class FibrationFamily:
     base_phi: BoundaryData
     U: tuple
     domain: ConvexDomain
-    tol: float = 1e-10
     _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -76,33 +75,29 @@ class FibrationFamily:
         key = tuple(float(v) for v in alpha)
         if key not in self._cache:
             self._cache[key] = solve_dirichlet(
-                self.boundary_data(key), key[0], self.domain, tol=self.tol)
+                self.boundary_data(key), key[0], self.domain)
         return self._cache[key]
 
-    def fiber(self, alpha, samples_per_node: int = 2) -> FiberRecord:
+    def fiber(self, alpha) -> FiberRecord:
         sol = self.solution(alpha)
-        cloud = lift_to_sl3(sol, samples_per_node)
+        cloud = lift_to_sl3(sol, samples_per_node=2)
         sing = singular_points(sol)
-        if alpha[0] != 0.0:
-            topo = "S1xR2"
-        elif len(sing) == 1:
-            topo = "T2_cone"
-        else:
-            topo = "other" if sing else "S1xR2"
+        # a != 0 solutions have no singular points
+        topo = {0: "S1xR2", 1: "T2_cone"}.get(len(sing), "other")
         finite = cloud.sl_defects[np.isfinite(cloud.sl_defects)]
         res = float(np.max(finite)) if finite.size else 0.0
         return FiberRecord(tuple(alpha), cloud.points, topo,
                            [(0.0, 0.0, z3) for _, z3 in sing], res)
 
 
-def check_disjoint(fam: FibrationFamily, alpha_pairs, samples: int = 200,
-                   seed: int = 0):
+def check_disjoint(fam: FibrationFamily, alpha_pairs):
     """Disjointness report for parameter pairs.
 
     Same-a pairs must have zero difference zeros of (u, v); different-a
-    pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a.
+    pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a, and
+    report the least distance between 200 seeded points of each fiber.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     report = []
     for alpha, alpha2 in alpha_pairs:
         entry = {"alpha": tuple(alpha), "alpha2": tuple(alpha2)}
@@ -124,9 +119,9 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs, samples: int = 200,
                                              np.max(np.abs(lvl2 - alpha2[0]))))
             entry["disjoint"] = bool(
                 abs(alpha[0] - alpha2[0]) > 2.0 * entry["level_error"])
-            idx1 = rng.choice(len(c1.points), min(samples, len(c1.points)),
+            idx1 = rng.choice(len(c1.points), min(200, len(c1.points)),
                               replace=False)
-            idx2 = rng.choice(len(c2.points), min(samples, len(c2.points)),
+            idx2 = rng.choice(len(c2.points), min(200, len(c2.points)),
                               replace=False)
             p1, p2 = (np.concatenate([p.real, p.imag], axis=-1)
                       for p in (c1.points[idx1], c2.points[idx2]))
@@ -153,14 +148,15 @@ def explicit_F(p) -> tuple:
     return float(a), complex(b)
 
 
-def explicit_F_fiber(a: float, b: complex, n_r: int = 12, n_phase: int = 8,
-                     r_max: float = 2.0) -> FiberRecord:
+def explicit_F_fiber(a: float, b: complex) -> FiberRecord:
     """Sampled fiber of the explicit fibration.
 
     Points are z1 = r1 e^{i t1}, z2 = r2 e^{i t2} with
     r1^2 - r2^2 = 2a, and z3 = b - min(r1, r2) e^{-i(t1 + t2)}, over an
-    (s = r2, t1, t2) grid in node-major order.
+    (s = r2, t1, t2) grid in node-major order: 12 values of s from its
+    least value s0 to sqrt(s0^2 + 4), 8 phases per circle.
     """
+    n_r, n_phase, r_max = 12, 8, 2.0
     b = complex(b)
     smin = np.sqrt(max(0.0, -2.0 * a))
     s = np.linspace(smin, np.sqrt(smin ** 2 + r_max ** 2), n_r)
@@ -194,10 +190,10 @@ def explicit_F_fiber(a: float, b: complex, n_r: int = 12, n_phase: int = 8,
                        float(np.max(defects, initial=0.0)))
 
 
-def explicit_F_smoothness_jump(b: complex = 0.0, r: float = 1.0,
-                               h: float = 1e-6) -> float:
+def explicit_F_smoothness_jump(b: complex = 0.0, r: float = 1.0) -> float:
     """One-sided derivative mismatch of the explicit fibration across the
     wall |z1| = |z2|, witnessing piecewise (not global) smoothness."""
+    h = 1e-6
     b = complex(b)
     t1 = 0.7
     z1 = r * np.exp(1j * t1)
@@ -244,14 +240,16 @@ def jacobian_rank(J: np.ndarray) -> int:
     return int(_rank(np.linalg.svd(J, compute_uv=False)))
 
 
-def classify_fiber_hl(a: float, b: float, c: float, n_rho: int = 10,
-                      n_phase: int = 8, rho_max: float = 2.0) -> FiberRecord:
+def classify_fiber_hl(a: float, b: float, c: float) -> FiberRecord:
     """Sample the level set of the T^2-cone fibration along U(1)^2 orbits.
 
-    Radii follow from rho = |z3| in closed form; the total phase is fixed
-    by the Im(z1 z2 z3) = c equation.  One batched SVD of the Jacobians
-    gives both the rank test and the tangent planes (their kernels).
+    Radii follow from rho = |z3| in closed form, at 10 values of rho from
+    its least value rho0 to sqrt(rho0^2 + 4), 8 phases per circle; the total
+    phase is fixed by the Im(z1 z2 z3) = c equation.  One batched SVD of
+    the Jacobians gives both the rank test and the tangent planes (their
+    kernels).
     """
+    n_rho, n_phase, rho_max = 10, 8, 2.0
     rho_min = np.sqrt(max(0.0, -a, -b))
     rho = np.linspace(rho_min, np.sqrt(rho_min ** 2 + rho_max ** 2), n_rho)
     # at rho_min the radicand of the vanishing radius can round below 0
@@ -281,21 +279,10 @@ def classify_fiber_hl(a: float, b: float, c: float, n_rho: int = 10,
                        float(np.max(defects, initial=0.0)))
 
 
-def discriminant_scan(a_values, fam: FibrationFamily | None = None,
-                      b: complex = 0.0, c: float = 0.0):
-    """Parameters whose fiber contains singular points.
-
-    With a family, each a is solved (at the given b, c) and its lifted
-    singular set inspected; without one, the explicit fibration is used.
-    The result is codimension 1 in the base: exactly the a = 0 slice for
-    the explicit map.
+def discriminant_scan(a_values, b: complex = 0.0):
+    """Levels a of the explicit fibration whose fiber over (a, b) contains
+    singular points.  The result is codimension 1 in the base: exactly
+    the a = 0 slice.
     """
-    singular = []
-    for a in a_values:
-        if fam is None:
-            rec = explicit_F_fiber(float(a), b)
-        else:
-            rec = fam.fiber((float(a), complex(b).real, float(c)))
-        if rec.singular_points:
-            singular.append(float(a))
-    return singular
+    return [float(a) for a in a_values
+            if explicit_F_fiber(float(a), b).singular_points]

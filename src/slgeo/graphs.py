@@ -13,6 +13,7 @@ equation at f = 0.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,50 +57,42 @@ class GraphPotential:
 
 
 def hessian(f: GraphPotential, node) -> np.ndarray:
-    """Symmetrized central-difference Hessian of f at a node (or point)."""
+    """Symmetrized central-difference Hessian of f at a node (or point).
+
+    at(d) samples f at the integer offset d from the node: a grid index
+    offset, or a multiple of FD_STEP for closed forms.
+    """
     m = f.m
     if f.func is not None:
         x = np.asarray(node, dtype=float)
-        h = FD_STEP
-        H = np.empty((m, m))
-        f0 = f.func(x)
-        for i in range(m):
-            ei = np.zeros(m)
-            ei[i] = h
-            H[i, i] = (f.func(x + ei) - 2.0 * f0 + f.func(x - ei)) / h ** 2
-            for j in range(i + 1, m):
-                ej = np.zeros(m)
-                ej[j] = h
-                H[i, j] = (f.func(x + ei + ej) - f.func(x + ei - ej)
-                           - f.func(x - ei + ej) + f.func(x - ei - ej)) / (4.0 * h ** 2)
-                H[j, i] = H[i, j]
-        return 0.5 * (H + H.T)
+        h = np.full(m, FD_STEP)
 
-    idx = tuple(int(k) for k in node)
-    for ax, k in enumerate(idx):
-        if k < 1 or k > f.values.shape[ax] - 2:
-            raise OutOfStencilError("node %r lacks a one-node margin on axis %d" % (idx, ax))
+        def at(d):
+            return f.func(x + FD_STEP * d)
+    else:
+        idx = tuple(int(k) for k in node)
+        for ax, k in enumerate(idx):
+            if k < 1 or k > f.values.shape[ax] - 2:
+                raise OutOfStencilError("node %r lacks a one-node margin on axis %d" % (idx, ax))
+        h = f.spacing
+
+        def at(d):
+            return f.values[tuple(np.add(idx, d))]
+    E = np.eye(m, dtype=int)
     H = np.empty((m, m))
-    h = f.spacing
+    f0 = at(0 * E[0])
     for i in range(m):
-        up = list(idx); up[i] += 1
-        dn = list(idx); dn[i] -= 1
-        H[i, i] = (f.values[tuple(up)] - 2.0 * f.values[idx] + f.values[tuple(dn)]) / h[i] ** 2
+        H[i, i] = (at(E[i]) - 2.0 * f0 + at(-E[i])) / h[i] ** 2
         for j in range(i + 1, m):
-            pp = list(idx); pp[i] += 1; pp[j] += 1
-            pm = list(idx); pm[i] += 1; pm[j] -= 1
-            mp = list(idx); mp[i] -= 1; mp[j] += 1
-            mm = list(idx); mm[i] -= 1; mm[j] -= 1
-            H[i, j] = (f.values[tuple(pp)] - f.values[tuple(pm)]
-                       - f.values[tuple(mp)] + f.values[tuple(mm)]) / (4.0 * h[i] * h[j])
-            H[j, i] = H[i, j]
+            H[i, j] = H[j, i] = (at(E[i] + E[j]) - at(E[i] - E[j])
+                                 - at(E[j] - E[i]) + at(-E[i] - E[j])
+                                 ) / (4.0 * h[i] * h[j])
     return 0.5 * (H + H.T)
 
 
 def sl_graph_residual(f: GraphPotential, node) -> float:
     """Im det_C(I + i Hess f) at the node, via the complex determinant."""
-    A = hessian(f, node)
-    return residual_from_hessian(A)
+    return residual_from_hessian(hessian(f, node))
 
 
 def residual_from_hessian(A: np.ndarray) -> float:
@@ -121,10 +114,7 @@ def residual_symmetric_form(A: np.ndarray) -> float:
     # e_k from the characteristic polynomial coefficients of lam
     coeffs = np.poly(lam)  # x^m - e1 x^{m-1} + e2 x^{m-2} - ...
     e = [(-1) ** k * coeffs[k] for k in range(m + 1)]
-    total = 0.0
-    for k in range(1, m + 1, 2):
-        total += (-1) ** ((k - 1) // 2) * e[k]
-    return float(total)
+    return float(sum((-1) ** ((k - 1) // 2) * e[k] for k in range(1, m + 1, 2)))
 
 
 def linearization_gap(f: GraphPotential, eps_list) -> list[float]:
@@ -133,17 +123,13 @@ def linearization_gap(f: GraphPotential, eps_list) -> list[float]:
     Measures the size of the nonlinear tail of the graph equation; for
     m = 3 potentials it equals eps^3 |det Hess f| at each node.
     """
-    gaps = []
-    nodes = _interior_nodes(f)
-    hessians = [hessian(f, node) for node in nodes]
-    for eps in eps_list:
-        worst = 0.0
-        for A in hessians:
-            res = residual_from_hessian(eps * A)
-            lin = eps * np.trace(A)
-            worst = max(worst, abs(res - lin))
-        gaps.append(worst)
-    return gaps
+    H = np.array([hessian(f, node) for node in _interior_nodes(f)]
+                 ).reshape(-1, f.m, f.m)
+    eye = np.eye(f.m)
+    trace = np.trace(H, axis1=1, axis2=2)
+    return [float(np.max(np.abs(np.linalg.det(eye + 1j * (eps * H)).imag
+                                - eps * trace), initial=0.0))
+            for eps in eps_list]
 
 
 def loglog_slope(xs, ys) -> float:
@@ -154,14 +140,8 @@ def loglog_slope(xs, ys) -> float:
 
 
 def _interior_nodes(f: GraphPotential):
-    if f.func is not None:
-        # a small default probe box around the origin
-        axes = [np.linspace(-1.0, 1.0, 5)] * f.m
-        return [np.array(p) for p in np.stack(
-            np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.m)]
-    ranges = [range(1, n - 1) for n in f.values.shape]
-    out = []
-    grids = np.meshgrid(*[np.asarray(list(r)) for r in ranges], indexing="ij")
-    for idx in np.stack(grids, axis=-1).reshape(-1, f.m):
-        out.append(tuple(int(k) for k in idx))
-    return out
+    """Grid nodes with a one-node margin; for closed forms a small probe
+    box around the origin."""
+    axes = ([np.linspace(-1.0, 1.0, 5)] * f.m if f.func is not None
+            else [range(1, n - 1) for n in f.values.shape])
+    return list(itertools.product(*axes))

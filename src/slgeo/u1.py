@@ -239,51 +239,38 @@ def _to_field(domain: ConvexDomain, vec) -> GridField:
 def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
                     tol: float = 1e-10, max_newton: int = 40,
                     initial: np.ndarray | None = None) -> PotentialSolution:
-    """Damped-Newton Dirichlet solve; continuation in a when a = 0.
+    """Damped-Newton Dirichlet solve along a ladder of levels in a.
 
-    For a != 0 the equation is uniformly elliptic and Newton from the
-    harmonic extension of phi converges; for a = 0 the solution is the
-    continuation limit along a_k = 2^{-k}, stopped when successive
-    iterates agree to tol in sup norm.
+    For a != 0 the equation is uniformly elliptic and the ladder is the
+    single level a.  For a = 0 the solution is the continuation limit
+    along a_k = 2^{-k}, stopped when successive iterates agree to tol in
+    sup norm.  The first level starts from initial, or from the harmonic
+    extension of phi; each later level starts from the one before.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if a == 0.0:
-        return _solve_continuation(phi, domain, tol, max_newton)
-
     ops = _direction_ops(domain, phi)
-    fv, rec = _newton(ops, domain, a, tol, max_newton, initial)
-    return _package(phi, a, domain, ops, fv, [rec])
-
-
-class ContinuationStalledWarning(UserWarning):
-    """Continuation toward a = 0 stopped before the iterate tolerance."""
-
-
-def _solve_continuation(phi, domain, tol, max_newton):
-    ops = _direction_ops(domain, phi)
-    fv = None
-    prev = None
-    trace = []
-    a_good = None
-    for k in range(60):
-        ak = 2.0 ** -k
+    fv, prev, trace = initial, None, []
+    for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:
         try:
             fv, rec = _newton(ops, domain, ak, tol, max_newton, fv)
         except NewtonDivergenceError as exc:
             trace.append(exc.record)
-            if fv is None:
+            if len(trace) == 1:   # no level converged
                 raise
             warnings.warn("continuation stalled at a = %g (residual %.2e); "
                           "returning the last converged level" % (ak, exc.residual),
-                          ContinuationStalledWarning)
+                          ContinuationStalledWarning, stacklevel=2)
             break
         trace.append(rec)
-        a_good = ak
         if prev is not None and np.max(np.abs(fv - prev)) < tol:
             break
-        prev = fv.copy()
-    return _package(phi, 0.0, domain, ops, fv, trace, a_eval=a_good)
+        prev = fv   # _newton returns a new array each level
+    return _package(phi, a, domain, ops, fv, trace)
+
+
+class ContinuationStalledWarning(UserWarning):
+    """Continuation toward a = 0 stopped before the iterate tolerance."""
 
 
 def _factor(J):
@@ -361,12 +348,14 @@ def _newton(ops, domain, a, tol, max_newton, initial=None):
         rec.stop, rec.residuals[-1]), rec.residuals[-1], rec)
 
 
-def _package(phi, a, domain, ops, fv, trace, a_eval=None):
+def _package(phi, a, domain, ops, fv, trace):
+    """The solution at fv; residual_P is evaluated at the level of the last
+    converged Newton solve."""
     Ax, bx, _, _, Ay, by, _, _ = ops
     v = Ax @ fv + bx
     u = Ay @ fv + by
-    res = _p_residual(ops, domain.y[domain.nodes[:, 1]],
-                      a if a_eval is None else a_eval, fv)
+    a_eval = [r.a for r in trace if r.stop == "converged"][-1]
+    res = _p_residual(ops, domain.y[domain.nodes[:, 1]], a_eval, fv)
     sol = PotentialSolution(
         domain=domain, a=a, f=_to_field(domain, fv), u=_to_field(domain, u),
         v=_to_field(domain, v),
@@ -405,6 +394,12 @@ def _central(field: np.ndarray, axis: int, h: float) -> np.ndarray:
     return out
 
 
+def _vanishing_threshold(v: np.ndarray) -> float:
+    """|v| below which v counts as zero: 1e-3 max |v|, at least 10 eps."""
+    vmax = np.nanmax(np.abs(v))
+    return max(10 * np.finfo(float).eps, 1e-3 * (vmax if np.isfinite(vmax) else 0.0))
+
+
 def cr_residual(sol: PotentialSolution) -> float:
     """Max deep-interior residual of the nonlinear Cauchy-Riemann system.
 
@@ -427,10 +422,8 @@ def cr_residual(sol: PotentialSolution) -> float:
     r2 = np.abs(vx + 2.0 * root * uy)
     sel = deep & np.isfinite(r1) & np.isfinite(r2)
     if sol.a == 0.0:
-        grid_tol = max(10 * np.finfo(float).eps,
-                       1e-3 * np.nanmax(np.abs(vvals)))
         axis = np.abs(Y) < 0.5 * dom.hy
-        sel &= ~(axis & (np.abs(vvals) < grid_tol))
+        sel &= ~(axis & (np.abs(vvals) < _vanishing_threshold(vvals)))
     if not np.any(sel):
         return 0.0
     return float(max(np.max(r1[sel]), np.max(r2[sel])))
@@ -446,10 +439,8 @@ def singular_points(sol: PotentialSolution):
         return []
     vrow = sol.v.values[:, j0]
     urow = sol.u.values[:, j0]
-    vmax = np.nanmax(np.abs(sol.v.values))
-    thresh = max(10 * np.finfo(float).eps, 1e-3 * (vmax if np.isfinite(vmax) else 0.0))
     ok = dom.inside[:, j0] & np.isfinite(vrow)
-    small = ok & (np.abs(vrow) < thresh)
+    small = ok & (np.abs(vrow) < _vanishing_threshold(sol.v.values))
     # runs [lo, hi) of consecutive below-threshold nodes: a run with active
     # nodes on both sides is one transversal zero (keep its best node),
     # otherwise it is a genuine segment of zeros

@@ -282,8 +282,3 @@ def test_radial_profile_nontrivial_case():
     assert prof.ricci_residual < 1e-6
     # h = f' decreases toward 1 at infinity
     assert prof.fprime[0] > prof.fprime[-1] > 1.0
-
-
-def test_radial_profile_domain_guard():
-    with pytest.raises(ValueError):
-        calabi.radial_ricci_flat_profile(1.0, u_max=1.0)

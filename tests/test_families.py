@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slgeo import families
+from slgeo.core import real_coords
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +104,41 @@ def test_cone_self_distance_degenerate():
     assert fit.degenerate
 
 
+def _distance_to_cone_per_point(fam, z):
+    # reference: the distance of one point at a time
+    if fam.name in ("hl_cone_L0", "hl_Lt"):
+        rho1, rho2 = abs(z[0]), abs(z[1])
+        r = max((rho1 + 2.0 * rho2) / 3.0, 0.0)
+        return float(np.sqrt((rho1 - r) ** 2 + 2.0 * (rho2 - r) ** 2))
+    x = real_coords(z[None, :])[0]
+    d1 = np.linalg.norm(x[1::2])
+    zr = np.exp(-1j * np.pi / 3) * z
+    d2 = np.linalg.norm(real_coords(zr[None, :])[0][1::2])
+    return float(min(d1, d2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["hl_cone_L0", "hl_Lt", "so3_Lt"]),
+       st.floats(0.1, 3.0), st.integers(0, 2 ** 32 - 1))
+def test_stacked_cone_distance_matches_per_point(name, t, seed):
+    fam = families.ModelFamily(name, {"t": t} if name != "hl_cone_L0" else {})
+    z, _ = families.family_point(
+        fam, fam.sample_params(np.random.default_rng(seed), 40))
+    d = families.distance_to_cone(fam, z.reshape(4, 10, 3))
+    assert d.shape == (4, 10)
+    ref = np.array([_distance_to_cone_per_point(fam, p) for p in z])
+    # the hl distances are differences of radii, and |z| from a stack
+    # and from one point can differ in the last bit, so the error is
+    # measured against |z|
+    assert np.all(np.abs(d.ravel() - ref) <= 1e-15 * np.linalg.norm(z, axis=1))
+
+
+def test_cone_distance_without_cone_rejected():
+    fam = families.ModelFamily("quadric_L", {})
+    with pytest.raises(ValueError):
+        families.distance_to_cone(fam, np.zeros((2, 3), dtype=complex))
+
+
 def test_small_radii_warns():
     fam = families.ModelFamily("hl_Lt", {"t": 2.0})
     with pytest.warns(families.UnreliableFitWarning):
@@ -135,6 +171,16 @@ def test_eigenvalue_two_present():
     G = families.l0_link_gram()
     mult = families.eigenvalue_multiplicity(G, 2.0)
     assert mult >= 1
+
+
+@pytest.mark.parametrize("cutoff", [0, -3, -20])
+def test_nonpositive_cutoff_rejected(cutoff):
+    # a box with no frequencies would count nothing
+    G = families.l0_link_gram()
+    with pytest.raises(ValueError):
+        families.eigenvalue_multiplicity(G, 2.0, cutoff=cutoff)
+    with pytest.raises(ValueError):
+        families.legendrian_index_flat_torus(G, 3, cutoff=cutoff)
 
 
 def test_cutoff_certification():

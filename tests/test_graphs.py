@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slgeo import graphs
 
@@ -68,3 +70,89 @@ def test_loglog_slope_exact_power():
     xs = np.array([1.0, 0.5, 0.25])
     ys = 3.0 * xs ** 2
     assert abs(graphs.loglog_slope(xs, ys) - 2.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the one central-difference stencil against the two per-kind loops
+
+
+def _closed_form_hessian_loop(func, x, m):
+    # reference: offset vectors around a point, step FD_STEP
+    h = graphs.FD_STEP
+    H = np.empty((m, m))
+    f0 = func(x)
+    for i in range(m):
+        ei = np.zeros(m)
+        ei[i] = h
+        H[i, i] = (func(x + ei) - 2.0 * f0 + func(x - ei)) / h ** 2
+        for j in range(i + 1, m):
+            ej = np.zeros(m)
+            ej[j] = h
+            H[i, j] = (func(x + ei + ej) - func(x + ei - ej)
+                       - func(x - ei + ej) + func(x - ei - ej)) / (4.0 * h ** 2)
+            H[j, i] = H[i, j]
+    return 0.5 * (H + H.T)
+
+
+def _grid_hessian_loop(values, h, idx, m):
+    # reference: index lists around a grid node
+    H = np.empty((m, m))
+    for i in range(m):
+        up = list(idx); up[i] += 1
+        dn = list(idx); dn[i] -= 1
+        H[i, i] = (values[tuple(up)] - 2.0 * values[idx]
+                   + values[tuple(dn)]) / h[i] ** 2
+        for j in range(i + 1, m):
+            pp = list(idx); pp[i] += 1; pp[j] += 1
+            pm = list(idx); pm[i] += 1; pm[j] -= 1
+            mp = list(idx); mp[i] -= 1; mp[j] += 1
+            mm = list(idx); mm[i] -= 1; mm[j] -= 1
+            H[i, j] = (values[tuple(pp)] - values[tuple(pm)]
+                       - values[tuple(mp)] + values[tuple(mm)]) / (4.0 * h[i] * h[j])
+            H[j, i] = H[i, j]
+    return 0.5 * (H + H.T)
+
+
+def _random_potential(m, closed_form, seed):
+    rng = np.random.default_rng(seed)
+    if closed_form:
+        Q = rng.standard_normal((m, m))
+        w = rng.standard_normal(m)
+        return graphs.GraphPotential(
+            m, func=lambda x: float(x @ Q @ x + np.sin(w @ x) * np.exp(x[0])))
+    return graphs.GraphPotential(m, values=rng.standard_normal((5,) * m),
+                                 spacing=rng.uniform(0.05, 2.0, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_hessian_matches_per_kind_loops(m, closed_form, seed):
+    f = _random_potential(m, closed_form, seed)
+    rng = np.random.default_rng(seed + 1)
+    if closed_form:
+        x = rng.uniform(-2.0, 2.0, m)
+        ref = _closed_form_hessian_loop(f.func, x, m)
+        H = graphs.hessian(f, x)
+    else:
+        idx = tuple(int(k) for k in rng.integers(1, 4, m))
+        ref = _grid_hessian_loop(f.values, f.spacing, idx, m)
+        H = graphs.hessian(f, idx)
+    assert np.array_equal(H, ref)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_linearization_gap_matches_node_loop(m, closed_form, seed):
+    f = _random_potential(m, closed_form, seed)
+    eps_list = [1e-3, 0.1, 1.0]
+    # reference: one determinant per node and eps
+    hessians = [graphs.hessian(f, node) for node in graphs._interior_nodes(f)]
+    ref = []
+    for eps in eps_list:
+        worst = 0.0
+        for A in hessians:
+            res = graphs.residual_from_hessian(eps * A)
+            worst = max(worst, abs(res - eps * np.trace(A)))
+        ref.append(worst)
+    assert graphs.linearization_gap(f, eps_list) == ref
+

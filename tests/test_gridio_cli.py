@@ -125,6 +125,7 @@ def test_cli_exit_codes():
                  ["solve-u1", "--grid-n", "5"],
                  ["solve-u1", "--tol", "0"],
                  ["index", "--cutoff", "1"],
+                 ["index", "--cutoff", "-20"],
                  ["moduli-dim", "--vars", "5", "--degrees", "x"],
                  ["evolve", "--dt", "0"],
                  ["solve-calabi", "--grid", "0"],

@@ -428,6 +428,31 @@ def test_stalled_continuation_ends_on_a_fresh_factor():
     assert sol.factorizations == sum(rec.factorizations for rec in sol.trace)
 
 
+def test_stall_warning_points_at_the_caller():
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
+    with pytest.warns(u1.ContinuationStalledWarning) as record:
+        u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
+    assert record[0].filename == __file__
+
+
+def test_initial_seeds_the_first_rung_at_a_zero():
+    phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
+    dom = _disc(33)
+    s1 = u1.solve_dirichlet(phi, 1.0, dom, tol=1e-8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", u1.ContinuationStalledWarning)
+        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-8, initial=s1.fvec)
+        cold = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-8)
+    # the a = 1 rung starts from its own solution and takes no step
+    first = sol.trace[0]
+    assert first.a == 1.0 and first.stop == "converged"
+    assert first.step_lengths == [] and first.factorizations == 0
+    assert first.residuals == [s1.trace[0].residuals[-1]]
+    assert cold.trace[0].step_lengths
+    assert [r.a for r in sol.trace] == [r.a for r in cold.trace]
+    assert np.max(np.abs(sol.fvec - cold.fvec)) < 1e-6
+
+
 def test_failed_chord_step_is_retried_on_a_fresh_factor(monkeypatch):
     # a kept LU that points uphill when reused: each chord step's line
     # search fails and is retried on the Jacobian of its own iterate, so
