@@ -1,7 +1,7 @@
 """Numerical special Lagrangian geometry on C^m and flat-torus Calabi-Yau
 model problems.
 
-Modules:
+Modules (each is imported on first use, so a command loads only what it runs):
 
   core        flat Calabi-Yau package, calibration and SL plane tests,
               moment maps of subgroups of SU(m) x C^m
@@ -18,12 +18,16 @@ Modules:
   cli         deterministic JSON-report command line
 """
 
-__version__ = "0.1.0"
+import importlib
 
-# cli is left out: importing it here would put it in sys.modules before
-# ``python -m slgeo.cli`` runs it, which makes runpy warn
-from . import (calabi, core, evolution, families, fibrations, graphs, gridio,
-               u1)
+__version__ = "0.1.0"
 
 __all__ = ["calabi", "cli", "core", "evolution", "families", "fibrations",
            "graphs", "gridio", "u1", "__version__"]
+
+
+def __getattr__(name):
+    # PEP 562; an eagerly loaded cli would make ``python -m slgeo.cli`` warn
+    if name in __all__:
+        return importlib.import_module("." + name, __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

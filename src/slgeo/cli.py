@@ -110,6 +110,8 @@ def _boundary_from_name(name, b, c):
 
 def _cmd_solve_u1(args):
     from . import gridio, u1
+    if args.out_grid and not args.out_grid.endswith(".csv"):
+        raise ValueError(f"--out-grid must name a .csv file: {args.out_grid}")
     dom = u1.ConvexDomain("disc", rx=1.0, n=args.grid_n)
     phi = _boundary_from_name(args.boundary, args.b, args.c)
     rep = Report("solve-u1", {"a": args.a, "boundary": args.boundary,

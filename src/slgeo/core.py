@@ -18,7 +18,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 
 class InvalidDimensionError(ValueError):
@@ -345,6 +344,7 @@ def random_su_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
     X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     A = (X - X.conj().T) / 2.0
     A -= np.trace(A) / m * np.eye(m)
+    from scipy.linalg import expm
     return expm(A)
 
 

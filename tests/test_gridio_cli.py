@@ -113,6 +113,44 @@ def test_cli_runs_as_module_without_runpy_warning():
     assert p.returncode == 0, p.stderr
 
 
+def _scipy_modules(code):
+    # the scipy modules a fresh interpreter holds after running code
+    p = subprocess.run([sys.executable, "-c", code + "\nimport json, sys\n"
+                        "print(json.dumps(sorted(m for m in sys.modules "
+                        "if m.startswith('scipy'))))"],
+                       capture_output=True, text=True, timeout=300)
+    assert p.returncode == 0, p.stderr
+    return json.loads(p.stdout.splitlines()[-1])
+
+
+def test_import_slgeo_loads_no_scipy():
+    # a submodule still loads as an attribute on first use
+    assert _scipy_modules("import slgeo\n"
+                          "assert slgeo.core.standard_cy_package(3).m == 3") == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--example", "hl-lt", "--samples", "100"],
+    ["index", "--gram", "l0", "--m", "3"],
+    ["moduli-dim", "--vars", "5", "--degrees", "5"]], ids=lambda a: a[0])
+def test_numpy_only_commands_load_no_scipy(argv):
+    code = f"from slgeo.cli import main\nassert main({argv!r}) == 0"
+    assert _scipy_modules(code) == []
+
+
+def test_evolve_loads_no_dense_linalg_or_fft():
+    code = ("from slgeo.cli import main\n"
+            "assert main(['evolve', '--nodes', '162', '--t-end', '0.01']) == 0")
+    assert not [m for m in _scipy_modules(code)
+                if m.startswith(("scipy.linalg", "scipy.fft"))]
+
+
+def test_unknown_package_attribute_raises():
+    import slgeo
+    with pytest.raises(AttributeError):
+        slgeo.nope
+
+
 def test_cli_exit_codes():
     # usage error -> 2
     p = _run_cli(["verify"])
@@ -132,7 +170,8 @@ def test_cli_exit_codes():
                  ["solve-calabi", "--t-steps", "0"],
                  ["solve-calabi", "--t-steps", "-1"],
                  ["solve-calabi", "--tol", "0"],
-                 ["index", "--m", "0"]):
+                 ["index", "--m", "0"],
+                 ["solve-u1", "--out-grid", "sol.npz"]):
         p = _run_cli(args)
         assert p.returncode == 2
         assert p.stderr.strip()
