@@ -14,8 +14,8 @@ def main():
     rng = np.random.default_rng(0)
     for m in (2, 3, 4):
         pkg = core.standard_cy_package(m)
-        slack = min(core.calibration_defect(core.random_plane(m, rng), pkg)
-                    for _ in range(2000))
+        # 2000 Gaussian bases in one stack: the draws of 2000 random_plane calls
+        slack = core.plane_defects(rng.standard_normal((2000, m, 2 * m)))[1].min()
         gamma = core.random_su_matrix(m, rng)
         plane = core.su_rotated_real_plane(m, gamma)
         print("m = %d: min calibration slack %.3e, SU(m)-orbit plane SL: %s"

@@ -13,9 +13,8 @@ from slgeo import fibrations
 def main():
     for a in (-0.5, 0.0, 0.5):
         rec = fibrations.explicit_F_fiber(a, 0.3)
-        worst = max(abs(fibrations.explicit_F(p)[0] - a)
-                    + abs(fibrations.explicit_F(p)[1] - 0.3)
-                    for p in rec.points)
+        worst = max(abs(fa - a) + abs(fb - 0.3)
+                    for fa, fb in map(fibrations.explicit_F, rec.points))
         print("a = %+.1f: topology %-8s round-trip %.1e, SL residual %.1e"
               % (a, rec.topology, worst, rec.sl_residual_max))
     sing = fibrations.discriminant_scan(np.linspace(-1.0, 1.0, 21))

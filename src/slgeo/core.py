@@ -149,13 +149,6 @@ class TangentPlane:
         if self.orientation not in (+1, -1):
             raise ValueError("orientation must be +1 or -1")
 
-    def orthonormal_basis(self) -> np.ndarray:
-        """Oriented orthonormal frame spanning the same plane."""
-        frame = _frames(self.basis[None])[0][0]
-        if self.orientation < 0:
-            frame[-1] *= -1.0
-        return frame
-
 
 def _frames(bases: np.ndarray):
     """Orthonormal frames (N, m, 2m) of a stack of bases, and the m-volume
@@ -169,30 +162,6 @@ def _frames(bases: np.ndarray):
         raise DegeneratePlaneError("plane basis is degenerate")
     frames = (q * np.sign(diag)[..., None, :]).swapaxes(-1, -2)
     return frames, size.prod(axis=-1)
-
-
-def restrict_forms(plane: TangentPlane, pkg: CYPackage):
-    """Restrict omega, Im Omega, Re Omega to the plane, as multiples of vol_V.
-
-    For m = 2 the omega value is the literal ratio omega|_V / vol_V; for
-    m > 2 (where omega|_V is not a top form on V) it is the maximum
-    absolute omega-pairing over the coordinate 2-vectors of an oriented
-    orthonormal frame, a norm-style scalar.
-    """
-    if plane.m != pkg.m:
-        raise ValueError("plane and package dimensions differ")
-    frame = plane.orthonormal_basis()
-    m = pkg.m
-    pair = frame @ pkg.kahler_form @ frame.T
-    if m == 1:
-        omega_ratio = 0.0
-    elif m == 2:
-        omega_ratio = float(pair[0, 1])
-    else:
-        iu = np.triu_indices(m, k=1)
-        omega_ratio = float(np.max(np.abs(pair[iu])))
-    vol = pkg.holomorphic_volume(frame)
-    return omega_ratio, float(vol.imag), float(vol.real)
 
 
 def is_sl_plane(plane: TangentPlane, pkg: CYPackage, tol: float = 1e-10) -> bool:
@@ -213,11 +182,13 @@ def plane_defects(bases) -> tuple[np.ndarray, np.ndarray]:
 
     Plane k is spanned by the rows of bases[k] and oriented by their order.
     The SL defect is max(|omega|_V|, |Im Omega|_V|) on the oriented
-    orthonormal frame, as in :func:`restrict_forms`, and vanishes iff the
-    plane is SL; the slack is vol_V - Re Omega(basis) >= 0, the calibration
-    inequality.  Planes go through in chunks of PLANE_CHUNK, each one
-    batched QR and one batched complex determinant.  Raises
-    DegeneratePlaneError if any basis is rank-deficient.
+    orthonormal frame, and vanishes iff the plane is SL; for m > 2, where
+    omega|_V is not a top form on V, its omega part is the largest
+    |omega(e_a, e_b)| over the frame, a norm-style scalar.  The slack is
+    vol_V - Re Omega(basis) >= 0, the calibration inequality.  Planes go
+    through in chunks of PLANE_CHUNK, each one batched QR and one batched
+    complex determinant.  Raises DegeneratePlaneError if any basis is
+    rank-deficient.
     """
     bases = np.asarray(bases, dtype=float)
     if bases.ndim != 3 or bases.shape[2] != 2 * bases.shape[1]:

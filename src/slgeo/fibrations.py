@@ -15,18 +15,20 @@ Three constructions:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import broadcast_stack, plane_defects, real_coords
-from .u1 import (BoundaryData, ConvexDomain, PotentialSolution, difference_zeros,
-                 lift_to_sl3, singular_points, solve_dirichlet)
+
+if TYPE_CHECKING:  # u1 loads scipy, which only the Dirichlet families need
+    from .u1 import BoundaryData, ConvexDomain, PotentialSolution
 
 RANK_RTOL = 1e-8  # singular-value ratio below which the Jacobian drops rank
 
 
 class InvalidRegionError(ValueError):
-    """The parameter region U is empty along some axis."""
+    """The parameter region U is empty along some axis, or alpha lies outside it."""
 
 
 class EmptyFiberError(ValueError):
@@ -46,11 +48,12 @@ class FiberRecord:
 class FibrationFamily:
     """Dirichlet-problem family Phi(a, b, c) = base_phi + b x + c y.
 
-    U is ((a_min, a_max), (b_min, b_max), (c_min, c_max)).  Solutions are
-    cached per alpha.  The paper's condition on same-a parameter pairs,
-    that the difference of their boundary data has exactly one maximum and
-    one minimum, holds in every such family: two distinct members differ
-    on the boundary by (b - b') x + (c - c') y, a nonzero linear function,
+    U is ((a_min, a_max), (b_min, b_max), (c_min, c_max)), closed ranges
+    that every requested alpha must lie in.  Solutions are cached per
+    alpha.  The paper's condition on same-a parameter pairs, that the
+    difference of their boundary data has exactly one maximum and one
+    minimum, holds in every such family: two distinct members differ on
+    the boundary by (b - b') x + (c - c') y, a nonzero linear function,
     which has exactly one of each on the boundary of a strictly convex
     domain.
     """
@@ -66,19 +69,24 @@ class FibrationFamily:
                 raise InvalidRegionError("empty parameter range (%g, %g)" % (lo, hi))
 
     def boundary_data(self, alpha) -> BoundaryData:
+        from .u1 import BoundaryData
         a, b, c = alpha
         base = self.base_phi
         return BoundaryData(lambda x, y: base(x, y) + b * np.asarray(x)
                             + c * np.asarray(y))
 
     def solution(self, alpha) -> PotentialSolution:
+        from .u1 import solve_dirichlet
         key = tuple(float(v) for v in alpha)
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(key, self.U)):
+            raise InvalidRegionError("alpha %r lies outside U = %r" % (key, self.U))
         if key not in self._cache:
             self._cache[key] = solve_dirichlet(
                 self.boundary_data(key), key[0], self.domain)
         return self._cache[key]
 
     def fiber(self, alpha) -> FiberRecord:
+        from .u1 import lift_to_sl3, singular_points
         sol = self.solution(alpha)
         cloud = lift_to_sl3(sol, samples_per_node=2)
         sing = singular_points(sol)
@@ -97,6 +105,7 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs):
     pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a, and
     report the least distance between 200 seeded points of each fiber.
     """
+    from .u1 import difference_zeros
     rng = np.random.default_rng(0)
     report = []
     for alpha, alpha2 in alpha_pairs:

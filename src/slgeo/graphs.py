@@ -95,10 +95,10 @@ def sl_graph_residual(f: GraphPotential, node) -> float:
     return residual_from_hessian(hessian(f, node))
 
 
-def residual_from_hessian(A: np.ndarray) -> float:
-    """Im det_C(I + iA) for a symmetric matrix A."""
+def residual_from_hessian(A: np.ndarray) -> np.ndarray | float:
+    """Im det_C(I + iA) for each symmetric matrix A of a stack (..., m, m)."""
     A = np.asarray(A, dtype=float)
-    return float(np.linalg.det(np.eye(A.shape[0]) + 1j * A).imag)
+    return np.linalg.det(np.eye(A.shape[-1]) + 1j * A).imag
 
 
 def residual_symmetric_form(A: np.ndarray) -> float:
@@ -125,10 +125,9 @@ def linearization_gap(f: GraphPotential, eps_list) -> list[float]:
     """
     H = np.array([hessian(f, node) for node in _interior_nodes(f)]
                  ).reshape(-1, f.m, f.m)
-    eye = np.eye(f.m)
     trace = np.trace(H, axis1=1, axis2=2)
-    return [float(np.max(np.abs(np.linalg.det(eye + 1j * (eps * H)).imag
-                                - eps * trace), initial=0.0))
+    return [float(np.max(np.abs(residual_from_hessian(eps * H) - eps * trace),
+                         initial=0.0))
             for eps in eps_list]
 
 

@@ -185,3 +185,17 @@ def test_empty_parameter_box_rejected():
         fib.FibrationFamily(base_phi=lambda x, y: 0.0,
                             U=((0.5, -0.5), (0.0, 1.0), (0.0, 1.0)),
                             domain=u1.ConvexDomain("disc", n=33))
+
+
+def test_member_outside_parameter_box_rejected(family):
+    # a = 0.9 and b = 2.0 both lie outside U
+    with pytest.raises(fib.InvalidRegionError):
+        family.fiber((0.9, 2.0, 0.0))
+    # the ends of U are members
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert family.solution((0.5, 0.3, -0.3)).a == 0.5
+    for alpha in ((0.0, 0.3 + 1e-9, 0.0), (-0.5 - 1e-9, 0.0, 0.0),
+                  (0.0, 0.0, float("nan"))):
+        with pytest.raises(fib.InvalidRegionError):
+            family.solution(alpha)

@@ -19,6 +19,17 @@ def test_residual_forms_agree_on_random_matrices():
         assert abs(r1 - r2) < 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_stacked_residual_matches_per_matrix(m):
+    rng = np.random.default_rng(m)
+    A = rng.standard_normal((2, 25, m, m))
+    A = 0.5 * (A + A.swapaxes(-1, -2))
+    ref = [graphs.residual_from_hessian(B) for B in A.reshape(-1, m, m)]
+    stacked = graphs.residual_from_hessian(A)
+    assert stacked.shape == (2, 25)
+    assert np.array_equal(stacked.ravel(), ref)
+
+
 def test_witness_hessian_value():
     # diag(1, 1, -2) in m = 3: sigma_1 = 0, sigma_3 = -2, residual
     # -sigma_1 + sigma_3 = -2, reported with the sign convention

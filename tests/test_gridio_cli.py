@@ -132,7 +132,9 @@ def test_import_slgeo_loads_no_scipy():
 @pytest.mark.parametrize("argv", [
     ["verify", "--example", "hl-lt", "--samples", "100"],
     ["index", "--gram", "l0", "--m", "3"],
-    ["moduli-dim", "--vars", "5", "--degrees", "5"]], ids=lambda a: a[0])
+    ["moduli-dim", "--vars", "5", "--degrees", "5"],
+    ["fibration", "--a", "0.5", "--b", "0.3+0.0j"],
+    ["fibration", "--a", "0.5", "--b", "0.3+0.0j", "--scan"]], ids=lambda a: a[0])
 def test_numpy_only_commands_load_no_scipy(argv):
     code = f"from slgeo.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules(code) == []
