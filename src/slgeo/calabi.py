@@ -138,14 +138,14 @@ def _complex_hessian(phi: TorusField):
     return H11, H22, None if re is None else re + 1j * im
 
 
-def ma_operator(phi: TorusField, check_positivity: bool = True) -> TorusField:
-    """Nodewise ratio (omega + i ddbar phi)^m / omega^m = det(I + H)."""
-    ratio = np.empty_like(phi.values)
+def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray,
+                  check_positivity: bool = True) -> np.ndarray:
+    """Writes det(I + H) of the samples v into ratio and returns ratio."""
     min11 = min_ratio = np.inf
-    for rows, H11, H22, re, im in _hessian_slabs(phi.values, phi.h):
+    for rows, H11, H22, re, im in _hessian_slabs(v, h):
         out = ratio[rows]
         np.add(H11, 1.0, out=out)
-        if phi.m == 2:
+        if H22 is not None:
             # (1 + H11)(1 + H22) - |H12|^2
             min11 = min(min11, np.min(out))
             H22 += 1.0
@@ -154,9 +154,15 @@ def ma_operator(phi: TorusField, check_positivity: bool = True) -> TorusField:
         min_ratio = min(min_ratio, np.min(out))
     if check_positivity and (min11 <= 0.0 or min_ratio <= 0.0):
         raise NonKahlerIterateError(
-            "1 + H11 has nonpositive nodes" if phi.m == 1
+            "1 + H11 has nonpositive nodes" if v.ndim == 2
             else "omega + i ddbar phi lost positivity")
-    return TorusField(phi.m, ratio)
+    return ratio
+
+
+def ma_operator(phi: TorusField, check_positivity: bool = True) -> TorusField:
+    """Nodewise ratio (omega + i ddbar phi)^m / omega^m = det(I + H)."""
+    return TorusField(phi.m, _volume_ratio(
+        phi.values, phi.h, np.empty_like(phi.values), check_positivity))
 
 
 def normalize_source(f: TorusField) -> TorusField:
@@ -226,21 +232,29 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     terms of the determinant leave an O(h^2) grid-mean defect, so c_t is
     updated from the current iterate.  The reported c_values and
     residual use the discrete constant.
+
+    The solve works in one block of eight grid-size arrays: beyond it, an
+    iteration allocates only the FFT's arrays and the stencil's padded copy.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     if t_steps < 1:
         raise ValueError("t_steps must be at least 1")
     path = ContinuityPath(f=f)
-    phi = np.zeros_like(f.values)
-    det = None          # det(I + H(phi)) of the accepted iterate
+    work = np.empty((8,) + f.values.shape)
+    # the accepted iterate and its det(I + H); the trial iterate of a step
+    phi, det, trial_phi, trial_det = work[:4]
+    phi[...] = 0.0
+    _volume_ratio(phi, f.h, det)
     t = 0.0
     dt = 1.0 / t_steps
     while t < 1.0 - 1e-14:
         t_next = min(1.0, t + dt)
+        np.copyto(trial_phi, phi)
+        np.copyto(trial_det, det)
         try:
-            phi, det, ct, rnorms, lams = _newton_step(phi, det, f, t_next,
-                                                      tol, max_newton)
+            ct, rnorms, lams = _newton_step(trial_phi, trial_det, work[4:], f,
+                                            t_next, tol, max_newton)
         except (NonKahlerIterateError, RuntimeError) as exc:
             path.halvings.append((t, dt, str(exc)))
             dt *= 0.5
@@ -249,59 +263,60 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                     "continuity path stalled at t = %.6f: %s" % (t, exc), t,
                     path)
             continue
+        phi, det, trial_phi, trial_det = trial_phi, trial_det, phi, det
         t = t_next
         path.steps.append(t)
         path.c_values.append(ct)
         path.newton_iters.append(len(lams))
         path.residuals.append(rnorms)
         path.step_lengths.append(lams)
-    path.phi = TorusField(f.m, phi)
-    base = np.exp(f.values)
-    R, _ = _discrete_residual(det, base, np.mean(base))
-    path.residual = float(np.max(np.abs(R)))
+    path.phi = TorusField(f.m, phi.copy())
+    base = np.exp(f.values, out=work[4])
+    R, _ = _discrete_residual(det, base, np.mean(base), work[5])
+    path.residual = float(np.maximum(R.max(), -R.min()))
     return path
 
 
-def _discrete_residual(det, base, base_mean):
-    """Residual det(I + H) - e^{t f + c} with c fixed by the grid-mean
-    solvability condition; zero grid mean by construction."""
+def _discrete_residual(det, base, base_mean, out):
+    """Residual det(I + H) - e^{t f + c}, into out, with c fixed by the
+    grid-mean solvability condition; zero grid mean by construction."""
     s = np.mean(det) / base_mean
-    return det - s * base, s
+    return np.subtract(det, np.multiply(base, s, out=out), out=out), s
 
 
-def _newton_step(phi, det, f: TorusField, t, tol, max_newton):
-    """Damped quasi-Newton solve at level t, starting from the iterate phi
-    whose det(I + H) is det (None: computed here).
+def _newton_step(phi, det, scratch, f: TorusField, t, tol, max_newton):
+    """Damped quasi-Newton solve at level t from the iterate phi and its
+    det(I + H), which it overwrites with the accepted ones; scratch holds
+    four more grid-size arrays.
 
-    Returns (phi, det, c_t, residuals, step_lengths) for the accepted
-    iterate: the max-norm residual before each iteration and at the end,
-    and the accepted line-search step of each iteration.
+    Returns (c_t, residuals, step_lengths) for the accepted iterate: the
+    max-norm residual before each iteration and at the end, and the
+    accepted line-search step of each iteration.
     """
-    m, h = f.m, f.h
-    base = np.exp(t * f.values)
-    base_mean = np.mean(base)
-    if det is None:
-        det = ma_operator(TorusField(m, phi)).values
-    R, s = _discrete_residual(det, base, base_mean)
-    rnorm = float(np.max(np.abs(R)))
+    phi0 = phi
+    R, cand, step, base = scratch
+    base_mean = np.mean(np.exp(np.multiply(f.values, t, out=base), out=base))
+    R, s = _discrete_residual(det, base, base_mean, R)
+    rnorm = float(np.maximum(R.max(), -R.min()))     # max |R|, no |R| array
     rnorms, lams = [rnorm], []
     for _ in range(max_newton):
         if rnorm <= tol:
             break
-        step = _poisson_solve(-2.0 * R, h)
+        step[...] = _poisson_solve(np.multiply(R, -2.0, out=cand), f.h)
         lam = 1.0
         while lam >= 2.0 ** -12:
-            cand = phi + lam * step
+            np.add(phi, np.multiply(step, lam, out=cand), out=cand)
             cand -= np.mean(cand)
-            try:
-                dc = ma_operator(TorusField(m, cand)).values
+            try:    # det and R are free once the step is computed
+                _volume_ratio(cand, f.h, det)
             except NonKahlerIterateError:
                 lam *= 0.5
                 continue
-            Rc, sc = _discrete_residual(dc, base, base_mean)
-            cnorm = float(np.max(np.abs(Rc)))
+            _, sc = _discrete_residual(det, base, base_mean, R)
+            cnorm = float(np.maximum(R.max(), -R.min()))
             if cnorm < rnorm:
-                phi, det, R, rnorm, s = cand, dc, Rc, cnorm, sc
+                phi, cand = cand, phi
+                rnorm, s = cnorm, sc
                 rnorms.append(rnorm)
                 lams.append(lam)
                 break
@@ -310,7 +325,9 @@ def _newton_step(phi, det, f: TorusField, t, tol, max_newton):
             raise RuntimeError("line search failed at residual %.3e" % rnorm)
     if rnorm > tol:
         raise RuntimeError("Newton did not reach tol, residual %.3e" % rnorm)
-    return phi, det, float(np.log(s)), rnorms, lams
+    if phi is not phi0:
+        np.copyto(phi0, phi)
+    return float(np.log(s)), rnorms, lams
 
 
 def poisson_reference_solution(f: TorusField) -> TorusField:

@@ -158,6 +158,8 @@ def test_path_records_newton_trace_and_halvings():
         assert all(b < a for a, b in zip(rnorms, rnorms[1:]))
         assert all(0.0 < lam <= 1.0 for lam in lams)
     assert path.residual <= 1e-10
+    # phi is its own array, not a view that keeps the solver's work block
+    assert path.phi.values.flags.owndata
 
 
 def test_path_failure_keeps_partial_path():
