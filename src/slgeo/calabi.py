@@ -10,16 +10,21 @@ built once per grid, in the half-spectrum shape of the real FFT.
 The nodewise volume ratio is det(I + H) with H_{jk} = 2 phi_{z_j zbar_k};
 for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  One
 stencil computes H for the operator, the Ricci form and the Newton loop:
-it pads the field once by wrapping and walks axis 0 in slabs of a few
+it pads the field once by wrapping and cuts axis 0 into slabs of a few
 planes, taking every difference from slices and forming |H12|^2 as
-re^2 + im^2, so each slab's temporaries stay in cache.  Ricci forms of
-volume ratios are computed as -i ddbar log f, and the radial Ricci-flat
-profile on C^2 integrates f'(f' + u f'') = 1.
+re^2 + im^2 in place, so each slab's arrays stay in cache.  The slabs run
+on the process's CPUs, one thread each, as the FFT does; they write
+disjoint rows and their minima are taken after the join, so results do
+not depend on the thread count.  Ricci forms of volume ratios are
+computed as -i ddbar log f, and the radial Ricci-flat profile on C^2
+integrates f'(f' + u f'') = 1.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,78 +86,134 @@ class TorusField:
         return cls(m, np.broadcast_to(func(*axes), (n,) * 2 * m).copy())
 
 
-# nodes per slab of the Hessian stencil, so that a slab's temporaries stay
-# in cache (n = 32, m = 2: four planes of 32^3 nodes, 1 MB per temporary)
-SLAB_NODES = 2 ** 17
+# nodes per slab of the Hessian stencil, so that a slab's scratch stays in
+# a core's cache (n = 32, m = 2: two planes of 32^3 nodes, 0.5 MB per array)
+SLAB_NODES = 2 ** 16
 
 
-def _hessian_slabs(v: np.ndarray, h: float):
-    """Complex Hessian H_{jk} = 2 v_{z_j zbar_k} of periodic samples, one
-    slab of SLAB_NODES // v[0].size axis-0 planes at a time.
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity mask on this platform
+        return os.cpu_count() or 1
 
-    Pads v once by wrapping and takes every difference from slices of the
-    padded array, in real arithmetic.  Yields (rows, H11, H22, re, im), new
-    arrays on the nodes v[rows] with H12 = re + i im; H22, re and im are
-    None for m = 1.
+
+def _hessian_slab(P: np.ndarray, lo: int, planes: int, h: float, scratch):
+    """Complex Hessian H_{jk} = 2 v_{z_j zbar_k} on the axis-0 planes lo to
+    lo + planes of the samples v, from their wrap-padded copy P.
+
+    Takes every difference from slices of P, in real arithmetic, and writes
+    into the leading planes of the scratch arrays: H11, and for m = 2 H22,
+    re, im and the first differences along axes 0 and 1.  Returns (rows,
+    H11, H22, re, im), views on the nodes v[rows] with H12 = re + i im;
+    H22, re and im are None for m = 1.
     """
-    n, dims = v.shape[0], v.ndim
-    planes = max(1, SLAB_NODES // v[0].size)
-    P = np.pad(v, 1, mode="wrap")
+    S = P[lo:lo + planes + 2]     # the slab and a halo plane each side
+    k, n, dims = S.shape[0] - 2, P.shape[1] - 2, P.ndim
     c = slice(1, n + 1)
-    h2 = h ** 2
+
+    def at(ax, d):
+        """v shifted by d along axis ax, on the slab's nodes."""
+        idx = [slice(1, k + 1)] + [c] * (dims - 1)
+        idx[ax] = slice(idx[ax].start + d, idx[ax].stop + d)
+        return S[tuple(idx)]
+
+    def half_laplacian(axes, out):
+        """(sum of the four neighbours in the plane of axes - 4 v) / 2h^2"""
+        np.multiply(at(0, 0), -4.0, out=out)
+        for ax in axes:
+            out += at(ax, 1)
+            out += at(ax, -1)
+        out *= 0.5 / h ** 2
+        return out
+
+    H11 = half_laplacian((0, 1), scratch[0][:k])
+    if dims == 2:
+        return slice(lo, lo + k), H11, None, None, None
+    H22, re, im, d0, d1 = (a[:k] for a in scratch[1:])
+    half_laplacian((2, 3), H22)
+    # first differences along axes 0 and 1, on the halo of axes 2 and 3
+    # too, shared by the four mixed derivatives
+    np.subtract(S[2:, c], S[:-2, c], out=d0)
+    np.subtract(S[1:-1, 2:], S[1:-1, :-2], out=d1)
     s = 0.5 / (4.0 * h * h)
-    for lo in range(0, n, planes):
-        S = P[lo:lo + planes + 2]     # the slab and a halo plane each side
+    np.subtract(d0[:, :, 2:, c], d0[:, :, :-2, c], out=re)
+    re += d1[:, :, c, 2:]
+    re -= d1[:, :, c, :-2]
+    re *= s
+    np.subtract(d0[:, :, c, 2:], d0[:, :, c, :-2], out=im)
+    im -= d1[:, :, 2:, c]
+    im += d1[:, :, :-2, c]
+    im *= s
+    return slice(lo, lo + k), H11, H22, re, im
 
-        def at(ax, d):
-            """v shifted by d along axis ax, on the slab's nodes."""
-            idx = [slice(1, S.shape[0] - 1)] + [c] * (dims - 1)
-            idx[ax] = slice(idx[ax].start + d, idx[ax].stop + d)
-            return S[tuple(idx)]
 
-        def d2(ax):
-            """(v[+1] - 2 v + v[-1]) / h^2 along axis ax."""
-            return (at(ax, 1) - two + at(ax, -1)) / h2
+def _map_slabs(v: np.ndarray, h: float, func) -> np.ndarray:
+    """func(rows, H11, H22, re, im) on each slab of SLAB_NODES // v[0].size
+    axis-0 planes of the complex Hessian of periodic samples v (see
+    :func:`_hessian_slab`); returns the values func returned.
 
-        two = 2.0 * at(0, 0)
-        H11 = 0.5 * (d2(0) + d2(1))
-        if dims == 2:
-            yield slice(lo, lo + planes), H11, None, None, None
-            continue
-        H22 = 0.5 * (d2(2) + d2(3))
-        # first differences along axes 2 and 3, on the halo planes too,
-        # shared by the four mixed derivatives
-        g2 = S[:, :, 2:, c] - S[:, :, :-2, c]
-        g3 = S[:, :, c, 2:] - S[:, :, c, :-2]
-        re = s * (g2[2:, c] - g2[:-2, c] + (g3[1:-1, 2:] - g3[1:-1, :-2]))
-        im = s * (g3[2:, c] - g3[:-2, c] - (g2[1:-1, 2:] - g2[1:-1, :-2]))
-        yield slice(lo, lo + planes), H11, H22, re, im
+    Pads v once by wrapping.  The slabs are dealt in turn to one thread per
+    CPU, no more threads than slabs, each with its own scratch, allocated
+    here; numpy releases the GIL inside the slab arithmetic.  func must
+    write only the rows it is given, so the results do not depend on the
+    thread count.  The threads end before this returns.
+    """
+    n = v.shape[0]
+    planes = min(n, max(1, SLAB_NODES // v[0].size))
+    P = np.pad(v, 1, mode="wrap")
+    starts = range(0, n, planes)
+    workers = min(len(starts), _cpus())
+    slab = (planes,) + v.shape[1:]
+    layout = [slab] if v.ndim == 2 else (
+        [slab] * 4 + [slab[:2] + P.shape[2:]] * 2)
+    scratch = [[np.empty(s) for s in layout] for _ in range(workers)]
+
+    def walk(first):
+        return [func(*_hessian_slab(P, lo, planes, h, scratch[first]))
+                for lo in starts[first::workers]]
+
+    with ThreadPoolExecutor(workers) as pool:
+        return np.array([r for rs in pool.map(walk, range(workers))
+                         for r in rs])
 
 
 def _complex_hessian(phi: TorusField):
     """H_{jk} = 2 phi_{z_j zbar_k}; returns (H11, H22, H12) real/complex
     arrays (H22, H12 are None for m = 1)."""
-    _, *parts = zip(*_hessian_slabs(phi.values, phi.h))
-    H11, H22, re, im = (None if p[0] is None else np.concatenate(p)
-                        for p in parts)
-    return H11, H22, None if re is None else re + 1j * im
+    H = [np.empty_like(phi.values) for _ in range(1 if phi.m == 1 else 4)]
+
+    def slab(rows, *parts):     # H11, H22, re, im
+        for out, part in zip(H, parts):
+            out[rows] = part
+
+    _map_slabs(phi.values, phi.h, slab)
+    if phi.m == 1:
+        return H[0], None, None
+    return H[0], H[1], H[2] + 1j * H[3]
 
 
 def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray,
                   check_positivity: bool = True) -> np.ndarray:
     """Writes det(I + H) of the samples v into ratio and returns ratio."""
-    min11 = min_ratio = np.inf
-    for rows, H11, H22, re, im in _hessian_slabs(v, h):
+    def slab(rows, H11, H22, re, im):
+        """writes the slab's det(I + H); returns its least 1 + H11 or
+        det(I + H)"""
         out = ratio[rows]
-        np.add(H11, 1.0, out=out)
-        if H22 is not None:
-            # (1 + H11)(1 + H22) - |H12|^2
-            min11 = min(min11, np.min(out))
-            H22 += 1.0
-            out *= H22
-            out -= re * re + im * im
-        min_ratio = min(min_ratio, np.min(out))
-    if check_positivity and (min11 <= 0.0 or min_ratio <= 0.0):
+        if H22 is None:
+            return np.min(np.add(H11, 1.0, out=out))
+        # (1 + H11)(1 + H22) - |H12|^2
+        H11 += 1.0
+        H22 += 1.0
+        np.multiply(H11, H22, out=out)
+        np.square(re, out=re)
+        re += np.square(im, out=im)
+        out -= re
+        return min(np.min(H11), np.min(out))
+
+    minima = _map_slabs(v, h, slab)
+    if check_positivity and np.min(minima) <= 0.0:
         raise NonKahlerIterateError(
             "1 + H11 has nonpositive nodes" if v.ndim == 2
             else "omega + i ddbar phi lost positivity")
@@ -223,7 +284,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
 
     Each step runs damped quasi-Newton with the flat-Laplacian
     preconditioner (exact Jacobian for m = 1, so that case is a single
-    linear solve per step).  Steps halve adaptively on failure.
+    linear solve per step).  A failed step is halved; after each accepted
+    step the step length doubles again, up to 1 / t_steps.
 
     The additive constant c_t is determined discretely from the
     solvability condition mean(det(I + H)) = mean(e^{t f + c_t}): for
@@ -234,7 +296,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     residual use the discrete constant.
 
     The solve works in one block of eight grid-size arrays: beyond it, an
-    iteration allocates only the FFT's arrays and the stencil's padded copy.
+    iteration allocates only the FFT's arrays and the stencil's padded copy
+    and per-thread scratch.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -256,6 +319,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
             ct, rnorms, lams = _newton_step(trial_phi, trial_det, work[4:], f,
                                             t_next, tol, max_newton)
         except (NonKahlerIterateError, RuntimeError) as exc:
+            dt = t_next - t
             path.halvings.append((t, dt, str(exc)))
             dt *= 0.5
             if dt < 1e-4:
@@ -270,6 +334,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         path.newton_iters.append(len(lams))
         path.residuals.append(rnorms)
         path.step_lengths.append(lams)
+        dt = min(2.0 * dt, 1.0 / t_steps)
     path.phi = TorusField(f.m, phi.copy())
     base = np.exp(f.values, out=work[4])
     R, _ = _discrete_residual(det, base, np.mean(base), work[5])
@@ -363,16 +428,22 @@ def ricci_form(ratio: TorusField):
         return -H11, 0.0  # -2 (log f)_{z zbar} = -Laplacian(log f) / 2
     rho = np.empty(vals.shape + (2, 2), dtype=complex)
     r = rho.view(float)  # (..., 2, 4): row j is Re, Im of rho_{j0}, rho_{j1}
-    residual = 0.0
-    for rows, H11, H22, re, im in _hessian_slabs(logf, ratio.h):
+
+    def slab(rows, H11, H22, re, im):
+        """writes the slab's rho; returns its Hermitian-symmetry defect
+        |rho_{0 1} - conj(rho_{1 0})|"""
         q = r[rows]
-        q[..., 0, 0], q[..., 1, 2] = -0.5 * H11, -0.5 * H22
-        q[..., 0, 2], q[..., 0, 3] = -0.5 * re, -0.5 * im
-        q[..., 1, 0], q[..., 1, 1] = -0.5 * re, 0.5 * im
+        for a in (H11, H22, re, im):
+            a *= -0.5
+        q[..., 0, 0], q[..., 1, 2] = H11, H22
+        q[..., 0, 2], q[..., 0, 3], q[..., 1, 0] = re, im, re
+        np.negative(im, out=q[..., 1, 1])
         q[..., 0, 1] = q[..., 1, 3] = 0.0
-        # Hermitian-symmetry defect |rho_{0 1} - conj(rho_{1 0})|
-        residual = max(residual, float(np.max(np.hypot(
-            q[..., 0, 2] - q[..., 1, 0], q[..., 0, 3] + q[..., 1, 1]))))
+        np.subtract(q[..., 0, 2], q[..., 1, 0], out=re)
+        np.add(q[..., 0, 3], q[..., 1, 1], out=im)
+        return np.max(np.hypot(re, im, out=re))
+
+    residual = float(np.max(_map_slabs(logf, ratio.h, slab)))
     return rho, residual
 
 

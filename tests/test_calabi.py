@@ -1,6 +1,8 @@
 """Tests for the torus Monge-Ampere solver, Ricci forms, and the radial
 Ricci-flat profile."""
 
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -141,6 +143,47 @@ def test_slab_stencil_matches_roll_reference(n, planes, seed, scale):
     assert residual <= 1e-13
 
 
+def _stencil_outputs(v):
+    """Everything the slab stencil computes from the samples v."""
+    f = calabi.TorusField(v.ndim // 2, v)
+    ratio = calabi._volume_ratio(v, f.h, np.empty_like(v),
+                                 check_positivity=False)
+    outputs = (ratio, calabi.ma_operator(f, check_positivity=False).values,
+               *calabi.ricci_form(calabi.TorusField(f.m, np.exp(v))),
+               *calabi._complex_hessian(f))
+    return [np.asarray(a) for a in outputs if a is not None]
+
+
+@pytest.mark.parametrize("cpus", [None, 5])
+@pytest.mark.parametrize("m, n, planes", [(1, 24, 5), (2, 12, 1), (2, 12, 5),
+                                          (2, 7, 3), (2, 20, None)])
+def test_stencil_bitwise_independent_of_workers(m, n, planes, cpus):
+    # reference: one worker walking one slab; then slabs of `planes` planes
+    # (None: the module's own size; the last slab is shorter except for
+    # planes = 1) on the default worker count or on more workers than
+    # cores, with a short switch interval so the threads interleave
+    h = 2.0 * np.pi / n
+    v = h * h * np.random.default_rng(n).uniform(-1, 1, (n,) * (2 * m))
+    with mock.patch.object(calabi, "SLAB_NODES", v.size), \
+            mock.patch.object(calabi, "_cpus", lambda: 1):
+        ref = _stencil_outputs(v)
+    slab_nodes = calabi.SLAB_NODES if planes is None else planes * v[0].size
+    workers = calabi._cpus() if cpus is None else cpus
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(calabi, "SLAB_NODES", slab_nodes), \
+                mock.patch.object(calabi, "_cpus", lambda: workers):
+            got = _stencil_outputs(v)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_path_records_newton_trace_and_halvings():
     # at most 9 Newton iterations: the full step needs 10, so the path
     # halves twice and reaches t = 1 in steps 0.5, 0.25, 0.25
@@ -180,6 +223,25 @@ def test_path_failure_keeps_partial_path():
     assert t == exc.last_good_t and 0.5 * dt < 1e-4
     assert reason in str(exc)
     assert path.phi is None
+
+
+def test_step_doubles_after_each_accepted_step():
+    # the A = 2 source of the test above: each failed step is halved and
+    # each accepted step of length L is followed by an attempt of length
+    # min(2 L, 1 - t), halvings included
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 8, lambda x1, y1, x2, y2: 2.0 * (np.cos(x1) + np.cos(y2))))
+    with pytest.raises(calabi.PathFailureError) as info:
+        calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=5)
+    path = info.value.path
+    ends = path.steps
+    assert len(ends) > 1 and len(path.halvings) > len(ends)
+    for i, (s, e) in enumerate(zip([0.0] + ends, ends)):
+        tried = [dt for t, dt, _ in path.halvings if t == s] + [e - s]
+        assert tried[1:] == pytest.approx([0.5 * dt for dt in tried[:-1]])
+        failed = [dt for t, dt, _ in path.halvings if t == e]
+        first = failed[0] if failed else ends[i + 1] - e
+        assert first == pytest.approx(min(2.0 * (e - s), 1.0 - e))
 
 
 def test_manufactured_order_two_m1():
