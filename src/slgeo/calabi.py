@@ -4,8 +4,9 @@ Solves (omega + i ddbar phi)^m = e^f omega^m by the continuity method:
 f_t = t f + c_t with e^{c_t} int e^{t f} = int 1, each step solved by a
 damped Newton iteration preconditioned with the flat-metric Laplacian
 (inverted by FFT with the second-order difference symbol, so the
-preconditioner is the exact Jacobian at phi = 0).  The inverse symbol is
-built once per grid, in the half-spectrum shape of the real FFT.
+preconditioner is the exact Jacobian at phi = 0).  Each Newton solve
+returns a core.NewtonRecord, as the U(1) solver's do, with the level t in
+place of a; a step whose record does not stop "converged" is halved.
 
 The nodewise volume ratio is det(I + H) with H_{jk} = 2 phi_{z_j zbar_k};
 for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  One
@@ -29,6 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft as _fft
+
+from .core import NewtonRecord
 
 
 class NonKahlerIterateError(RuntimeError):
@@ -258,21 +261,18 @@ def _inverse_symbol(n: int, dims: int, h: float) -> np.ndarray:
 class ContinuityPath:
     """A continuity-method solve and what it did.
 
-    For each accepted step: the level t (``steps``), the discrete constant
-    c_t, the Newton iteration count, the max-norm residual before each
-    Newton iteration and at the end (``residuals``) and the accepted
-    line-search step of each iteration (``step_lengths``).  Each failed
-    step is one ``halvings`` entry (t, dt, reason): the step of length dt
-    from level t raised the exception whose text is reason, and dt was
-    halved.
+    ``trace`` holds one :class:`~slgeo.core.NewtonRecord` per Newton solve,
+    accepted or failed, at the level t it aimed at.  Per accepted step: the
+    level t (``steps``), the discrete constant c_t and the iteration count.
+    Each failed step is one ``halvings`` entry (t, dt, reason): the step of
+    length dt from level t stopped for the reason its record gives.
     """
 
     f: TorusField
     steps: list = field(default_factory=list)       # t values
     c_values: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
-    residuals: list = field(default_factory=list)
-    step_lengths: list = field(default_factory=list)
+    trace: list = field(default_factory=list)
     halvings: list = field(default_factory=list)
     phi: TorusField = None
     residual: float = np.nan
@@ -284,8 +284,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
 
     Each step runs damped quasi-Newton with the flat-Laplacian
     preconditioner (exact Jacobian for m = 1, so that case is a single
-    linear solve per step).  A failed step is halved; after each accepted
-    step the step length doubles again, up to 1 / t_steps.
+    linear solve per step).  A step whose Newton solve fails is halved;
+    after each accepted step the step length doubles again, up to 1 / t_steps.
 
     The additive constant c_t is determined discretely from the
     solvability condition mean(det(I + H)) = mean(e^{t f + c_t}): for
@@ -315,25 +315,22 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         t_next = min(1.0, t + dt)
         np.copyto(trial_phi, phi)
         np.copyto(trial_det, det)
-        try:
-            ct, rnorms, lams = _newton_step(trial_phi, trial_det, work[4:], f,
-                                            t_next, tol, max_newton)
-        except (NonKahlerIterateError, RuntimeError) as exc:
-            dt = t_next - t
-            path.halvings.append((t, dt, str(exc)))
-            dt *= 0.5
+        ct, rec = _newton_step(trial_phi, trial_det, work[4:], f, t_next,
+                               tol, max_newton)
+        path.trace.append(rec)
+        if rec.stop != "converged":
+            path.halvings.append((t, t_next - t, rec.stop))
+            dt = 0.5 * (t_next - t)
             if dt < 1e-4:
                 raise PathFailureError(
-                    "continuity path stalled at t = %.6f: %s" % (t, exc), t,
-                    path)
+                    "continuity path stalled at t = %.6f: %s at residual %.3e"
+                    % (t, rec.stop, rec.residuals[-1]), t, path)
             continue
         phi, det, trial_phi, trial_det = trial_phi, trial_det, phi, det
         t = t_next
         path.steps.append(t)
         path.c_values.append(ct)
-        path.newton_iters.append(len(lams))
-        path.residuals.append(rnorms)
-        path.step_lengths.append(lams)
+        path.newton_iters.append(len(rec.step_lengths))
         dt = min(2.0 * dt, 1.0 / t_steps)
     path.phi = TorusField(f.m, phi.copy())
     base = np.exp(f.values, out=work[4])
@@ -354,19 +351,17 @@ def _newton_step(phi, det, scratch, f: TorusField, t, tol, max_newton):
     det(I + H), which it overwrites with the accepted ones; scratch holds
     four more grid-size arrays.
 
-    Returns (c_t, residuals, step_lengths) for the accepted iterate: the
-    max-norm residual before each iteration and at the end, and the
-    accepted line-search step of each iteration.
+    Returns c_t of the last accepted iterate and the solve's NewtonRecord;
+    a failed solve raises nothing: its record stops "damping underflow" (no
+    step down to 2^-12 lowered the residual) or "max iterations".
     """
     phi0 = phi
     R, cand, step, base = scratch
     base_mean = np.mean(np.exp(np.multiply(f.values, t, out=base), out=base))
     R, s = _discrete_residual(det, base, base_mean, R)
     rnorm = float(np.maximum(R.max(), -R.min()))     # max |R|, no |R| array
-    rnorms, lams = [rnorm], []
-    for _ in range(max_newton):
-        if rnorm <= tol:
-            break
+    rec = NewtonRecord(t, [rnorm])
+    while rnorm > tol and len(rec.step_lengths) < max_newton:
         step[...] = _poisson_solve(np.multiply(R, -2.0, out=cand), f.h)
         lam = 1.0
         while lam >= 2.0 ** -12:
@@ -382,17 +377,19 @@ def _newton_step(phi, det, scratch, f: TorusField, t, tol, max_newton):
             if cnorm < rnorm:
                 phi, cand = cand, phi
                 rnorm, s = cnorm, sc
-                rnorms.append(rnorm)
-                lams.append(lam)
+                rec.residuals.append(rnorm)
+                rec.step_lengths.append(lam)
                 break
             lam *= 0.5
         else:
-            raise RuntimeError("line search failed at residual %.3e" % rnorm)
-    if rnorm > tol:
-        raise RuntimeError("Newton did not reach tol, residual %.3e" % rnorm)
+            rec.step_lengths.append(0.0)
+            rec.residuals.append(rnorm)
+            rec.stop = "damping underflow"
+            break
+    rec.stop = rec.stop or ("converged" if rnorm <= tol else "max iterations")
     if phi is not phi0:
         np.copyto(phi0, phi)
-    return float(np.log(s)), rnorms, lams
+    return float(np.log(s)), rec
 
 
 def poisson_reference_solution(f: TorusField) -> TorusField:

@@ -87,7 +87,8 @@ def _cmd_verify(args):
               "quadric": {"a1": 1, "a2": 2, "c": 1.0}}.get(args.example, {})
     fam = families.ModelFamily(EXAMPLES[args.example], params)
     rep = Report("verify", {"example": args.example, "samples": args.samples,
-                            "seed": args.seed, "tol": args.tol})
+                            "seed": args.seed, "tol": args.tol,
+                            **({"t": args.t} if "t" in params else {})})
     worst = families.sl_residual_sweep(fam, args.samples, args.seed)
     rep.check("sl_residual_max", worst, args.tol)
     if args.out_csv:
@@ -123,7 +124,7 @@ def _cmd_solve_u1(args):
               passed=np.isfinite(sol.residual_CR))
     rep.envelope["newton_iters"] = sol.newton_iters
     rep.envelope["factorizations"] = sol.factorizations
-    rep.envelope["levels"] = [rec.a for rec in sol.trace]   # a per Newton solve
+    rep.envelope["levels"] = [rec.level for rec in sol.trace]  # a per solve
     sing = u1.singular_points(sol)
     rep.envelope["singular_points"] = [[x, z.real, z.imag] for x, z in sing]
     if args.a == 0.0:

@@ -10,6 +10,9 @@ coordinates z_j = x_{2j-1} + i x_{2j}.  The standard structure is
 normalized so that omega^m / m! = (-1)^{m(m-1)/2} (i/2)^m Omega ^ Omegabar.
 An oriented m-plane V is special Lagrangian iff omega|_V = 0 and
 Im Omega|_V = 0 (for the orientation with Re Omega|_V >= 0).
+
+:class:`NewtonRecord` is the one Newton trace of the U(1) and Calabi
+solvers; it lives here because this module loads only numpy.
 """
 
 from __future__ import annotations
@@ -30,6 +33,22 @@ class DegeneratePlaneError(ValueError):
 
 class InvalidActionError(ValueError):
     """A generator does not preserve the Kahler form."""
+
+
+@dataclass
+class NewtonRecord:
+    """One damped Newton solve at a level (a for U(1), t for Calabi): the
+    max-norm residual before each step and at the end, the accepted
+    line-search step of each step (0.0 where none was found), U(1)'s
+    Jacobian refreshes (``fresh``, ``factorizations``) and why it stopped:
+    "converged", "damping underflow" or "max iterations"."""
+
+    level: float
+    residuals: list = field(default_factory=list)
+    step_lengths: list = field(default_factory=list)
+    fresh: list = field(default_factory=list)
+    factorizations: int = 0
+    stop: str = ""
 
 
 def complex_coords(v: np.ndarray) -> np.ndarray:

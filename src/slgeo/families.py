@@ -269,10 +269,11 @@ def ac_decay_rate(fam: ModelFamily, radii) -> DecayFit:
             coin, al, be = rng.uniform([0.0, 0.3, 0.0],
                                        [1.0, np.pi - 0.3, 2 * np.pi],
                                        (n_phase, 3)).T
-            # radius r(theta) = rho picks theta near the cone ends
+            # radius r(theta) = rho picks theta near the ends of (0, pi/3),
+            # clamped only to stay inside that open interval
             th = np.arcsin(min((t / rho) ** 3, 1.0)) / 3.0
             th = np.clip(np.where(coin < 0.5, np.pi / 3 - th, th),
-                         1e-6, np.pi / 3 - 1e-6)
+                         np.nextafter(0.0, 1.0), np.nextafter(np.pi / 3, 0.0))
             params = np.column_stack([th, al, be])
         elif fam.name == "hl_cone_L0":
             params = np.column_stack([np.full(n_phase, rho),

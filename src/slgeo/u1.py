@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import plane_defects, real_coords
+from .core import NewtonRecord, plane_defects, real_coords
 from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
@@ -39,29 +39,12 @@ DAMPING_MIN = 2.0 ** -20  # smallest line-search step before a stall
 
 
 class NewtonDivergenceError(RuntimeError):
-    """Damped Newton failed; carries the last residual norm and the
-    :class:`NewtonRecord` of the failed solve."""
+    """Damped Newton failed; carries the :class:`~slgeo.core.NewtonRecord`
+    of the failed solve and its last residual norm."""
 
-    def __init__(self, msg, residual, record=None):
-        super().__init__(msg)
-        self.residual = residual
-        self.record = record
-
-
-@dataclass
-class NewtonRecord:
-    """One Newton solve at level a: the max-norm residual before each step
-    and at the end; per step the accepted line-search step (0.0 where none
-    was found) and whether its Jacobian was factored at that iterate; the
-    factorisation count; and why it stopped ("converged", "damping
-    underflow" or "max iterations")."""
-
-    a: float
-    residuals: list = field(default_factory=list)
-    step_lengths: list = field(default_factory=list)
-    fresh: list = field(default_factory=list)
-    factorizations: int = 0
-    stop: str = ""
+    def __init__(self, record):
+        self.record, self.residual = record, record.residuals[-1]
+        super().__init__("%s at residual %.3e" % (record.stop, self.residual))
 
 
 @dataclass
@@ -196,7 +179,6 @@ class PotentialSolution:
     residual_P: float
     residual_CR: float
     newton_iters: int
-    boundary: BoundaryData = field(repr=False)
     fvec: np.ndarray = field(repr=False, default=None)
     # for a = 0 solves: the smallest continuation level that converged;
     # residual_P is evaluated against the equation at this level
@@ -266,7 +248,7 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
         if prev is not None and np.max(np.abs(fv - prev)) < tol:
             break
         prev = fv   # _newton returns a new array each level
-    return _package(phi, a, domain, ops, fv, trace)
+    return _package(a, domain, ops, fv, trace)
 
 
 class ContinuationStalledWarning(UserWarning):
@@ -344,17 +326,16 @@ def _newton(ops, domain, a, tol, max_newton, initial=None):
         rec.step_lengths.append(lam)
         if lam < 1.0 or np.linalg.norm(res) > 0.5 * rnorm:
             lu = None
-    raise NewtonDivergenceError("%s at residual %.3e" % (
-        rec.stop, rec.residuals[-1]), rec.residuals[-1], rec)
+    raise NewtonDivergenceError(rec)
 
 
-def _package(phi, a, domain, ops, fv, trace):
+def _package(a, domain, ops, fv, trace):
     """The solution at fv; residual_P is evaluated at the level of the last
     converged Newton solve."""
     Ax, bx, _, _, Ay, by, _, _ = ops
     v = Ax @ fv + bx
     u = Ay @ fv + by
-    a_eval = [r.a for r in trace if r.stop == "converged"][-1]
+    a_eval = [r.level for r in trace if r.stop == "converged"][-1]
     res = _p_residual(ops, domain.y[domain.nodes[:, 1]], a_eval, fv)
     sol = PotentialSolution(
         domain=domain, a=a, f=_to_field(domain, fv), u=_to_field(domain, u),
@@ -362,7 +343,7 @@ def _package(phi, a, domain, ops, fv, trace):
         residual_P=float(np.max(np.abs(res))), residual_CR=np.nan,
         newton_iters=sum(len(r.step_lengths) for r in trace
                          if r.stop == "converged"),
-        boundary=phi, fvec=fv, continuation_a=a_eval if a == 0.0 else None,
+        fvec=fv, continuation_a=a_eval if a == 0.0 else None,
         trace=trace, factorizations=sum(r.factorizations for r in trace))
     sol.residual_CR = cr_residual(sol)
     return sol

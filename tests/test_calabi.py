@@ -191,15 +191,24 @@ def test_path_records_newton_trace_and_halvings():
         2, 8, lambda x1, y1, x2, y2: 0.1 * (np.cos(x1) + np.cos(y2))))
     path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=9)
     assert path.steps == [0.5, 0.75, 1.0]
-    assert [(t, dt) for t, dt, _ in path.halvings] == [(0.0, 1.0), (0.5, 0.5)]
-    for _, _, reason in path.halvings:
-        assert reason.startswith("Newton did not reach tol, residual")
-    assert path.newton_iters == [len(lams) for lams in path.step_lengths]
-    for rnorms, lams in zip(path.residuals, path.step_lengths):
+    assert path.halvings == [(0.0, 1.0, "max iterations"),
+                             (0.5, 0.5, "max iterations")]
+    # one record per Newton solve, the failed ones included
+    assert [(r.level, r.stop) for r in path.trace] == [
+        (1.0, "max iterations"), (0.5, "converged"), (1.0, "max iterations"),
+        (0.75, "converged"), (1.0, "converged")]
+    done = [r for r in path.trace if r.stop == "converged"]
+    assert path.newton_iters == [len(r.step_lengths) for r in done]
+    for rec in path.trace:
+        rnorms, lams = rec.residuals, rec.step_lengths
         assert len(rnorms) == len(lams) + 1
-        assert rnorms[-1] <= 1e-10 < rnorms[0]
         assert all(b < a for a, b in zip(rnorms, rnorms[1:]))
         assert all(0.0 < lam <= 1.0 for lam in lams)
+        assert rec.fresh == [] and rec.factorizations == 0
+        if rec.stop == "converged":
+            assert rnorms[-1] <= 1e-10 < rnorms[0]
+        else:
+            assert len(lams) == 9 and rnorms[-1] > 1e-10
     assert path.residual <= 1e-10
     # phi is its own array, not a view that keeps the solver's work block
     assert path.phi.values.flags.owndata
@@ -215,14 +224,55 @@ def test_path_failure_keeps_partial_path():
     exc = info.value
     path = exc.path
     assert path.steps and path.steps[-1] == exc.last_good_t
-    assert len(path.c_values) == len(path.residuals) == len(path.steps)
-    assert path.newton_iters == [len(lams) for lams in path.step_lengths]
-    for rnorms, lams in zip(path.residuals, path.step_lengths):
-        assert len(rnorms) == len(lams) + 1 and rnorms[-1] <= 1e-10
+    assert len(path.trace) == len(path.steps) + len(path.halvings)
+    done = [r for r in path.trace if r.stop == "converged"]
+    assert [r.level for r in done] == path.steps
+    assert len(path.c_values) == len(path.steps)
+    assert path.newton_iters == [len(r.step_lengths) for r in done]
+    for rec in done:
+        assert len(rec.residuals) == len(rec.step_lengths) + 1
+        assert rec.residuals[-1] <= 1e-10
     t, dt, reason = path.halvings[-1]
     assert t == exc.last_good_t and 0.5 * dt < 1e-4
-    assert reason in str(exc)
+    assert reason == path.trace[-1].stop and reason in str(exc)
     assert path.phi is None
+
+
+def _mild_m2_source():
+    return calabi.normalize_source(calabi.TorusField.from_function(
+        2, 8, lambda x1, y1, x2, y2: 0.1 * (np.cos(x1) + np.cos(y2))))
+
+
+def test_line_search_failure_recorded_as_damping_underflow():
+    # an ascent direction: no line-search step lowers the residual, so
+    # every Newton solve stops at its first iteration and is halved
+    solve = calabi._poisson_solve
+    with mock.patch.object(calabi, "_poisson_solve",
+                           lambda rhs, h: -solve(rhs, h)):
+        with pytest.raises(calabi.PathFailureError) as info:
+            calabi.solve_calabi(_mild_m2_source(), t_steps=1)
+    path = info.value.path
+    assert path.steps == [] and len(path.trace) == len(path.halvings) > 1
+    for rec, (t, dt, reason) in zip(path.trace, path.halvings):
+        assert t == 0.0 and rec.level == dt
+        assert rec.stop == reason == "damping underflow"
+        assert rec.step_lengths == [0.0]
+        assert rec.residuals[1] == rec.residuals[0] > 1e-10
+    assert "damping underflow" in str(info.value)
+
+
+def test_unrelated_error_propagates_without_halving():
+    calls = []
+
+    def broken(rhs, h):
+        calls.append(h)
+        raise RuntimeError("unrelated failure")
+
+    with mock.patch.object(calabi, "_poisson_solve", broken):
+        with pytest.raises(RuntimeError, match="unrelated failure") as info:
+            calabi.solve_calabi(_mild_m2_source(), t_steps=1)
+    assert type(info.value) is RuntimeError
+    assert len(calls) == 1
 
 
 def test_step_doubles_after_each_accepted_step():

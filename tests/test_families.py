@@ -98,6 +98,16 @@ def test_hl_lt_decay_rate():
     assert abs(fit.slope + 1.0) < 0.05
 
 
+@pytest.mark.parametrize("t", [0.5, 1.0])
+def test_so3_lt_decay_rate(t):
+    # the r = 64 draws need theta within 1.6e-7 of the interval ends at
+    # t = 0.5; a clamp short of that would sample a smaller radius there
+    fam = families.ModelFamily("so3_Lt", {"t": t})
+    fit = families.ac_decay_rate(fam, radii=np.array([8.0, 16.0, 32.0, 64.0]))
+    assert not fit.degenerate
+    assert abs(fit.slope + 2.0) < 0.05
+
+
 def test_cone_self_distance_degenerate():
     fam = families.ModelFamily("hl_cone_L0", {})
     fit = families.ac_decay_rate(fam, radii=np.array([8.0, 16.0, 32.0]))

@@ -140,6 +140,14 @@ def test_numpy_only_commands_load_no_scipy(argv):
     assert _scipy_modules(code) == []
 
 
+def test_solve_calabi_loads_no_sparse():
+    # the Newton record comes from core, not from the sparse U(1) solver
+    code = ("from slgeo.cli import main\n"
+            "assert main(['solve-calabi', '--grid', '8']) == 0")
+    assert not [m for m in _scipy_modules(code)
+                if m.startswith("scipy.sparse")]
+
+
 def test_evolve_loads_no_dense_linalg_or_fft():
     code = ("from slgeo.cli import main\n"
             "assert main(['evolve', '--nodes', '162', '--t-end', '0.01']) == 0")
@@ -200,18 +208,48 @@ def test_cli_index_report():
     assert report["index"] == 6
 
 
-def test_cli_point_cloud_artifact(tmp_path):
-    csv = tmp_path / "cloud.csv"
-    p = _run_cli(["--no-timing", "fibration", "--a", "0.5", "--b", "0.2",
-                  "--out-csv", str(csv)])
-    assert p.returncode == 0
-    report = json.loads(p.stdout)
-    assert str(csv) in report["artifacts"]
-    header = csv.read_text().splitlines()[0]
-    assert header == "x1,x2,x3,x4,x5,x6"
-    rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+def test_cli_point_cloud_artifact(tmp_path, capsys):
+    # every command that writes a point cloud, each on a small input
+    for argv in (["fibration", "--a", "0.5", "--b", "0.2"],
+                 ["verify", "--example", "hl-lt", "--samples", "100"],
+                 ["evolve", "--nodes", "162", "--t-end", "0.01"]):
+        csv = tmp_path / (argv[0] + ".csv")
+        assert cli.main(["--no-timing"] + argv + ["--out-csv", str(csv)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "pass"
+        assert report["artifacts"] == [str(csv)]
+        header = csv.read_text().splitlines()[0]
+        assert header == "x1,x2,x3,x4,x5,x6"
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1)
+        assert rows.shape[1] == 6 and np.all(np.isfinite(rows))
+    rows = np.loadtxt(tmp_path / "fibration.csv", delimiter=",", skiprows=1)
     assert np.array_equal(
         rows, real_coords(fibrations.explicit_F_fiber(0.5, 0.2).points))
+
+
+@pytest.mark.parametrize("argv", [
+    ["index", "--gram", "identity"],
+    ["solve-u1", "--boundary", "affine", "--b", "0.2", "--c", "0.1",
+     "--grid-n", "33"],
+    ["solve-calabi", "--m", "2", "--grid", "8", "--source", "zero"]],
+    ids=lambda a: a[0])
+def test_cli_choices_run_and_pass(argv, capsys):
+    assert cli.main(["--no-timing"] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+def test_cli_verify_config_records_t(capsys):
+    configs = []
+    for t in ("1", "2"):
+        cli.main(["--no-timing", "verify", "--example", "hl-lt",
+                  "--samples", "100", "--t", t])
+        configs.append(json.loads(capsys.readouterr().out)["config"])
+    assert configs[0] != configs[1]
+    assert [c["t"] for c in configs] == [1.0, 2.0]
+    # an example that does not read --t does not report it
+    cli.main(["--no-timing", "verify", "--example", "hl-cone",
+              "--samples", "100"])
+    assert "t" not in json.loads(capsys.readouterr().out)["config"]
 
 
 def test_cli_solve_u1_reports_continuation_level(capsys):
@@ -241,7 +279,7 @@ def test_cli_solve_u1_reports_newton_trace():
                                  u1.ConvexDomain("disc", rx=1.0, n=33))
     assert report["newton_iters"] == sol.newton_iters > 0
     assert report["factorizations"] == sol.factorizations > 0
-    assert report["levels"] == [rec.a for rec in sol.trace]
+    assert report["levels"] == [rec.level for rec in sol.trace]
     assert report["levels"][0] == 1.0
 
 

@@ -182,7 +182,7 @@ def test_singular_points_match_node_walk(half_n, seed, zero_share, nan_share):
     u = gridio.GridField(rng.standard_normal((dom.n, dom.n)), -dom.rx, -dom.ry,
                          dom.hx, dom.hy)
     sol = u1.PotentialSolution(domain=dom, a=0.0, f=v, u=u, v=v, residual_P=0.0,
-                               residual_CR=0.0, newton_iters=0, boundary=None)
+                               residual_CR=0.0, newton_iters=0)
     assert u1.singular_points(sol) == _singular_points_loop(sol)
 
 
@@ -254,7 +254,7 @@ def test_difference_zeros_match_cell_walk(half_n, seed, zero_share, nan_share):
                   for g in (u, v)]
         return u1.PotentialSolution(domain=dom, a=0.0, f=fields[1], u=fields[0],
                                     v=fields[1], residual_P=0.0, residual_CR=0.0,
-                                    newton_iters=0, boundary=None)
+                                    newton_iters=0)
 
     s1 = sol(du + X, dv - Y)
     s2 = sol(X, -Y)
@@ -328,7 +328,7 @@ def test_lift_keeps_near_singular_points_as_nan(k, offset, sign):
                          dom.hx, dom.hy, mask=dom.inside.copy())
     sol = u1.PotentialSolution(domain=dom, a=0.0, f=f, u=f, v=f,
                                residual_P=0.0, residual_CR=0.0,
-                               newton_iters=0, boundary=None)
+                               newton_iters=0)
     cloud = u1.lift_to_sl3(sol, samples_per_node=4)
     nan = np.isnan(cloud.sl_defects)
     assert np.count_nonzero(nan) == 4 == cloud.n_excluded
@@ -391,7 +391,7 @@ def test_trace_of_a_nonzero_solve():
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
     sol = u1.solve_dirichlet(phi, 1.0, _disc(65), tol=1e-10)
     (rec,) = sol.trace
-    assert rec.a == 1.0 and rec.stop == "converged"
+    assert rec.level == 1.0 and rec.stop == "converged"
     steps = len(rec.step_lengths)
     assert sol.newton_iters == steps == len(rec.fresh)
     assert len(rec.residuals) == steps + 1
@@ -418,9 +418,9 @@ def test_stalled_continuation_ends_on_a_fresh_factor():
     with pytest.warns(u1.ContinuationStalledWarning):
         sol = u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
     *done, last = sol.trace
-    assert [rec.a for rec in sol.trace] == [2.0 ** -k for k in range(len(sol.trace))]
+    assert [rec.level for rec in sol.trace] == [2.0 ** -k for k in range(len(sol.trace))]
     assert all(rec.stop == "converged" for rec in done)
-    assert sol.continuation_a == done[-1].a
+    assert sol.continuation_a == done[-1].level
     assert last.stop == "damping underflow"
     assert last.fresh[-1] and last.step_lengths[-1] == 0.0
     assert last.residuals[-1] == last.residuals[-2] > 1e-10
@@ -445,11 +445,11 @@ def test_initial_seeds_the_first_rung_at_a_zero():
         cold = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-8)
     # the a = 1 rung starts from its own solution and takes no step
     first = sol.trace[0]
-    assert first.a == 1.0 and first.stop == "converged"
+    assert first.level == 1.0 and first.stop == "converged"
     assert first.step_lengths == [] and first.factorizations == 0
     assert first.residuals == [s1.trace[0].residuals[-1]]
     assert cold.trace[0].step_lengths
-    assert [r.a for r in sol.trace] == [r.a for r in cold.trace]
+    assert [r.level for r in sol.trace] == [r.level for r in cold.trace]
     assert np.max(np.abs(sol.fvec - cold.fvec)) < 1e-6
 
 
