@@ -192,7 +192,7 @@ def is_sl_plane(plane: TangentPlane, pkg: CYPackage, tol: float = 1e-10) -> bool
 
 
 # planes per batched QR and determinant: bounds the temporaries, which
-# for a whole 45,732-point lift at once add about 15 MB to the peak RSS
+# for 45,000 planes at once add about 15 MB to the peak RSS
 PLANE_CHUNK = 2048
 
 

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import NewtonRecord, plane_defects, real_coords
+from .core import NewtonRecord, broadcast_stack, plane_defects, real_coords
 from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
@@ -524,12 +524,17 @@ def lift_to_sl3(sol: PotentialSolution, samples_per_node: int = 4) -> LiftedClou
     defect carries only the solver's truncation error.  The lift
     z1 z2 = v + i y, z3 = x + i u, z1 = R e^{i theta} with
     R = sqrt(a + |w|_a), |w|_a = sqrt(a^2 + |v + i y|^2), is evaluated over
-    all valid nodes and angles at once, node-major; the tangent planes,
-    spanned by d/dx, d/dy and d/dtheta, go to :func:`core.plane_defects`
-    and are not stored.  Nodes where R vanishes are skipped.  Near the
-    singular set of an a = 0 solution (v = y = 0) points are kept with a
-    NaN defect.  Both count in n_excluded.
+    all valid nodes and angles at once, node-major.  A node's samples are one
+    orbit of diag(e^{i theta}, e^{-i theta}, 1), which lies in SU(3) and so
+    carries the tangent plane at theta = 0, spanned by d/dx, d/dy and
+    d/dtheta, onto the one at theta with the same defect: one plane per node
+    goes to :func:`core.plane_defects`, and none is stored.  Nodes where R
+    vanishes are skipped.  Near the singular set of an a = 0 solution
+    (v = y = 0) points are kept with a NaN defect.  n_excluded counts the
+    samples of both.
     """
+    if samples_per_node < 1:
+        raise ValueError("samples_per_node must be at least 1")
     dom = sol.domain
     a = sol.a
     F = sol.f.values
@@ -556,29 +561,19 @@ def lift_to_sl3(sol: PotentialSolution, samples_per_node: int = 4) -> LiftedClou
     Ry = (v * vy + y) / q / (2.0 * R)
 
     thetas = 2.0 * np.pi * np.arange(samples_per_node) / samples_per_node
-    e = np.exp(1j * thetas)
-    z1 = R * e
+    z1 = R * np.exp(1j * thetas)
     z2 = w / z1
-    z3 = np.broadcast_to(x + 1j * u, z1.shape)
-    z1x = Rx * e
-    z1y = Ry * e
-    # rows: the tangent vectors d/dx, d/dy, d/dtheta in C^3
-    tangents = np.zeros(z1.shape + (3, 3), dtype=complex)
-    tangents[..., 0, 0] = z1x
-    tangents[..., 0, 1] = (vx * z1 - w * z1x) / z1 ** 2
-    tangents[..., 0, 2] = 1.0 + 1j * ux
-    tangents[..., 1, 0] = z1y
-    tangents[..., 1, 1] = ((vy + 1j) * z1 - w * z1y) / z1 ** 2
-    tangents[..., 1, 2] = 1j * uy
-    tangents[..., 2, 0] = 1j * z1
-    tangents[..., 2, 1] = -1j * z2
-
+    # rows: the tangent vectors d/dx, d/dy, d/dtheta in C^3 at theta = 0
+    tangents = broadcast_stack(
+        [broadcast_stack([Rx, (vx * R - w * Rx) / R ** 2, 1.0 + 1j * ux]),
+         broadcast_stack([Ry, ((vy + 1j) * R - w * Ry) / R ** 2, 1j * uy]),
+         broadcast_stack([1j * R, -1j * z2[:, :1], 0.0])], axis=-2)
     near_singular = (a == 0.0) & (np.abs(w[:, 0]) < 1e-8)
-    defects = np.full(z1.shape, np.nan)
+    defects = np.full(len(R), np.nan)
     defects[~near_singular] = plane_defects(
-        real_coords(tangents[~near_singular]).reshape(-1, 3, 6))[0].reshape(
-            -1, samples_per_node)
-    excluded += int(np.count_nonzero(near_singular)) * samples_per_node
-    points = np.stack([z1, z2, z3], axis=-1).reshape(-1, 3)
-    return LiftedCloud(points, defects.ravel(),
-                       (np.abs(z1) ** 2 - np.abs(z2) ** 2).ravel(), excluded)
+        real_coords(tangents[~near_singular]).reshape(-1, 3, 6))[0]
+    excluded += int(np.count_nonzero(near_singular))
+    return LiftedCloud(broadcast_stack([z1, z2, x + 1j * u]).reshape(-1, 3),
+                       np.repeat(defects, samples_per_node),
+                       (np.abs(z1) ** 2 - np.abs(z2) ** 2).ravel(),
+                       excluded * samples_per_node)

@@ -236,6 +236,21 @@ def test_plane_defects_match_per_plane(stack, chunk):
     assert np.all(np.abs(slack[half:][signs[half:] > 0]) < 1e-12)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 8), st.integers(0, 2 ** 32 - 1))
+def test_plane_defects_su_invariant(m, n, seed):
+    # SU(m) preserves omega and Omega, so rotating every plane by one g
+    # keeps its SL defect and its calibration slack
+    rng = np.random.default_rng(seed)
+    bases = rng.standard_normal((n, m, 2 * m))
+    g = core.complex_matrix_to_real(core.random_su_matrix(m, rng))
+    sl, slack = core.plane_defects(bases)
+    sl_g, slack_g = core.plane_defects(bases @ g.T)
+    vol = np.sqrt(np.linalg.det(bases @ bases.swapaxes(-1, -2)))
+    assert np.all(np.abs(sl_g - sl) <= 1e-13)
+    assert np.all(np.abs(slack_g - slack) <= 1e-13 * np.maximum(vol, 1.0))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 4), st.integers(2, 9), st.integers(0, 2 ** 32 - 1),
        st.integers(1, 4), st.data())

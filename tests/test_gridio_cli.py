@@ -201,6 +201,17 @@ def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
+def test_readme_python_blocks_run(tmp_path, monkeypatch):
+    # the blocks run in order in one namespace: the second uses the first's np
+    text = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    blocks = [part.split("```", 1)[0] for part in text.split("```python\n")[1:]]
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+
+
 def test_cli_index_report():
     p = _run_cli(["--no-timing", "index", "--gram", "l0"])
     assert p.returncode == 0

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slgeo import gridio, u1
+from slgeo import core, gridio, u1
 
 
 def _disc(n=65):
@@ -314,27 +314,122 @@ def test_lift_defect_shrinks_under_refinement():
     assert defects[1] < 0.3 * defects[0]
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(-6, 6), st.floats(1e-13, 1e-9), st.sampled_from((1.0, -1.0)))
-def test_lift_keeps_near_singular_points_as_nan(k, offset, sign):
-    # f = 0.2 (x - x0)^2 + 0.1 y^2 lifted at a = 0: v = 0.4 (x - x0) vanishes
-    # just off the node (x_i, 0), so that node lies within 1e-8 of the
-    # singular set v = y = 0 but does not vanish
+def _singular_field(offset, k=3):
+    # f = 0.2 (x - x0)^2 + 0.1 y^2 at a = 0 with x0 = x_i + offset: v vanishes
+    # at the node (x_i, 0) for offset 0, and just off it otherwise
     dom = _disc(33)
-    i = dom.n // 2 + k
-    x0 = dom.x[i] + sign * offset
+    x0 = dom.x[dom.n // 2 + k] + offset
     X, Y = np.meshgrid(dom.x, dom.y, indexing="ij")
     f = gridio.GridField(0.2 * (X - x0) ** 2 + 0.1 * Y ** 2, -dom.rx, -dom.ry,
                          dom.hx, dom.hy, mask=dom.inside.copy())
-    sol = u1.PotentialSolution(domain=dom, a=0.0, f=f, u=f, v=f,
-                               residual_P=0.0, residual_CR=0.0,
-                               newton_iters=0)
+    return u1.PotentialSolution(domain=dom, a=0.0, f=f, u=f, v=f,
+                                residual_P=0.0, residual_CR=0.0, newton_iters=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-6, 6), st.floats(1e-13, 1e-9), st.sampled_from((1.0, -1.0)))
+def test_lift_keeps_near_singular_points_as_nan(k, offset, sign):
+    # v = 0.4 (x - x0) vanishes just off the node (x_i, 0), so that node lies
+    # within 1e-8 of the singular set v = y = 0 but does not vanish
+    sol = _singular_field(sign * offset, k)
+    dom = sol.domain
+    i = dom.n // 2 + k
     cloud = u1.lift_to_sl3(sol, samples_per_node=4)
     nan = np.isnan(cloud.sl_defects)
     assert np.count_nonzero(nan) == 4 == cloud.n_excluded
     assert np.all(np.abs(cloud.points[nan, 0] * cloud.points[nan, 1]) < 1e-8)
     assert np.all(np.abs(cloud.points[nan, 2].real - dom.x[i]) < 1e-15)
     assert np.all(np.isfinite(cloud.sl_defects[~nan]))
+
+
+@pytest.mark.parametrize("samples", [1, 2, 4])
+def test_lift_counts_excluded_samples(samples):
+    # R vanishes at one node, which drops all its samples, and no node is
+    # near-singular; the node count is the same for every samples_per_node
+    cloud = u1.lift_to_sl3(_singular_field(0.0), samples_per_node=samples)
+    one = u1.lift_to_sl3(_singular_field(0.0), samples_per_node=1)
+    assert cloud.n_excluded == samples
+    assert len(cloud.points) == samples * len(one.points)
+    assert np.all(np.isfinite(cloud.sl_defects))
+
+
+@pytest.mark.parametrize("samples", [0, -2])
+def test_lift_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValueError, match="samples_per_node"):
+        u1.lift_to_sl3(_singular_field(0.0), samples_per_node=samples)
+
+
+def _per_sample_lift(sol, samples):
+    # reference: the tangent planes of every sample, each through the plane
+    # kernel, on the same fields and node selection as lift_to_sl3
+    dom, a = sol.domain, sol.a
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        u = u1._central4(sol.f.values, 1, dom.hy)
+        v = u1._central4(sol.f.values, 0, dom.hx)
+        ux, uy = u1._central4(u, 0, dom.hx), u1._central4(u, 1, dom.hy)
+        vx, vy = u1._central4(v, 0, dom.hx), u1._central4(v, 1, dom.hy)
+    X, Y = sol.f.coords()
+    sel = u1._deep_interior(dom, 4) & np.isfinite(ux) & np.isfinite(vx)
+    s = a + np.sqrt(a * a + np.abs(v[sel] + 1j * Y[sel]) ** 2)
+    excluded = int(np.count_nonzero(s < 1e-14)) * samples
+    sel[sel] = s >= 1e-14
+    x, y, u, ux, uy, v, vx, vy = [f[sel][:, None]
+                                  for f in (X, Y, u, ux, uy, v, vx, vy)]
+    w = v + 1j * y
+    q = np.sqrt(a * a + np.abs(w) ** 2)
+    R = np.sqrt(a + q)
+    Rx = (v * vx) / q / (2.0 * R)
+    Ry = (v * vy + y) / q / (2.0 * R)
+    e = np.exp(1j * 2.0 * np.pi * np.arange(samples) / samples)
+    z1, z1x, z1y = R * e, Rx * e, Ry * e
+    z2 = w / z1
+    z3 = np.broadcast_to(x + 1j * u, z1.shape)
+    tangents = np.zeros(z1.shape + (3, 3), dtype=complex)
+    tangents[..., 0, 0] = z1x
+    tangents[..., 0, 1] = (vx * z1 - w * z1x) / z1 ** 2
+    tangents[..., 0, 2] = 1.0 + 1j * ux
+    tangents[..., 1, 0] = z1y
+    tangents[..., 1, 1] = ((vy + 1j) * z1 - w * z1y) / z1 ** 2
+    tangents[..., 1, 2] = 1j * uy
+    tangents[..., 2, 0] = 1j * z1
+    tangents[..., 2, 1] = -1j * z2
+    near_singular = (a == 0.0) & (np.abs(w[:, 0]) < 1e-8)
+    defects = np.full(z1.shape, np.nan)
+    defects[~near_singular] = core.plane_defects(
+        core.real_coords(tangents[~near_singular]).reshape(-1, 3, 6))[0].reshape(
+            -1, samples)
+    excluded += int(np.count_nonzero(near_singular)) * samples
+    return u1.LiftedCloud(np.stack([z1, z2, z3], axis=-1).reshape(-1, 3),
+                          defects.ravel(),
+                          (np.abs(z1) ** 2 - np.abs(z2) ** 2).ravel(), excluded)
+
+
+def _solved_a1():
+    phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
+    return u1.solve_dirichlet(phi, 1.0, _disc(33), tol=1e-10)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 4])
+@pytest.mark.parametrize("make", [_solved_a1, lambda: _singular_field(1e-10),
+                                  lambda: _singular_field(0.0)],
+                         ids=["a1", "a0-near-singular", "a0-vanishing"])
+def test_lift_matches_per_sample_planes(make, samples):
+    # one plane per node against every sample's own plane: the orbit action
+    # lies in SU(3), so the defects agree to round-off, exactly at theta = 0
+    sol = make()
+    cloud = u1.lift_to_sl3(sol, samples_per_node=samples)
+    ref = _per_sample_lift(sol, samples)
+    assert np.array_equal(cloud.points, ref.points)
+    assert np.array_equal(cloud.moment_values, ref.moment_values)
+    assert cloud.n_excluded == ref.n_excluded
+    nan = np.isnan(ref.sl_defects)
+    assert np.array_equal(np.isnan(cloud.sl_defects), nan)
+    first = np.arange(len(nan)) % samples == 0
+    assert np.array_equal(cloud.sl_defects[first], ref.sl_defects[first],
+                          equal_nan=True)
+    rest = ~first & ~nan
+    assert np.all(np.abs(cloud.sl_defects[rest] - ref.sl_defects[rest]) <= 1e-15)
 
 
 def test_invalid_tol_rejected():
