@@ -4,7 +4,7 @@ model problems.
 Modules (each is imported on first use, so a command loads only what it runs):
 
   core        flat Calabi-Yau package, calibration and SL plane tests,
-              moment maps of subgroups of SU(m) x C^m
+              the moment map of diagonal circle actions in SU(m)
   graphs      the special Lagrangian graph equation Im det(I + i Hess f)
   gridio      masked 2D grid fields and their CSV format
   u1          the U(1)-invariant Dirichlet potential solver and its lift

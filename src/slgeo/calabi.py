@@ -42,7 +42,7 @@ class PathFailureError(RuntimeError):
     """Continuity path could not be completed; path is the partial
     :class:`ContinuityPath` up to last_good_t (phi and residual unset)."""
 
-    def __init__(self, msg, last_good_t, path=None):
+    def __init__(self, msg, last_good_t, path):
         super().__init__(msg)
         self.last_good_t = last_good_t
         self.path = path
@@ -197,9 +197,10 @@ def _complex_hessian(phi: TorusField):
     return H[0], H[1], H[2] + 1j * H[3]
 
 
-def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray,
-                  check_positivity: bool = True) -> np.ndarray:
-    """Writes det(I + H) of the samples v into ratio and returns ratio."""
+def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
+    """Writes det(I + H) of the samples v into ratio and returns ratio;
+    raises NonKahlerIterateError, with every node of ratio written, if
+    1 + H11 or det(I + H) is nonpositive at a node."""
     def slab(rows, H11, H22, re, im):
         """writes the slab's det(I + H); returns its least 1 + H11 or
         det(I + H)"""
@@ -216,17 +217,17 @@ def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray,
         return min(np.min(H11), np.min(out))
 
     minima = _map_slabs(v, h, slab)
-    if check_positivity and np.min(minima) <= 0.0:
+    if np.min(minima) <= 0.0:
         raise NonKahlerIterateError(
             "1 + H11 has nonpositive nodes" if v.ndim == 2
             else "omega + i ddbar phi lost positivity")
     return ratio
 
 
-def ma_operator(phi: TorusField, check_positivity: bool = True) -> TorusField:
+def ma_operator(phi: TorusField) -> TorusField:
     """Nodewise ratio (omega + i ddbar phi)^m / omega^m = det(I + H)."""
     return TorusField(phi.m, _volume_ratio(
-        phi.values, phi.h, np.empty_like(phi.values), check_positivity))
+        phi.values, phi.h, np.empty_like(phi.values)))
 
 
 def normalize_source(f: TorusField) -> TorusField:
@@ -299,8 +300,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     iteration allocates only the FFT's arrays and the stencil's padded copy
     and per-thread scratch.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if t_steps < 1:
         raise ValueError("t_steps must be at least 1")
     path = ContinuityPath(f=f)
@@ -468,8 +469,8 @@ def radial_ricci_flat_profile(C: float) -> RadialProfile:
     from scipy.integrate import solve_ivp
     from scipy.interpolate import make_interp_spline
 
-    if C < 0:
-        raise ValueError("C must be nonnegative")
+    if not 0 <= C < np.inf:
+        raise ValueError("C must be nonnegative and finite, got %r" % (C,))
     u_max, n = 4.0, 200   # u_max covers the diagnostic patch, u < 2.5
     u0 = min(u_max / n, 0.02)
     us = np.linspace(u0, u_max, n)

@@ -32,7 +32,7 @@ class DegeneratePlaneError(ValueError):
 
 
 class InvalidActionError(ValueError):
-    """A generator does not preserve the Kahler form."""
+    """Diagonal weights that do not sum to zero: the action leaves SU(m)."""
 
 
 @dataclass
@@ -138,8 +138,6 @@ def normalization_residual(pkg: CYPackage) -> float:
 def _pfaffian(A: np.ndarray) -> float:
     """Pfaffian of a small antisymmetric matrix by matching expansion."""
     n = A.shape[0]
-    if n % 2:
-        return 0.0
     if n == 0:
         return 1.0
     total = 0.0
@@ -186,8 +184,8 @@ def _frames(bases: np.ndarray):
 def is_sl_plane(plane: TangentPlane, pkg: CYPackage, tol: float = 1e-10) -> bool:
     """Special Lagrangian test: the SL defect, which does not depend on the
     orientation, is at most tol."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
     return sl_defect(plane, pkg) <= tol
 
 
@@ -250,7 +248,7 @@ def calibration_defect(plane: TangentPlane, pkg: CYPackage) -> float:
 
 
 # ---------------------------------------------------------------------------
-# group actions and moment maps
+# linear maps and the diagonal-torus moment map
 
 
 def complex_matrix_to_real(A: np.ndarray) -> np.ndarray:
@@ -261,81 +259,30 @@ def complex_matrix_to_real(A: np.ndarray) -> np.ndarray:
     return real_coords(cols).T
 
 
-def real_matrix_to_complex(M: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`complex_matrix_to_real` (requires J-commuting M)."""
-    M = np.asarray(M, dtype=float)
-    J = standard_J(M.shape[0] // 2)
-    if not np.allclose(M @ J, J @ M, atol=1e-10):
-        raise ValueError("matrix is not complex-linear")
-    # column k of A is column 2k of M in complex coordinates
-    return complex_coords(M[:, 0::2].T).T
+def moment_map_values(weights, points) -> np.ndarray:
+    """Hamiltonian sum_j w_j |z_j|^2 of the diagonal action
+    z_j -> e^{i w_j theta} z_j at each point of a stack (..., m).
 
-
-@dataclass
-class LieAlgebraAction:
-    """Generators of a subgroup of SU(m) x C^m as affine vector fields.
-
-    Each generator is a pair (M, tau): a real 2m x 2m matrix (linear part,
-    su(m) as real matrices) and a real 2m translation vector.  Generators
-    must preserve omega infinitesimally: M^T W + W M = 0.
+    The weights must sum to zero, so that the action lies in SU(m); for
+    (1, -1, 0) this is the U(1) level |z1|^2 - |z2|^2 of the lifted SL
+    3-folds.  The Hamiltonian is fixed up to an additive constant; this one
+    vanishes at the origin.
     """
-
-    m: int
-    generators: list
-
-    def __post_init__(self):
-        W = standard_cy_package(self.m).kahler_form
-        for i, (M, tau) in enumerate(self.generators):
-            M = np.asarray(M, dtype=float)
-            tau = np.asarray(tau, dtype=float)
-            if not np.allclose(M.T @ W + W @ M, 0.0, atol=1e-10):
-                raise InvalidActionError("generator %d does not preserve omega" % i)
-            self.generators[i] = (M, tau)
-
-
-def su_diagonal_action(m: int, weights) -> LieAlgebraAction:
-    """One-parameter diagonal action z_j -> e^{i w_j theta} z_j (sum w_j = 0)."""
     weights = np.asarray(weights, dtype=float)
     if abs(np.sum(weights)) > 1e-12:
         raise InvalidActionError("diagonal weights must sum to zero")
-    A = np.diag(1j * weights)
-    return LieAlgebraAction(m, [(complex_matrix_to_real(A), np.zeros(2 * m))])
-
-
-def moment_map_values(action: LieAlgebraAction, points: np.ndarray) -> np.ndarray:
-    """Standard Hamiltonians of the generators, row per point, column per generator.
-
-    For a linear generator with complex matrix A = iH (H Hermitian) the
-    Hamiltonian is zbar^T H z, which for the U(1)-action
-    (z1, z2) -> (e^{i t} z1, e^{-i t} z2) is |z1|^2 - |z2|^2.  For a
-    translation by tau it is omega(tau, z).  Both are fixed only up to an
-    additive constant.
-    """
-    points = np.asarray(points, dtype=complex)
-    if points.ndim == 1:
-        points = points[None, :]
-    W = standard_cy_package(action.m).kahler_form
-    xs = real_coords(points)
-    out = np.zeros((points.shape[0], len(action.generators)))
-    for col, (M, tau) in enumerate(action.generators):
-        if np.any(M):
-            A = real_matrix_to_complex(M)
-            H = -1j * A
-            if not np.allclose(H, H.conj().T, atol=1e-10):
-                raise InvalidActionError("linear part is not anti-Hermitian")
-            out[:, col] += np.real(np.einsum("pj,jk,pk->p", points.conj(), H, points))
-        if np.any(tau):
-            out[:, col] += xs @ (W.T @ tau)  # omega(tau, x) = tau^T W x
-    return out
+    return np.abs(points) ** 2 @ weights
 
 
 def random_su_matrix(m: int, rng: np.random.Generator) -> np.ndarray:
-    """Random SU(m) element: exponential of a random traceless anti-Hermitian matrix."""
+    """Random SU(m) element: exponential of a random traceless anti-Hermitian
+    matrix A, as V diag(e^{i lam}) V^H from the eigenpairs of the Hermitian
+    -iA."""
     X = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     A = (X - X.conj().T) / 2.0
     A -= np.trace(A) / m * np.eye(m)
-    from scipy.linalg import expm
-    return expm(A)
+    lam, V = np.linalg.eigh(-1j * A)
+    return (V * np.exp(1j * lam)) @ V.conj().T
 
 
 def random_plane(m: int, rng: np.random.Generator) -> TangentPlane:

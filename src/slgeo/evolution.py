@@ -136,8 +136,8 @@ class EvolvingSurface:
     @classmethod
     def sphere(cls, subdivisions: int = 3, scale: complex = 1.0,
                dt: float = 0.01) -> "EvolvingSurface":
-        if not dt > 0:
-            raise ValueError("dt must be positive, got %r" % (dt,))
+        if not 0 < dt < np.inf:
+            raise ValueError("dt must be positive and finite, got %r" % (dt,))
         verts, faces = icosphere(subdivisions)
         D1, D2 = _pushforward_matrices(verts, faces)
         surf = cls(verts, faces, D1, D2, dt=dt)
@@ -218,6 +218,8 @@ def evolve_step(surf: EvolvingSurface) -> EvolvingSurface:
 
 
 def evolve_run(surf: EvolvingSurface, t_end: float) -> EvolvingSurface:
+    if not np.isfinite(t_end):
+        raise ValueError("t_end must be finite, got %r" % (t_end,))
     if not surf.dt > 0:  # a step of dt <= 0 never advances the clock
         raise ValueError("dt must be positive, got %r" % (surf.dt,))
     while surf.times[-1] < t_end - 1e-12:

@@ -81,8 +81,8 @@ class ModelFamily:
             raise ValueError("unknown family %r" % self.name)
         if self.name in ("hl_Lt", "so3_Lt"):
             t = self.extra.get("t", 1.0)
-            if t <= 0:
-                raise ParameterRangeError("t must be positive")
+            if not 0 < t < np.inf:
+                raise ParameterRangeError("t must be positive and finite")
             self.extra["t"] = float(t)
         if self.name == "quadric_L":
             a1 = int(self.extra.get("a1", 1))

@@ -19,7 +19,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import broadcast_stack, plane_defects, real_coords
+from .core import (broadcast_stack, moment_map_values, plane_defects,
+                   real_coords)
 
 if TYPE_CHECKING:  # u1 loads scipy, which only the Dirichlet families need
     from .u1 import BoundaryData, ConvexDomain, PotentialSolution
@@ -121,8 +122,8 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs):
         else:
             c1 = fam.fiber(alpha)
             c2 = fam.fiber(alpha2)
-            lvl1, lvl2 = (0.5 * (np.abs(c.points[:, 0]) ** 2
-                                 - np.abs(c.points[:, 1]) ** 2) for c in (c1, c2))
+            lvl1, lvl2 = (0.5 * moment_map_values((1, -1, 0), c.points)
+                          for c in (c1, c2))
             entry["mechanism"] = "moment-level"
             entry["level_error"] = float(max(np.max(np.abs(lvl1 - alpha[0])),
                                              np.max(np.abs(lvl2 - alpha2[0]))))
@@ -167,6 +168,8 @@ def explicit_F_fiber(a: float, b: complex) -> FiberRecord:
     """
     n_r, n_phase, r_max = 12, 8, 2.0
     b = complex(b)
+    if not (np.isfinite(a) and np.isfinite(b)):
+        raise ValueError("a and b must be finite, got %r, %r" % (a, b))
     smin = np.sqrt(max(0.0, -2.0 * a))
     s = np.linspace(smin, np.sqrt(smin ** 2 + r_max ** 2), n_r)
     t = 2 * np.pi * np.arange(n_phase) / n_phase

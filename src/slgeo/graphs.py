@@ -52,8 +52,8 @@ class GraphPotential:
                 raise ValueError("potential has non-finite samples")
             self.spacing = np.broadcast_to(
                 np.asarray(self.spacing, dtype=float), (self.m,)).copy()
-            if np.any(self.spacing <= 0):
-                raise ValueError("grid spacing must be positive")
+            if not np.all((self.spacing > 0) & (self.spacing < np.inf)):
+                raise ValueError("grid spacing must be positive and finite")
 
 
 def hessian(f: GraphPotential, node) -> np.ndarray:

@@ -44,8 +44,8 @@ class GridField:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.ndim != 2:
             raise ValueError("grid values must be 2D")
-        if self.hx <= 0 or self.hy <= 0:
-            raise ValueError("grid spacing must be positive")
+        if not (0 < self.hx < np.inf and 0 < self.hy < np.inf):
+            raise ValueError("grid spacing must be positive and finite")
         if self.mask is not None:
             self.mask = np.asarray(self.mask, dtype=bool)
             if self.mask.shape != self.values.shape:

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .core import NewtonRecord, broadcast_stack, plane_defects, real_coords
+from .core import (NewtonRecord, broadcast_stack, moment_map_values,
+                   plane_defects, real_coords)
 from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
@@ -67,8 +68,8 @@ class ConvexDomain:
             raise ValueError("kind must be disc or ellipse")
         if self.kind == "disc":
             self.ry = self.rx
-        if self.rx <= 0 or self.ry <= 0:
-            raise ValueError("radii must be positive")
+        if not (0 < self.rx < np.inf and 0 < self.ry < np.inf):
+            raise ValueError("radii must be positive and finite")
         if self.n < 17:
             raise ValueError("grid resolution must be >= 17")
         if self.n % 2 == 0:
@@ -229,8 +230,10 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     sup norm.  The first level starts from initial, or from the harmonic
     extension of phi; each later level starts from the one before.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    if not np.isfinite(a):
+        raise ValueError("a must be finite, got %r" % (a,))
     ops = _direction_ops(domain, phi)
     fv, prev, trace = initial, None, []
     for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:
@@ -415,9 +418,7 @@ def singular_points(sol: PotentialSolution):
     if sol.a != 0.0:
         return []
     dom = sol.domain
-    j0 = np.argmin(np.abs(dom.y))
-    if abs(dom.y[j0]) > 1e-12 * max(dom.hy, 1.0):
-        return []
+    j0 = dom.n // 2     # the y = 0 row, as n is odd
     vrow = sol.v.values[:, j0]
     urow = sol.u.values[:, j0]
     ok = dom.inside[:, j0] & np.isfinite(vrow)
@@ -510,7 +511,7 @@ class LiftedCloud:
 
     points: np.ndarray          # (N, 3) complex
     sl_defects: np.ndarray      # (N,), NaN where excluded
-    moment_values: np.ndarray   # |z1|^2 - |z2|^2 per point
+    moment_values: np.ndarray   # core.moment_map_values((1, -1, 0)) per point
     n_excluded: int = 0
 
 
@@ -573,7 +574,7 @@ def lift_to_sl3(sol: PotentialSolution, samples_per_node: int = 4) -> LiftedClou
     defects[~near_singular] = plane_defects(
         real_coords(tangents[~near_singular]).reshape(-1, 3, 6))[0]
     excluded += int(np.count_nonzero(near_singular))
-    return LiftedCloud(broadcast_stack([z1, z2, x + 1j * u]).reshape(-1, 3),
-                       np.repeat(defects, samples_per_node),
-                       (np.abs(z1) ** 2 - np.abs(z2) ** 2).ravel(),
+    points = broadcast_stack([z1, z2, x + 1j * u]).reshape(-1, 3)
+    return LiftedCloud(points, np.repeat(defects, samples_per_node),
+                       moment_map_values((1, -1, 0), points),
                        excluded * samples_per_node)

@@ -30,6 +30,17 @@ def _roll_hessian(v, h):
     return 0.5 * (d2(0) + d2(1)), 0.5 * (d2(2) + d2(3)), H12
 
 
+def _unchecked_ratio(v, h):
+    """det(I + H) of the samples v at every node, positive or not:
+    _volume_ratio writes every node before its positivity check raises."""
+    ratio = np.empty_like(v)
+    try:
+        calabi._volume_ratio(v, h, ratio)
+    except calabi.NonKahlerIterateError:
+        pass
+    return ratio
+
+
 def _recovery_error(path, phi_exact):
     target = phi_exact.values - np.mean(phi_exact.values)
     return float(np.max(np.abs(path.phi.values - target)))
@@ -101,7 +112,7 @@ def _wave(n):
 def test_positivity_guard_m2(field, h11_positive, planes):
     phi = field(16)
     H11, _, _ = calabi._complex_hessian(phi)
-    ratio = calabi.ma_operator(phi, check_positivity=False).values
+    ratio = _unchecked_ratio(phi.values, phi.h)
     assert (np.min(1.0 + H11) > 0.0) == h11_positive
     assert (np.min(ratio) > 0.0) != h11_positive
     # with slabs of 3 planes the spike (plane 11) sits in the fourth slab
@@ -123,8 +134,7 @@ def test_slab_stencil_matches_roll_reference(n, planes, seed, scale):
     v = scale * h * h * np.random.default_rng(seed).uniform(-1, 1, (n,) * 4)
     slab_nodes = calabi.SLAB_NODES if planes is None else planes * n ** 3
     with mock.patch.object(calabi, "SLAB_NODES", slab_nodes):
-        ratio = calabi.ma_operator(calabi.TorusField(2, v),
-                                   check_positivity=False).values
+        ratio = _unchecked_ratio(v, h)
         hess = calabi._complex_hessian(calabi.TorusField(2, v))
         rho, residual = calabi.ricci_form(calabi.TorusField(2, np.exp(v)))
     H11, H22, H12 = _roll_hessian(v, h)
@@ -146,9 +156,7 @@ def test_slab_stencil_matches_roll_reference(n, planes, seed, scale):
 def _stencil_outputs(v):
     """Everything the slab stencil computes from the samples v."""
     f = calabi.TorusField(v.ndim // 2, v)
-    ratio = calabi._volume_ratio(v, f.h, np.empty_like(v),
-                                 check_positivity=False)
-    outputs = (ratio, calabi.ma_operator(f, check_positivity=False).values,
+    outputs = (_unchecked_ratio(v, f.h),
                *calabi.ricci_form(calabi.TorusField(f.m, np.exp(v))),
                *calabi._complex_hessian(f))
     return [np.asarray(a) for a in outputs if a is not None]
@@ -370,6 +378,24 @@ def test_bad_calabi_input_rejected():
                    {"tol": -1e-10}):
         with pytest.raises(ValueError):
             calabi.solve_calabi(f, **kwargs)
+
+
+_FLAT = calabi.TorusField(1, np.zeros((8, 8)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: calabi.TorusField(3, np.zeros((2,) * 6)), "m must be 1 or 2"),
+    (lambda: calabi.TorusField(2, np.zeros((8, 8))), "2m axes"),
+    (lambda: calabi.TorusField(1, np.zeros((8, 4))), "equal length"),
+    (lambda: calabi.poisson_reference_solution(
+        calabi.TorusField(2, np.zeros((4,) * 4))), "m = 1 case"),
+] + [(lambda tol=tol: calabi.solve_calabi(_FLAT, tol=tol),
+      "tol must be positive and finite") for tol in (np.nan, np.inf)]
+  + [(lambda C=C: calabi.radial_ricci_flat_profile(C),
+      "C must be nonnegative and finite") for C in (-1.0, np.nan, np.inf)])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_nonpositive_ratio_rejected():

@@ -96,7 +96,9 @@ def test_coordinate_round_trip():
     assert np.allclose(core.complex_coords(core.real_coords(z)), z)
     A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     M = core.complex_matrix_to_real(A)
-    assert np.allclose(core.real_matrix_to_complex(M), A)
+    # M acts on real coordinates as A acts on complex ones
+    w = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    assert np.allclose(M @ core.real_coords(w), core.real_coords(A @ w))
     # the real representation intertwines J with multiplication by i
     J = core.standard_J(3)
     assert np.allclose(M @ J, J @ M)
@@ -129,9 +131,6 @@ def test_coordinate_layout_matches_loops(m):
     A = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     M = core.complex_matrix_to_real(A)
     assert np.array_equal(M, _loop_matrix_to_real(A))
-    back = np.array([[M[2 * j, 2 * k] + 1j * M[2 * j + 1, 2 * k]
-                      for k in range(m)] for j in range(m)])
-    assert np.array_equal(core.real_matrix_to_complex(M), back)
     # bitwise, so no entry of the Kahler form is a negative zero
     W = core.standard_cy_package(m).kahler_form
     assert W.tobytes() == _loop_kahler_form(m).tobytes()
@@ -146,26 +145,57 @@ def test_coordinate_layout_matches_loops(m):
 def test_moment_map_constant_on_invariant_torus():
     # the diagonal U(1)^2 subgroup of SU(3) preserves the torus
     # |z_1| = |z_2| = |z_3| = r and its moment map is constant there
-    action = core.su_diagonal_action(3, (1, -1, 0))
     rng = np.random.default_rng(1)
     r = 1.3
     pts = r * np.exp(1j * rng.uniform(0, 2 * np.pi, (64, 3)))
-    vals = core.moment_map_values(action, pts)
+    vals = core.moment_map_values((1, -1, 0), pts)
+    assert vals.shape == (64,)
     assert np.max(np.abs(vals - vals[0])) < 1e-12
+    # a stack (..., m) gives one value per point, the same ones
+    stacked = core.moment_map_values((1, -1, 0), pts.reshape(8, 8, 3))
+    assert np.array_equal(stacked, vals.reshape(8, 8))
 
 
 def test_moment_map_separates_radii():
-    action = core.su_diagonal_action(2, (1, -1))
-    v1 = core.moment_map_values(action, np.array([1.0 + 0j, 0.5 + 0j]))[0, 0]
-    v2 = core.moment_map_values(action, np.array([0.5 + 0j, 1.0 + 0j]))[0, 0]
+    v1 = core.moment_map_values((1, -1), np.array([1.0 + 0j, 0.5 + 0j]))
+    v2 = core.moment_map_values((1, -1), np.array([0.5 + 0j, 1.0 + 0j]))
     # the Hamiltonian is |z1|^2 - |z2|^2
     assert abs(v1 - 0.75) < 1e-12
     assert abs(v2 + 0.75) < 1e-12
 
 
 def test_invalid_action_rejected():
-    with pytest.raises(core.InvalidActionError):
-        core.su_diagonal_action(2, (1, 1))  # not traceless
+    with pytest.raises(core.InvalidActionError, match="sum to zero"):
+        core.moment_map_values((1, 1), np.ones((4, 2)))  # not traceless
+
+
+_PLANE = np.eye(2, 4)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: core.standard_cy_package(2.0), core.InvalidDimensionError,
+     "integer >= 1"),
+    (lambda: core.standard_cy_package(2).holomorphic_volume(np.zeros((3, 4))),
+     ValueError, "expected 2 vectors in R"),
+    (lambda: core.TangentPlane(2, np.zeros((2, 3))), ValueError,
+     "m vectors in R"),
+    (lambda: core.TangentPlane(2, _PLANE, orientation=0), ValueError,
+     "orientation must be"),
+    (lambda: core.plane_defects(np.zeros((2, 4))), ValueError, "shape"),
+    (lambda: core.plane_defects(np.zeros((1, 2, 3))), ValueError, "shape"),
+    (lambda: core.sl_defect(core.TangentPlane(2, _PLANE),
+                            core.standard_cy_package(3)),
+     ValueError, "dimensions differ"),
+    (lambda: core.calibration_defect(core.TangentPlane(3, np.eye(3, 6)),
+                                     core.standard_cy_package(2)),
+     ValueError, "dimensions differ"),
+] + [(lambda tol=tol: core.is_sl_plane(core.TangentPlane(2, _PLANE),
+                                       core.standard_cy_package(2), tol=tol),
+      ValueError, "tol must be positive and finite")
+     for tol in (0.0, -1e-10, np.nan, np.inf)])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_random_su_matrix_is_special_unitary():

@@ -201,6 +201,40 @@ def test_nonpositive_dt_rejected(dt):
     assert surf.times == [0.0]
 
 
+def _surface_at(state_of_verts, dt=0.01):
+    base = evolution.EvolvingSurface.sphere(1, dt=dt)
+    return evolution.EvolvingSurface(base.verts, base.faces, base.D1, base.D2,
+                                     states=[state_of_verts(base.verts)],
+                                     times=[0.0], dt=dt)
+
+
+def _nan_state(v):
+    return np.full(v.shape, np.nan + 0j)
+
+
+def _underflow_state(v):
+    # r = 2e-12 and theta = 1e-290 pass the range checks, but every
+    # r^3 sin(3 theta) underflows to 0
+    return 2e-12 * np.exp(1e-290j) * v
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: evolution.EvolvingSurface.sphere(1, scale=0.0),
+     evolution.InvalidChiError, "bivector vanishes"),
+    # a NaN state never meets the drift budget, so dt is halved away
+    (lambda: evolution.evolve_step(_surface_at(_nan_state)),
+     evolution.StepRejectedError, "drift budget unattainable"),
+    (lambda: evolution.compare_so3(_surface_at(_underflow_state)),
+     evolution.NoMatchError, "constant is nonpositive"),
+] + [(lambda dt=dt: evolution.EvolvingSurface.sphere(1, dt=dt), ValueError,
+      "dt must be positive and finite") for dt in (np.nan, np.inf)]
+  + [(lambda t=t: evolution.evolve_run(_surface_at(lambda v: v + 0j), t),
+      ValueError, "t_end must be finite") for t in (np.nan, np.inf, -np.inf)])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def _reference_drift(faces, state):
     p0 = state[faces[:, 0]]
     om = np.imag(np.sum(np.conj(state[faces[:, 1]] - p0)

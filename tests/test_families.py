@@ -69,6 +69,36 @@ def test_family_parameter_validation():
         families.ModelFamily("quadric_L", {"a1": 2, "a2": 4, "c": 1.0})
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: families.ModelFamily("nope"), ValueError, "unknown family"),
+    (lambda: families.ModelFamily("branched_leading",
+                                  {"u": [1, 0, 0], "v": [2, 0, 0]}),
+     families.ParameterRangeError, "linearly independent"),
+    (lambda: families.ModelFamily("branched_leading",
+                                  {"u": [1, 0, 0], "v": [1j, 1, 0]}),
+     families.ParameterRangeError, "omega"),
+    (lambda: families.ac_decay_rate(families.ModelFamily("quadric_L"), [8.0]),
+     ValueError, "no decay model"),
+    (lambda: families.legendrian_index_flat_torus(np.eye(3), 3), ValueError,
+     "symmetric 2x2"),
+    (lambda: families.legendrian_index_flat_torus([[1, 0.5], [0, 1]], 3),
+     ValueError, "symmetric 2x2"),
+    (lambda: families.legendrian_index_flat_torus(np.diag([1.0, -1.0]), 3),
+     ValueError, "positive definite"),
+    (lambda: families.lower_bound_lind(-1, 0, 3), ValueError, "nonnegative"),
+    (lambda: families.lower_bound_lind(0, -2, 3), ValueError, "nonnegative"),
+    (lambda: families.ci_moduli_dimension(5, []), ValueError,
+     "at least one degree"),
+    (lambda: families.ci_moduli_dimension(6, [2, 3]), ValueError,
+     "mixed degrees"),
+] + [(lambda name=name, t=t: families.ModelFamily(name, {"t": t}),
+      families.ParameterRangeError, "t must be positive and finite")
+     for name in ("hl_Lt", "so3_Lt") for t in (0.0, np.nan, np.inf)])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_branched_truncation_bound():
     # remainder bound 3 s^2 + 2 s^3 for a patch of size s; slope >= 2
     s = np.array([0.1, 0.05, 0.025])

@@ -35,6 +35,14 @@ def test_explicit_fiber_round_trip_and_sl(a, b):
     assert rec.sl_residual_max < 1e-10
 
 
+@pytest.mark.parametrize("a, b", [(np.nan, 0.3), (np.inf, 0.3),
+                                  (0.5, complex(np.nan, 0.0)),
+                                  (0.5, complex(0.0, -np.inf))])
+def test_explicit_fiber_rejects_nonfinite_level(a, b):
+    with pytest.raises(ValueError, match="a and b must be finite"):
+        fib.explicit_F_fiber(a, b)
+
+
 def test_explicit_fiber_topology_transition():
     labels = [fib.explicit_F_fiber(a, 0.3).topology
               for a in (-0.5, 0.0, 0.5)]
@@ -134,6 +142,13 @@ def test_hl_level_values_round_trip():
         assert abs(vals[0] - 1.0) < 1e-10
         assert abs(vals[1] + 0.5) < 1e-10
         assert abs(vals[2] - 0.3) < 1e-10
+
+
+@pytest.mark.parametrize("level", [(1.0, 1.0, 100.0), (0.5, -0.5, -10.0)])
+def test_hl_empty_level_rejected(level):
+    # |c| exceeds r1 r2 rho at every sampled rho (at most 10 and 9.5)
+    with pytest.raises(fib.EmptyFiberError, match="no points"):
+        fib.classify_fiber_hl(*level)
 
 
 @pytest.mark.parametrize("level", [(-0.3, 0.2, 0.05), (0.2, -0.3, 0.0)])

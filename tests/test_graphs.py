@@ -63,6 +63,25 @@ def test_out_of_stencil_rejected():
         graphs.hessian(f, (0, 2))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: graphs.GraphPotential(2), "exactly one of values or func"),
+    (lambda: graphs.GraphPotential(2, values=np.zeros((3, 3)), spacing=0.1,
+                                   func=lambda x: 0.0),
+     "exactly one of values or func"),
+    (lambda: graphs.GraphPotential(3, values=np.zeros((3, 3)), spacing=0.1),
+     "dimensionality does not match m"),
+    (lambda: graphs.GraphPotential(2, values=np.full((3, 3), np.inf),
+                                   spacing=0.1), "non-finite samples"),
+    (lambda: graphs.residual_symmetric_form(np.eye(5)), "m <= 4"),
+] + [(lambda h=h: graphs.GraphPotential(2, values=np.zeros((3, 3)),
+                                        spacing=(0.1, h)),
+      "spacing must be positive and finite")
+     for h in (0.0, -0.1, np.nan, np.inf)])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_linearization_cubic_gap():
     # for m = 3 the residual minus its linearization is exactly the cubic
     # term eps^3 det(Hess f), so the gap decays with log-log slope 3

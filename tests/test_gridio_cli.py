@@ -14,11 +14,11 @@ from slgeo import cli, fibrations, gridio, u1
 from slgeo.core import real_coords
 
 
-def _run_cli(args):
+def _run_cli(args, timeout=300):
     proc = subprocess.run([sys.executable, "-c",
                            "import sys; from slgeo.cli import main; "
                            "sys.exit(main(sys.argv[1:]))"] + list(args),
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=timeout)
     return proc
 
 
@@ -53,6 +53,43 @@ def test_malformed_header_rejected(tmp_path):
     path.write_text("# not-a-grid-header\n1,2\n")
     with pytest.raises(gridio.GridFormatError):
         gridio.read_grid(path)
+
+
+_HEADER = "# slgeo-grid v1, 2, 2, 0, 0, 0.5, 0.5, 0\n"
+
+
+def test_blank_payload_lines_skipped(tmp_path):
+    path = tmp_path / "gaps.csv"
+    path.write_text(_HEADER + "1, 2\n\n3, 4\n\n")
+    assert np.array_equal(gridio.read_grid(path).values, [[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("# slgeo-grid v1, 2, 2, 0, 0, 0.5, 0.5\n1, 2\n3, 4\n",
+     gridio.GridFormatError, "header must carry"),
+    (_HEADER + "1, 2\n", gridio.GridFormatError, "does not match header"),
+    (_HEADER + "1, 2, 3\n4, 5, 6\n", gridio.GridFormatError,
+     "does not match header"),
+    ("# slgeo-grid v1, 2, 2, 0, 0, nan, 0.5, 0\n1, 2\n3, 4\n", ValueError,
+     "spacing must be positive and finite"),
+], ids=["short-header", "missing-row", "extra-column", "nan-spacing"])
+def test_read_grid_guards(tmp_path, text, error, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        gridio.read_grid(path)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: gridio.GridField(np.zeros(4), 0.0, 0.0, 0.5, 0.5), "must be 2D"),
+    (lambda: gridio.GridField(np.zeros((2, 2)), 0.0, 0.0, 0.5, 0.5,
+                              mask=np.ones((2, 3))), "mask shape mismatch"),
+] + [(lambda h=h: gridio.GridField(np.zeros((2, 2)), 0.0, 0.0, 0.5, h),
+      "spacing must be positive and finite")
+     for h in (0.0, -0.5, np.nan, np.inf)])
+def test_grid_field_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_cli_reports_are_deterministic():
@@ -184,7 +221,26 @@ def test_cli_exit_codes():
                  ["solve-u1", "--out-grid", "sol.npz"]):
         p = _run_cli(args)
         assert p.returncode == 2
-        assert p.stderr.strip()
+        assert p.stderr.strip() and "Traceback" not in p.stderr
+    # NaN and infinite numbers -> 2 with the guard's message; the timeout
+    # bounds a run that would not end (a step toward t_end = inf)
+    for args, message in (
+            (["solve-u1", "--a", "nan", "--grid-n", "17"], "a must be finite"),
+            (["solve-u1", "--a", "inf"], "a must be finite"),
+            (["solve-u1", "--tol", "nan"], "tol must be positive and finite"),
+            (["solve-calabi", "--tol", "nan", "--grid", "8"],
+             "tol must be positive and finite"),
+            (["verify", "--example", "hl-lt", "--t", "nan"],
+             "t must be positive and finite"),
+            (["evolve", "--t-end", "nan"], "t_end must be finite"),
+            (["evolve", "--t-end", "inf"], "t_end must be finite"),
+            (["evolve", "--dt", "inf"], "dt must be positive and finite"),
+            (["fibration", "--a", "nan"], "a and b must be finite"),
+            (["fibration", "--b", "nan+0j", "--scan"],
+             "a and b must be finite")):
+        p = _run_cli(args, timeout=60)
+        assert p.returncode == 2
+        assert message in p.stderr and "Traceback" not in p.stderr
 
 
 def _readme_commands():

@@ -438,6 +438,30 @@ def test_invalid_tol_rejected():
         u1.solve_dirichlet(phi, 1.0, _disc(33), tol=0.0)
 
 
+def _zero_data(x, y):
+    return np.zeros_like(x)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: u1.ConvexDomain("square"), "kind must be disc or ellipse"),
+    (lambda: u1.ConvexDomain("disc", n=15), "resolution must be >= 17"),
+    (lambda: u1.solve_dirichlet(u1.BoundaryData(
+        lambda x, y: np.where(x > 0.5, np.nan, 0.0)), 1.0, _disc(17)),
+     "boundary data must be finite"),
+] + [(lambda r=r: u1.ConvexDomain("disc", rx=r),
+      "radii must be positive and finite") for r in (0.0, -1.0, np.nan, np.inf)]
+  + [(lambda r=r: u1.ConvexDomain("ellipse", rx=1.0, ry=r),
+      "radii must be positive and finite") for r in (0.0, np.nan, np.inf)]
+  + [(lambda tol=tol: u1.solve_dirichlet(u1.BoundaryData(_zero_data), 1.0,
+                                         _disc(17), tol=tol),
+      "tol must be positive and finite") for tol in (np.nan, np.inf)]
+  + [(lambda a=a: u1.solve_dirichlet(u1.BoundaryData(_zero_data), a, _disc(17)),
+      "a must be finite") for a in (np.nan, np.inf, -np.inf)])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def _full_newton(phi, a, dom, tol, max_newton=40, damping_min=2.0 ** -20):
     """Reference damped Newton: harmonic-extension start, a fresh spsolve
     of the Jacobian at every step and the solver's line search."""
