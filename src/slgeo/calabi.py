@@ -11,19 +11,18 @@ place of a; a step whose record does not stop "converged" is halved.
 The nodewise volume ratio is det(I + H) with H_{jk} = 2 phi_{z_j zbar_k};
 for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  One
 stencil computes H for the operator, the Ricci form and the Newton loop:
-it pads the field once by wrapping and cuts axis 0 into slabs of a few
-planes, taking every difference from slices and forming |H12|^2 as
-re^2 + im^2 in place, so each slab's arrays stay in cache.  The slabs run
-on the process's CPUs, one thread each, as the FFT does; they write
-disjoint rows and their minima are taken after the join, so results do
-not depend on the thread count.  Ricci forms of volume ratios are
+it cuts axis 0 into slabs of a few planes, wraps each slab's halo into
+per-thread scratch and takes every difference from slices, forming
+|H12|^2 as re^2 + im^2 in place, so each slab's arrays stay in cache.  The
+slabs run on the process's CPUs, one thread each, as the FFT does; they
+write disjoint rows and their minima are taken after the join, so results
+do not depend on the thread count.  Ricci forms of volume ratios are
 computed as -i ddbar log f, and the radial Ricci-flat profile on C^2
 integrates f'(f' + u f'') = 1.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -102,18 +101,17 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _hessian_slab(P: np.ndarray, lo: int, planes: int, h: float, scratch):
-    """Complex Hessian H_{jk} = 2 v_{z_j zbar_k} on the axis-0 planes lo to
-    lo + planes of the samples v, from their wrap-padded copy P.
+def _hessian_slab(S: np.ndarray, h: float, scratch):
+    """Complex Hessian H_{jk} = 2 v_{z_j zbar_k} on the inner planes of S, a
+    slab of samples v wrapped with one halo node on each side of every axis.
 
-    Takes every difference from slices of P, in real arithmetic, and writes
+    Takes every difference from slices of S, in real arithmetic, and writes
     into the leading planes of the scratch arrays: H11, and for m = 2 H22,
-    re, im and the first differences along axes 0 and 1.  Returns (rows,
-    H11, H22, re, im), views on the nodes v[rows] with H12 = re + i im;
-    H22, re and im are None for m = 1.
+    re, im and the first differences along axes 0 and 1.  Returns (H11,
+    H22, re, im), views on the slab's nodes with H12 = re + i im; H22, re
+    and im are None for m = 1.
     """
-    S = P[lo:lo + planes + 2]     # the slab and a halo plane each side
-    k, n, dims = S.shape[0] - 2, P.shape[1] - 2, P.ndim
+    k, n, dims = S.shape[0] - 2, S.shape[1] - 2, S.ndim
     c = slice(1, n + 1)
 
     def at(ax, d):
@@ -133,7 +131,7 @@ def _hessian_slab(P: np.ndarray, lo: int, planes: int, h: float, scratch):
 
     H11 = half_laplacian((0, 1), scratch[0][:k])
     if dims == 2:
-        return slice(lo, lo + k), H11, None, None, None
+        return H11, None, None, None
     H22, re, im, d0, d1 = (a[:k] for a in scratch[1:])
     half_laplacian((2, 3), H22)
     # first differences along axes 0 and 1, on the halo of axes 2 and 3
@@ -149,52 +147,51 @@ def _hessian_slab(P: np.ndarray, lo: int, planes: int, h: float, scratch):
     im -= d1[:, :, 2:, c]
     im += d1[:, :, :-2, c]
     im *= s
-    return slice(lo, lo + k), H11, H22, re, im
+    return H11, H22, re, im
 
 
-def _map_slabs(v: np.ndarray, h: float, func) -> np.ndarray:
+def _map_slabs(v: np.ndarray, h: float, func, log: bool = False):
     """func(rows, H11, H22, re, im) on each slab of SLAB_NODES // v[0].size
-    axis-0 planes of the complex Hessian of periodic samples v (see
-    :func:`_hessian_slab`); returns the values func returned.
+    axis-0 planes of the complex Hessian of periodic samples v, or of log v
+    if log is set (see :func:`_hessian_slab`); returns the values func
+    returned.
 
-    Pads v once by wrapping.  The slabs are dealt in turn to one thread per
-    CPU, no more threads than slabs, each with its own scratch, allocated
-    here; numpy releases the GIL inside the slab arithmetic.  func must
-    write only the rows it is given, so the results do not depend on the
-    thread count.  The threads end before this returns.
+    The slabs are dealt in turn to one thread per CPU, no more threads than
+    slabs, each with its own scratch, allocated here, into which it wraps
+    each slab and its halo from v: no padded copy of the grid exists.  func
+    must write only the rows it is given, so the results do not depend on
+    the thread count.  The threads end before this returns.
     """
     n = v.shape[0]
     planes = min(n, max(1, SLAB_NODES // v[0].size))
-    P = np.pad(v, 1, mode="wrap")
     starts = range(0, n, planes)
     workers = min(len(starts), _cpus())
     slab = (planes,) + v.shape[1:]
-    layout = [slab] if v.ndim == 2 else (
-        [slab] * 4 + [slab[:2] + P.shape[2:]] * 2)
+    wide = tuple(s + 2 for s in slab)       # the slab and its halo
+    layout = [wide, slab] if v.ndim == 2 else (
+        [wide] + [slab] * 4 + [slab[:2] + wide[2:]] * 2)
     scratch = [[np.empty(s) for s in layout] for _ in range(workers)]
+    inner = (slice(1, -1),) * (v.ndim - 1)
 
     def walk(first):
-        return [func(*_hessian_slab(P, lo, planes, h, scratch[first]))
-                for lo in starts[first::workers]]
+        wrapped, *rest = scratch[first]
+        out = []
+        for lo in starts[first::workers]:
+            k = min(planes, n - lo)
+            S = wrapped[:k + 2]
+            for i in range(k + 2):
+                S[(i,) + inner] = v[(lo - 1 + i) % n]
+            for ax in range(1, v.ndim):     # then the faces, corners too
+                T = S.swapaxes(0, ax)
+                T[0], T[-1] = T[-2], T[1]
+            if log:
+                np.log(S, out=S)
+            out.append(func(slice(lo, lo + k), *_hessian_slab(S, h, rest)))
+        return out
 
     with ThreadPoolExecutor(workers) as pool:
         return np.array([r for rs in pool.map(walk, range(workers))
                          for r in rs])
-
-
-def _complex_hessian(phi: TorusField):
-    """H_{jk} = 2 phi_{z_j zbar_k}; returns (H11, H22, H12) real/complex
-    arrays (H22, H12 are None for m = 1)."""
-    H = [np.empty_like(phi.values) for _ in range(1 if phi.m == 1 else 4)]
-
-    def slab(rows, *parts):     # H11, H22, re, im
-        for out, part in zip(H, parts):
-            out[rows] = part
-
-    _map_slabs(phi.values, phi.h, slab)
-    if phi.m == 1:
-        return H[0], None, None
-    return H[0], H[1], H[2] + 1j * H[3]
 
 
 def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
@@ -238,24 +235,18 @@ def normalize_source(f: TorusField) -> TorusField:
 
 def _poisson_solve(rhs: np.ndarray, h: float) -> np.ndarray:
     """Zero-mean solution of the 2nd-order-difference Laplace equation
-    Delta s = rhs on the periodic grid, via FFT with the FD symbol."""
+    Delta s = rhs on the periodic grid, via FFT with the FD symbol, formed
+    one axis-0 plane of the half-spectrum at a time."""
+    n, dims = rhs.shape[0], rhs.ndim
+    sym1 = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / h ** 2
+    rest = np.ix_(*[sym1] * (dims - 2), sym1[:n // 2 + 1])
     rhat = _fft.rfftn(rhs, workers=-1)
-    rhat *= _inverse_symbol(rhs.shape[0], rhs.ndim, h)
+    for i, plane in enumerate(rhat):
+        symbol = sum(rest, sym1[i])
+        if i == 0:
+            symbol.flat[0] = np.inf     # the constant mode, mapped to 0
+        plane *= np.divide(1.0, symbol, out=symbol)
     return _fft.irfftn(rhat, s=rhs.shape, workers=-1, overwrite_x=True)
-
-
-@functools.lru_cache(maxsize=1)
-def _inverse_symbol(n: int, dims: int, h: float) -> np.ndarray:
-    """1 / (FD Laplacian symbol) in the rfftn half-spectrum shape, 0 on the
-    constant mode; read-only, since every solve on the grid shares it."""
-    k = np.arange(n)
-    sym1 = (2.0 * np.cos(2.0 * np.pi * k / n) - 2.0) / h ** 2
-    symbol = sum(np.ix_(*[sym1] * (dims - 1), sym1[:n // 2 + 1]))
-    symbol.flat[0] = 1.0        # the constant mode, mapped to 0 below
-    inverse = 1.0 / symbol
-    inverse.flat[0] = 0.0
-    inverse.flags.writeable = False
-    return inverse
 
 
 @dataclass
@@ -285,8 +276,10 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
 
     Each step runs damped quasi-Newton with the flat-Laplacian
     preconditioner (exact Jacobian for m = 1, so that case is a single
-    linear solve per step).  A step whose Newton solve fails is halved;
-    after each accepted step the step length doubles again, up to 1 / t_steps.
+    linear solve per step).  A step whose Newton solve fails is halved: its
+    record stops "damping underflow" (no step down to 2^-12 lowered the
+    residual) or "max iterations".  After each accepted step the step
+    length doubles again, up to 1 / t_steps.
 
     The additive constant c_t is determined discretely from the
     solvability condition mean(det(I + H)) = mean(e^{t f + c_t}): for
@@ -296,30 +289,61 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     updated from the current iterate.  The reported c_values and
     residual use the discrete constant.
 
-    The solve works in one block of eight grid-size arrays: beyond it, an
-    iteration allocates only the FFT's arrays and the stencil's padded copy
-    and per-thread scratch.
+    The solve works in one block of four grid-size arrays: the accepted
+    iterate, the Newton iterate, its line-search candidate and det(I + H)
+    of the last iterate evaluated.  The residual is never stored: -2 times
+    it goes into the candidate's array as the FFT's input.  A failed step
+    restarts from the accepted iterate and recomputes its det(I + H).  The
+    Newton step the FFT returns is kept until the next one is returned,
+    across continuity steps too: freeing it sooner let the heap give the
+    FFT's memory back to the system and fault it in again every iteration.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if t_steps < 1:
         raise ValueError("t_steps must be at least 1")
     path = ContinuityPath(f=f)
-    work = np.empty((8,) + f.values.shape)
-    # the accepted iterate and its det(I + H); the trial iterate of a step
-    phi, det, trial_phi, trial_det = work[:4]
-    phi[...] = 0.0
+    phi, trial, cand, det = np.zeros((4,) + f.values.shape)
     _volume_ratio(phi, f.h, det)
     t = 0.0
     dt = 1.0 / t_steps
     while t < 1.0 - 1e-14:
         t_next = min(1.0, t + dt)
-        np.copyto(trial_phi, phi)
-        np.copyto(trial_det, det)
-        ct, rec = _newton_step(trial_phi, trial_det, work[4:], f, t_next,
-                               tol, max_newton)
+        np.copyto(trial, phi)
+        level = np.mean(np.exp(np.multiply(f.values, t_next, out=cand),
+                               out=cand))
+        s, rnorm = _residual(det, f, t_next, level)
+        rec = NewtonRecord(t_next, [rnorm])
+        while rnorm > tol and len(rec.step_lengths) < max_newton:
+            _residual(det, f, t_next, level, rhs=cand)
+            step = _poisson_solve(cand, f.h)
+            lam = 1.0
+            while lam >= 2.0 ** -12:
+                np.add(trial, np.multiply(step, lam, out=cand), out=cand)
+                cand -= np.mean(cand)
+                try:
+                    _volume_ratio(cand, f.h, det)
+                except NonKahlerIterateError:
+                    lam *= 0.5
+                    continue
+                sc, cnorm = _residual(det, f, t_next, level)
+                if cnorm < rnorm:
+                    trial, cand = cand, trial
+                    rnorm, s = cnorm, sc
+                    rec.residuals.append(rnorm)
+                    rec.step_lengths.append(lam)
+                    break
+                lam *= 0.5
+            else:
+                rec.step_lengths.append(0.0)
+                rec.residuals.append(rnorm)
+                rec.stop = "damping underflow"
+                break
+        rec.stop = rec.stop or ("converged" if rnorm <= tol
+                                else "max iterations")
         path.trace.append(rec)
         if rec.stop != "converged":
+            _volume_ratio(phi, f.h, det)    # roll back to the accepted phi
             path.halvings.append((t, t_next - t, rec.stop))
             dt = 0.5 * (t_next - t)
             if dt < 1e-4:
@@ -327,70 +351,36 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                     "continuity path stalled at t = %.6f: %s at residual %.3e"
                     % (t, rec.stop, rec.residuals[-1]), t, path)
             continue
-        phi, det, trial_phi, trial_det = trial_phi, trial_det, phi, det
+        phi, trial = trial, phi
         t = t_next
         path.steps.append(t)
-        path.c_values.append(ct)
+        path.c_values.append(float(np.log(s)))
         path.newton_iters.append(len(rec.step_lengths))
         dt = min(2.0 * dt, 1.0 / t_steps)
+    step = None     # before the copy, so the heap can shrink first
     path.phi = TorusField(f.m, phi.copy())
-    base = np.exp(f.values, out=work[4])
-    R, _ = _discrete_residual(det, base, np.mean(base), work[5])
-    path.residual = float(np.maximum(R.max(), -R.min()))
+    level = np.mean(np.exp(f.values, out=cand))
+    _, path.residual = _residual(det, f, 1.0, level)
     return path
 
 
-def _discrete_residual(det, base, base_mean, out):
-    """Residual det(I + H) - e^{t f + c}, into out, with c fixed by the
-    grid-mean solvability condition; zero grid mean by construction."""
-    s = np.mean(det) / base_mean
-    return np.subtract(det, np.multiply(base, s, out=out), out=out), s
-
-
-def _newton_step(phi, det, scratch, f: TorusField, t, tol, max_newton):
-    """Damped quasi-Newton solve at level t from the iterate phi and its
-    det(I + H), which it overwrites with the accepted ones; scratch holds
-    four more grid-size arrays.
-
-    Returns c_t of the last accepted iterate and the solve's NewtonRecord;
-    a failed solve raises nothing: its record stops "damping underflow" (no
-    step down to 2^-12 lowered the residual) or "max iterations".
-    """
-    phi0 = phi
-    R, cand, step, base = scratch
-    base_mean = np.mean(np.exp(np.multiply(f.values, t, out=base), out=base))
-    R, s = _discrete_residual(det, base, base_mean, R)
-    rnorm = float(np.maximum(R.max(), -R.min()))     # max |R|, no |R| array
-    rec = NewtonRecord(t, [rnorm])
-    while rnorm > tol and len(rec.step_lengths) < max_newton:
-        step[...] = _poisson_solve(np.multiply(R, -2.0, out=cand), f.h)
-        lam = 1.0
-        while lam >= 2.0 ** -12:
-            np.add(phi, np.multiply(step, lam, out=cand), out=cand)
-            cand -= np.mean(cand)
-            try:    # det and R are free once the step is computed
-                _volume_ratio(cand, f.h, det)
-            except NonKahlerIterateError:
-                lam *= 0.5
-                continue
-            _, sc = _discrete_residual(det, base, base_mean, R)
-            cnorm = float(np.maximum(R.max(), -R.min()))
-            if cnorm < rnorm:
-                phi, cand = cand, phi
-                rnorm, s = cnorm, sc
-                rec.residuals.append(rnorm)
-                rec.step_lengths.append(lam)
-                break
-            lam *= 0.5
-        else:
-            rec.step_lengths.append(0.0)
-            rec.residuals.append(rnorm)
-            rec.stop = "damping underflow"
-            break
-    rec.stop = rec.stop or ("converged" if rnorm <= tol else "max iterations")
-    if phi is not phi0:
-        np.copyto(phi0, phi)
-    return float(np.log(s)), rec
+def _residual(det, f: TorusField, t, level, rhs=None):
+    """s = mean(det) / level, level the grid mean of e^{t f}, and the max
+    norm of the residual det - s e^{t f}, formed in slabs of axis-0 planes
+    as the stencil's; with rhs, also writes -2 times the residual there."""
+    s = np.mean(det) / level
+    planes = max(1, SLAB_NODES // det[0].size)
+    scratch = np.empty((planes,) + det.shape[1:])
+    hi, lo = -np.inf, np.inf
+    for start in range(0, len(det), planes):
+        rows = slice(start, start + planes)
+        r = scratch[:len(det[rows])]
+        np.exp(np.multiply(f.values[rows], t, out=r), out=r)
+        np.subtract(det[rows], np.multiply(r, s, out=r), out=r)
+        hi, lo = max(hi, r.max()), min(lo, r.min())
+        if rhs is not None:
+            np.multiply(r, -2.0, out=rhs[rows])
+    return s, float(max(hi, -lo))
 
 
 def poisson_reference_solution(f: TorusField) -> TorusField:
@@ -420,10 +410,14 @@ def ricci_form(ratio: TorusField):
     vals = ratio.values
     if np.min(vals) <= 0.0:
         raise InvalidVolumeError("volume ratio must be positive")
-    logf = np.log(vals)
     if ratio.m == 1:
-        H11, _, _ = _complex_hessian(TorusField(1, logf))
-        return -H11, 0.0  # -2 (log f)_{z zbar} = -Laplacian(log f) / 2
+        coeff = np.empty_like(vals)
+
+        def slab(rows, H11, *_):    # -2 (log f)_{z zbar} = -Lap(log f) / 2
+            np.negative(H11, out=coeff[rows])
+
+        _map_slabs(vals, ratio.h, slab, log=True)
+        return coeff, 0.0
     rho = np.empty(vals.shape + (2, 2), dtype=complex)
     r = rho.view(float)  # (..., 2, 4): row j is Re, Im of rho_{j0}, rho_{j1}
 
@@ -441,7 +435,7 @@ def ricci_form(ratio: TorusField):
         np.add(q[..., 0, 3], q[..., 1, 1], out=im)
         return np.max(np.hypot(re, im, out=re))
 
-    residual = float(np.max(_map_slabs(logf, ratio.h, slab)))
+    residual = float(np.max(_map_slabs(vals, ratio.h, slab, log=True)))
     return rho, residual
 
 

@@ -83,6 +83,8 @@ def _write_cloud_csv(path, points):
 
 def _cmd_verify(args):
     from . import families
+    if not 0 < args.tol < np.inf:
+        raise ValueError("tol must be positive and finite, got %r" % args.tol)
     params = {"hl-lt": {"t": args.t}, "so3": {"t": args.t},
               "quadric": {"a1": 1, "a2": 2, "c": 1.0}}.get(args.example, {})
     fam = families.ModelFamily(EXAMPLES[args.example], params)

@@ -75,14 +75,17 @@ class ModelFamily:
     extra: dict = field(default_factory=dict)
 
     _NAMES = ("hl_cone_L0", "hl_Lt", "so3_Lt", "quadric_L", "branched_leading")
+    # the largest t: L_t = t L_1, and plane volumes grow like t^3
+    T_MAX = np.finfo(float).max ** 0.25
 
     def __post_init__(self):
         if self.name not in self._NAMES:
             raise ValueError("unknown family %r" % self.name)
         if self.name in ("hl_Lt", "so3_Lt"):
             t = self.extra.get("t", 1.0)
-            if not 0 < t < np.inf:
-                raise ParameterRangeError("t must be positive and finite")
+            if not 0 < t <= self.T_MAX:
+                raise ParameterRangeError(
+                    "t must be positive and finite, at most %.3g" % self.T_MAX)
             self.extra["t"] = float(t)
         if self.name == "quadric_L":
             a1 = int(self.extra.get("a1", 1))

@@ -232,8 +232,8 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    if not np.isfinite(a):
-        raise ValueError("a must be finite, got %r" % (a,))
+    if not abs(a) <= np.sqrt(np.finfo(float).max):
+        raise ValueError("a must be finite with a finite square, got %r" % (a,))
     ops = _direction_ops(domain, phi)
     fv, prev, trace = initial, None, []
     for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:

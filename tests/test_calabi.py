@@ -3,6 +3,7 @@ Ricci-flat profile."""
 
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -28,6 +29,21 @@ def _roll_hessian(v, h):
     s = 0.5 / (4.0 * h * h)
     H12 = s * (mix(0, 2) + mix(1, 3)) + 1j * s * (mix(0, 3) - mix(1, 2))
     return 0.5 * (d2(0) + d2(1)), 0.5 * (d2(2) + d2(3)), H12
+
+
+def _hessian(phi):
+    """(H11, H22, H12) of a TorusField from the slab stencil, as whole
+    arrays; H22 and H12 are None for m = 1."""
+    H = [np.empty_like(phi.values) for _ in range(1 if phi.m == 1 else 4)]
+
+    def slab(rows, *parts):     # H11, H22, re, im
+        for out, part in zip(H, parts):
+            out[rows] = part
+
+    calabi._map_slabs(phi.values, phi.h, slab)
+    if phi.m == 1:
+        return H[0], None, None
+    return H[0], H[1], H[2] + 1j * H[3]
 
 
 def _unchecked_ratio(v, h):
@@ -111,7 +127,7 @@ def _wave(n):
                                                   (_wave, True)])
 def test_positivity_guard_m2(field, h11_positive, planes):
     phi = field(16)
-    H11, _, _ = calabi._complex_hessian(phi)
+    H11, _, _ = _hessian(phi)
     ratio = _unchecked_ratio(phi.values, phi.h)
     assert (np.min(1.0 + H11) > 0.0) == h11_positive
     assert (np.min(ratio) > 0.0) != h11_positive
@@ -135,7 +151,7 @@ def test_slab_stencil_matches_roll_reference(n, planes, seed, scale):
     slab_nodes = calabi.SLAB_NODES if planes is None else planes * n ** 3
     with mock.patch.object(calabi, "SLAB_NODES", slab_nodes):
         ratio = _unchecked_ratio(v, h)
-        hess = calabi._complex_hessian(calabi.TorusField(2, v))
+        hess = _hessian(calabi.TorusField(2, v))
         rho, residual = calabi.ricci_form(calabi.TorusField(2, np.exp(v)))
     H11, H22, H12 = _roll_hessian(v, h)
     tol = 64 * EPS * (1.0 + np.max(np.abs(v))) / h ** 2
@@ -157,8 +173,9 @@ def _stencil_outputs(v):
     """Everything the slab stencil computes from the samples v."""
     f = calabi.TorusField(v.ndim // 2, v)
     outputs = (_unchecked_ratio(v, f.h),
+               calabi.ma_operator(calabi.TorusField(f.m, 0.1 * v)).values,
                *calabi.ricci_form(calabi.TorusField(f.m, np.exp(v))),
-               *calabi._complex_hessian(f))
+               *_hessian(f))
     return [np.asarray(a) for a in outputs if a is not None]
 
 
@@ -190,6 +207,52 @@ def test_stencil_bitwise_independent_of_workers(m, n, planes, cpus):
     assert len(got) == len(ref)
     for a, b in zip(got, ref):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(1, 12), (2, 7), (2, 16)])
+def test_ricci_form_bitwise_whole_grid_log(m, n):
+    # log f taken on each wrapped slab gives the Hessian of the whole-grid
+    # log f, bit for bit
+    h = 2.0 * np.pi / n
+    ratio = np.exp(h * h * np.random.default_rng(n).uniform(-1, 1,
+                                                            (n,) * (2 * m)))
+    rho, _ = calabi.ricci_form(calabi.TorusField(m, ratio))
+    H11, H22, H12 = _hessian(calabi.TorusField(m, np.log(ratio)))
+    if m == 1:
+        assert rho.tobytes() == (-H11).tobytes()
+        return
+    for got, ref in ((rho[..., 0, 0].real, H11), (rho[..., 1, 1].real, H22),
+                     (rho[..., 0, 1].real, H12.real),
+                     (rho[..., 0, 1].imag, H12.imag)):
+        assert got.tobytes() == (-0.5 * ref).tobytes()
+
+
+def test_working_set():
+    # numpy's data allocations are traced, so these counts are exact up to
+    # a few small Python objects; m = 2, n = 32 (one grid array is 8.4 MB),
+    # two stencil threads, above the inputs
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 32, lambda x1, y1, x2, y2: 0.05 * (np.cos(x1) + np.cos(y2))))
+    grid = f.values.nbytes
+    with mock.patch.object(calabi, "_cpus", lambda: 2):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            path = calabi.solve_calabi(f, tol=1e-10, t_steps=3)
+            held, peak = tracemalloc.get_traced_memory()
+            # the block of four, two steps and the FFT's half-spectrum
+            assert peak - base <= 8 * grid
+            # only path.phi outlives the solve: no cached symbol
+            assert held - base <= 1.05 * grid
+            ratio = calabi.ma_operator(path.phi)
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            rho, _ = calabi.ricci_form(ratio)
+            # rho (8 arrays) and the threads' scratch: no whole-grid log f
+            # or padded copy
+            assert tracemalloc.get_traced_memory()[1] - base <= 9.5 * grid
+        finally:
+            tracemalloc.stop()
 
 
 def test_path_records_newton_trace_and_halvings():
@@ -350,7 +413,7 @@ def test_ricci_conformal_change_m2():
         2, 16, lambda a, b, c, d: 0.02 * np.sin(a + c))
     shifted = calabi.TorusField(2, base.values * np.exp(g.values))
     rho2, _ = calabi.ricci_form(shifted)
-    H11, H22, H12 = calabi._complex_hessian(g)
+    H11, H22, H12 = _hessian(g)
     assert np.max(np.abs(rho2[..., 0, 0] - (rho[..., 0, 0] - 0.5 * H11))) < 1e-13
     assert np.max(np.abs(rho2[..., 1, 1] - (rho[..., 1, 1] - 0.5 * H22))) < 1e-13
     assert np.max(np.abs(rho2[..., 0, 1] - (rho[..., 0, 1] - 0.5 * H12))) < 1e-13
@@ -365,7 +428,7 @@ def test_solved_metric_ricci_matches_source():
     path = calabi.solve_calabi(f, tol=1e-12, t_steps=1)
     ratio = calabi.ma_operator(path.phi)
     coeff, _ = calabi.ricci_form(ratio)
-    H11, _, _ = calabi._complex_hessian(f)
+    H11, _, _ = _hessian(f)
     assert np.max(np.abs(coeff + H11)) < 1e-10
 
 

@@ -93,7 +93,8 @@ def test_family_parameter_validation():
      "mixed degrees"),
 ] + [(lambda name=name, t=t: families.ModelFamily(name, {"t": t}),
       families.ParameterRangeError, "t must be positive and finite")
-     for name in ("hl_Lt", "so3_Lt") for t in (0.0, np.nan, np.inf)])
+     for name in ("hl_Lt", "so3_Lt")
+     for t in (0.0, np.nan, np.inf, 1e200, 2 * families.ModelFamily.T_MAX)])
 def test_input_guards(call, error, message):
     with pytest.raises(error, match=message):
         call()

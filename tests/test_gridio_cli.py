@@ -227,11 +227,19 @@ def test_cli_exit_codes():
     for args, message in (
             (["solve-u1", "--a", "nan", "--grid-n", "17"], "a must be finite"),
             (["solve-u1", "--a", "inf"], "a must be finite"),
+            (["solve-u1", "--a", "1e300", "--grid-n", "17"],
+             "a must be finite"),
             (["solve-u1", "--tol", "nan"], "tol must be positive and finite"),
             (["solve-calabi", "--tol", "nan", "--grid", "8"],
              "tol must be positive and finite"),
             (["verify", "--example", "hl-lt", "--t", "nan"],
              "t must be positive and finite"),
+            (["verify", "--example", "so3", "--t", "1e300", "--samples", "10"],
+             "t must be positive and finite"),
+            (["verify", "--example", "hl-lt", "--t", "1e200"],
+             "t must be positive and finite"),
+            (["verify", "--example", "hl-cone", "--tol", "nan",
+              "--samples", "10"], "tol must be positive and finite"),
             (["evolve", "--t-end", "nan"], "t_end must be finite"),
             (["evolve", "--t-end", "inf"], "t_end must be finite"),
             (["evolve", "--dt", "inf"], "dt must be positive and finite"),

@@ -456,7 +456,7 @@ def _zero_data(x, y):
                                          _disc(17), tol=tol),
       "tol must be positive and finite") for tol in (np.nan, np.inf)]
   + [(lambda a=a: u1.solve_dirichlet(u1.BoundaryData(_zero_data), a, _disc(17)),
-      "a must be finite") for a in (np.nan, np.inf, -np.inf)])
+      "a must be finite") for a in (np.nan, np.inf, -np.inf, 1e300, -1e200)])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
