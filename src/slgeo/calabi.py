@@ -4,9 +4,11 @@ Solves (omega + i ddbar phi)^m = e^f omega^m by the continuity method:
 f_t = t f + c_t with e^{c_t} int e^{t f} = int 1, each step solved by a
 damped Newton iteration preconditioned with the flat-metric Laplacian
 (inverted by FFT with the second-order difference symbol, so the
-preconditioner is the exact Jacobian at phi = 0).  Each Newton solve
-returns a core.NewtonRecord, as the U(1) solver's do, with the level t in
-place of a; a step whose record does not stop "converged" is halved.
+preconditioner is the exact Jacobian at phi = 0; for m = 2 it is only
+good to O(|H|), so the step is taken in float32), each level after the
+first starting from a secant prediction.  Each Newton solve records a
+core.NewtonRecord, as the U(1) solver's do, with the level t in place of
+a; a step whose record does not stop "converged" is halved.
 
 The nodewise volume ratio is det(I + H) with H_{jk} = 2 phi_{z_j zbar_k};
 for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  One
@@ -236,17 +238,19 @@ def normalize_source(f: TorusField) -> TorusField:
 def _poisson_solve(rhs: np.ndarray, h: float) -> np.ndarray:
     """Zero-mean solution of the 2nd-order-difference Laplace equation
     Delta s = rhs on the periodic grid, via FFT with the FD symbol, formed
-    one axis-0 plane of the half-spectrum at a time."""
+    one axis-0 plane of the half-spectrum at a time, in the precision of
+    rhs (a float32 rhs gives a complex64 spectrum and a float32 s)."""
     n, dims = rhs.shape[0], rhs.ndim
-    sym1 = (2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0) / h ** 2
+    sym1 = ((2.0 * np.cos(2.0 * np.pi * np.arange(n) / n) - 2.0)
+            / h ** 2).astype(rhs.dtype, copy=False)
     rest = np.ix_(*[sym1] * (dims - 2), sym1[:n // 2 + 1])
-    rhat = _fft.rfftn(rhs, workers=-1)
+    rhat = _fft.rfftn(rhs, workers=_cpus())
     for i, plane in enumerate(rhat):
         symbol = sum(rest, sym1[i])
         if i == 0:
             symbol.flat[0] = np.inf     # the constant mode, mapped to 0
         plane *= np.divide(1.0, symbol, out=symbol)
-    return _fft.irfftn(rhat, s=rhs.shape, workers=-1, overwrite_x=True)
+    return _fft.irfftn(rhat, s=rhs.shape, workers=_cpus(), overwrite_x=True)
 
 
 @dataclass
@@ -276,10 +280,14 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
 
     Each step runs damped quasi-Newton with the flat-Laplacian
     preconditioner (exact Jacobian for m = 1, so that case is a single
-    linear solve per step).  A step whose Newton solve fails is halved: its
-    record stops "damping underflow" (no step down to 2^-12 lowered the
-    residual) or "max iterations".  After each accepted step the step
-    length doubles again, up to 1 / t_steps.
+    linear solve per step; for m = 2 it is the Jacobian only to O(|H|), so
+    the Poisson solve runs in float32 at no cost in iterations).  A step
+    whose Newton solve fails is halved: its record stops "damping
+    underflow" (no step down to 2^-12 lowered the residual) or "max
+    iterations".  After each accepted step the step length doubles again,
+    up to 1 / t_steps, and the next step, of length dt after one of length
+    L, starts from the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}),
+    or from phi_k if that is not Kahler; a halved retry starts from phi_k.
 
     The additive constant c_t is determined discretely from the
     solvability condition mean(det(I + H)) = mean(e^{t f + c_t}): for
@@ -290,13 +298,14 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     residual use the discrete constant.
 
     The solve works in one block of four grid-size arrays: the accepted
-    iterate, the Newton iterate, its line-search candidate and det(I + H)
-    of the last iterate evaluated.  The residual is never stored: -2 times
-    it goes into the candidate's array as the FFT's input.  A failed step
-    restarts from the accepted iterate and recomputes its det(I + H).  The
-    Newton step the FFT returns is kept until the next one is returned,
-    across continuity steps too: freeing it sooner let the heap give the
-    FFT's memory back to the system and fault it in again every iteration.
+    iterate, the Newton iterate (or the one accepted before, which the
+    predictor overwrites), its line-search candidate and det(I + H) of the
+    last iterate evaluated.  The residual is never stored: the pass that
+    tests a candidate writes -2 times it into the FFT's input, float32 for
+    m = 2.  A start from phi_k recomputes its det(I + H).  The Newton step
+    the FFT returns is kept until the next one is returned, across
+    continuity steps too: freeing it sooner let the heap give the FFT's
+    memory back to the system and fault it in again every iteration.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -304,19 +313,29 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         raise ValueError("t_steps must be at least 1")
     path = ContinuityPath(f=f)
     phi, trial, cand, det = np.zeros((4,) + f.values.shape)
-    _volume_ratio(phi, f.h, det)
+    rhs = np.empty(f.values.shape, np.float32 if f.m == 2 else float)
     t = 0.0
     dt = 1.0 / t_steps
+    last = 0.0      # the last step's length if it was accepted, else 0
     while t < 1.0 - 1e-14:
         t_next = min(1.0, t + dt)
-        np.copyto(trial, phi)
+        if last:    # trial holds the iterate accepted before phi: predict
+            trial -= phi                    # phi + (dt / last)(phi - trial)
+            trial *= (t - t_next) / last
+            trial += phi
+            try:
+                _volume_ratio(trial, f.h, det)
+            except NonKahlerIterateError:
+                last = 0.0
+        if not last:
+            np.copyto(trial, phi)
+            _volume_ratio(phi, f.h, det)
         level = np.mean(np.exp(np.multiply(f.values, t_next, out=cand),
                                out=cand))
-        s, rnorm = _residual(det, f, t_next, level)
+        s, rnorm = _residual(det, f, t_next, level, rhs)
         rec = NewtonRecord(t_next, [rnorm])
         while rnorm > tol and len(rec.step_lengths) < max_newton:
-            _residual(det, f, t_next, level, rhs=cand)
-            step = _poisson_solve(cand, f.h)
+            step = _poisson_solve(rhs, f.h)
             lam = 1.0
             while lam >= 2.0 ** -12:
                 np.add(trial, np.multiply(step, lam, out=cand), out=cand)
@@ -326,7 +345,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                 except NonKahlerIterateError:
                     lam *= 0.5
                     continue
-                sc, cnorm = _residual(det, f, t_next, level)
+                sc, cnorm = _residual(det, f, t_next, level, rhs)
                 if cnorm < rnorm:
                     trial, cand = cand, trial
                     rnorm, s = cnorm, sc
@@ -343,16 +362,16 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                                 else "max iterations")
         path.trace.append(rec)
         if rec.stop != "converged":
-            _volume_ratio(phi, f.h, det)    # roll back to the accepted phi
             path.halvings.append((t, t_next - t, rec.stop))
             dt = 0.5 * (t_next - t)
+            last = 0.0      # the retry starts from the accepted phi
             if dt < 1e-4:
                 raise PathFailureError(
                     "continuity path stalled at t = %.6f: %s at residual %.3e"
                     % (t, rec.stop, rec.residuals[-1]), t, path)
             continue
         phi, trial = trial, phi
-        t = t_next
+        last, t = t_next - t, t_next
         path.steps.append(t)
         path.c_values.append(float(np.log(s)))
         path.newton_iters.append(len(rec.step_lengths))

@@ -77,6 +77,14 @@ def _write_cloud_csv(path, points):
                header="x1,x2,x3,x4,x5,x6", comments="")
 
 
+def _report_trace(rep, trace):
+    """One entry per Newton solve of a list of core.NewtonRecords, failed
+    ones included: its level, why it stopped and its residuals."""
+    rep.envelope["levels"] = [rec.level for rec in trace]
+    rep.envelope["stops"] = [rec.stop for rec in trace]
+    rep.envelope["residuals"] = [rec.residuals for rec in trace]
+
+
 # ---------------------------------------------------------------------------
 # subcommand implementations
 
@@ -126,7 +134,7 @@ def _cmd_solve_u1(args):
               passed=np.isfinite(sol.residual_CR))
     rep.envelope["newton_iters"] = sol.newton_iters
     rep.envelope["factorizations"] = sol.factorizations
-    rep.envelope["levels"] = [rec.level for rec in sol.trace]  # a per solve
+    _report_trace(rep, sol.trace)   # levels are a values
     sing = u1.singular_points(sol)
     rep.envelope["singular_points"] = [[x, z.real, z.imag] for x, z in sing]
     if args.a == 0.0:
@@ -185,6 +193,7 @@ def _cmd_solve_calabi(args):
     rep.envelope["t_steps_taken"] = len(path.steps)
     rep.envelope["newton_iters"] = path.newton_iters
     rep.envelope["halvings"] = path.halvings   # [t, dt, reason] per halving
+    _report_trace(rep, path.trace)  # levels are t values
     return rep
 
 

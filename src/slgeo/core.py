@@ -174,8 +174,10 @@ def _frames(bases: np.ndarray):
     q, r = np.linalg.qr(bases.swapaxes(-1, -2))
     diag = r.diagonal(0, -2, -1)
     size = np.abs(diag)
-    scale = np.maximum(1.0, np.abs(bases).max(axis=(-2, -1)))
-    if (size.min(axis=-1) < 1e-13 * scale).any():
+    # each |R_jj| against its own row's length, so that one long row does
+    # not make the others look degenerate
+    scale = np.maximum(1.0, np.linalg.norm(bases, axis=-1))
+    if (size < 1e-13 * scale).any():
         raise DegeneratePlaneError("plane basis is degenerate")
     frames = (q * np.sign(diag)[..., None, :]).swapaxes(-1, -2)
     return frames, size.prod(axis=-1)

@@ -240,8 +240,9 @@ def test_working_set():
             base = tracemalloc.get_traced_memory()[0]
             path = calabi.solve_calabi(f, tol=1e-10, t_steps=3)
             held, peak = tracemalloc.get_traced_memory()
-            # the block of four, two steps and the FFT's half-spectrum
-            assert peak - base <= 8 * grid
+            # the block of four, the float32 rhs, two float32 steps and the
+            # FFT's complex64 half-spectrum
+            assert peak - base <= 6.5 * grid
             # only path.phi outlives the solve: no cached symbol
             assert held - base <= 1.05 * grid
             ratio = calabi.ma_operator(path.phi)
@@ -256,11 +257,12 @@ def test_working_set():
 
 
 def test_path_records_newton_trace_and_halvings():
-    # at most 9 Newton iterations: the full step needs 10, so the path
+    # at most 11 Newton iterations: the full step needs 14, and the step
+    # 0.5 -> 1 from its predicted start needs more than 11, so the path
     # halves twice and reaches t = 1 in steps 0.5, 0.25, 0.25
     f = calabi.normalize_source(calabi.TorusField.from_function(
-        2, 8, lambda x1, y1, x2, y2: 0.1 * (np.cos(x1) + np.cos(y2))))
-    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=9)
+        2, 8, lambda x1, y1, x2, y2: 0.19 * (np.cos(x1) + np.cos(y2))))
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=11)
     assert path.steps == [0.5, 0.75, 1.0]
     assert path.halvings == [(0.0, 1.0, "max iterations"),
                              (0.5, 0.5, "max iterations")]
@@ -279,7 +281,7 @@ def test_path_records_newton_trace_and_halvings():
         if rec.stop == "converged":
             assert rnorms[-1] <= 1e-10 < rnorms[0]
         else:
-            assert len(lams) == 9 and rnorms[-1] > 1e-10
+            assert len(lams) == 11 and rnorms[-1] > 1e-10
     assert path.residual <= 1e-10
     # phi is its own array, not a view that keeps the solver's work block
     assert path.phi.values.flags.owndata
@@ -363,6 +365,94 @@ def test_step_doubles_after_each_accepted_step():
         failed = [dt for t, dt, _ in path.halvings if t == e]
         first = failed[0] if failed else ends[i + 1] - e
         assert first == pytest.approx(min(2.0 * (e - s), 1.0 - e))
+
+
+def test_float32_step_keeps_the_float64_iteration():
+    # the frozen Laplacian is the Jacobian only to O(|H|), so the float32
+    # step changes nothing that a float64 step would do
+    solve = calabi._poisson_solve
+    f = _mild_m2_source()
+    path = calabi.solve_calabi(f, t_steps=3)
+    with mock.patch.object(calabi, "_poisson_solve",
+                           lambda rhs, h: solve(rhs.astype(float), h)):
+        wide = calabi.solve_calabi(f, t_steps=3)
+    assert solve(np.ones((4,) * 4, np.float32), 1.0).dtype == np.float32
+    assert path.newton_iters == wide.newton_iters
+    assert np.max(np.abs(path.phi.values - wide.phi.values)) <= 1e-12
+
+
+@pytest.mark.parametrize("t_steps", [1, 4, 10])
+def test_m1_takes_one_iteration_per_level(t_steps):
+    # the flat Laplacian is the exact m = 1 Jacobian, in float64, so each
+    # level is one step from the accepted or the predicted phi
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        1, 32, lambda x, y: 0.1 * np.cos(x) * np.cos(y)))
+    path = calabi.solve_calabi(f, tol=1e-12, t_steps=t_steps)
+    assert path.newton_iters == [1] * t_steps
+    assert path.halvings == []
+
+
+def test_predictor_starts_later_levels_lower():
+    # phi_k + rho (phi_k - phi_{k-1}) starts each level after the first
+    # about a hundred times closer than the accepted phi would
+    path = calabi.solve_calabi(_mild_m2_source(), t_steps=4)
+    first = path.trace[0].residuals[0]
+    assert len(path.trace) == 4
+    assert all(rec.residuals[0] < 0.1 * first for rec in path.trace[1:])
+
+
+def test_non_kahler_prediction_falls_back_to_accepted_phi():
+    # the stencil call that follows a converged residual is the predicted
+    # start's: make it fail, as a non-Kahler start would
+    f = _mild_m2_source()
+    volume_ratio, residual = calabi._volume_ratio, calabi._residual
+    state = {"armed": False, "fired": 0}
+
+    def checked(det, f, t, level, rhs=None):
+        s, rnorm = residual(det, f, t, level, rhs)
+        state["armed"] = rnorm <= 1e-10
+        return s, rnorm
+
+    def refusing(v, h, ratio):
+        volume_ratio(v, h, ratio)
+        if state["armed"]:
+            state["armed"] = False
+            state["fired"] += 1
+            raise calabi.NonKahlerIterateError("predicted start refused")
+        return ratio
+
+    with mock.patch.object(calabi, "_volume_ratio", refusing), \
+            mock.patch.object(calabi, "_residual", checked):
+        path = calabi.solve_calabi(f, t_steps=2)
+    assert state["fired"] == 1
+    assert path.steps == [0.5, 1.0] and path.halvings == []
+    assert [rec.stop for rec in path.trace] == ["converged"] * 2
+    # the level t = 1 starts from phi at t = 0.5, which is the one-step
+    # solve of the source f / 2
+    half = calabi.solve_calabi(calabi.TorusField(2, 0.5 * f.values),
+                               t_steps=1).phi
+    det = calabi.ma_operator(half).values
+    target = np.exp(f.values)
+    start = np.max(np.abs(det - np.mean(det) / np.mean(target) * target))
+    assert path.trace[1].residuals[0] == pytest.approx(start, rel=1e-9)
+    assert path.residual <= 1e-10
+
+
+def test_fft_uses_the_affinity_mask():
+    # scipy reads workers=-1 as os.cpu_count(), which ignores the mask
+    fft, calls = calabi._fft, []
+
+    def recording(name):
+        def call(*args, workers, **kwargs):
+            calls.append((name, workers))
+            return getattr(fft, name)(*args, workers=workers, **kwargs)
+        return call
+
+    with mock.patch.object(calabi, "_cpus", lambda: 1), \
+            mock.patch.object(calabi, "_fft", mock.Mock(
+                rfftn=recording("rfftn"), irfftn=recording("irfftn"))):
+        calabi._poisson_solve(np.ones((8,) * 4, np.float32), 1.0)
+    assert calls == [("rfftn", 1), ("irfftn", 1)]
 
 
 def test_manufactured_order_two_m1():

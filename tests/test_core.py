@@ -72,6 +72,20 @@ def test_degenerate_plane_rejected():
         core.sl_defect(plane, pkg)
 
 
+def test_long_row_is_not_degenerate():
+    # each |R_jj| is weighed against its own row's length, so one long row
+    # leaves a unit row independent; rows of length <= 1 keep the
+    # absolute 1e-13 floor
+    for scale in (1e13, 1e14, 1e60):
+        basis = np.array([[scale, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]])
+        sl, slack = core.plane_defects(basis[None])
+        assert sl[0] == 0.0 and slack[0] == 0.0
+    for tiny in (1e-14, 0.0):
+        basis = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, tiny, 0.0]])
+        with pytest.raises(core.DegeneratePlaneError):
+            core.plane_defects(basis[None])
+
+
 def test_su_orbit_of_real_plane_is_sl():
     rng = np.random.default_rng(7)
     for m in (2, 3, 4):

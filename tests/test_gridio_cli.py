@@ -6,6 +6,7 @@ import shlex
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -124,6 +125,25 @@ def test_cli_solve_calabi_reports_newton_trace():
     assert len(report["newton_iters"]) == report["t_steps_taken"] == 2
     assert all(it > 0 for it in report["newton_iters"])
     assert report["halvings"] == []
+    # one trace entry per Newton solve
+    assert report["levels"] == [0.5, 1.0]
+    assert report["stops"] == ["converged"] * 2
+    assert [len(r) - 1 for r in report["residuals"]] == report["newton_iters"]
+    assert all(r[-1] <= 1e-10 for r in report["residuals"])
+
+
+def test_solve_calabi_report_independent_of_cpus(capsys):
+    # the FFT and the stencil threads follow calabi._cpus; the report must
+    # not depend on how many there are
+    from slgeo import calabi
+    reports = []
+    for cpus in (1, 2):
+        with mock.patch.object(calabi, "_cpus", lambda: cpus):
+            assert cli.main(["--no-timing", "solve-calabi", "--m", "2",
+                             "--grid", "8"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["stops"] == ["converged"] * 10
 
 
 def test_cli_evolve_reports_step_trace():
@@ -327,6 +347,17 @@ def test_cli_verify_config_records_t(capsys):
     assert "t" not in json.loads(capsys.readouterr().out)["config"]
 
 
+@pytest.mark.parametrize("t", ["1e14", "1e20", "1e60"])
+def test_verify_large_t_is_not_degenerate(t, capsys):
+    # hl_Lt's first tangent row grows like t while the others stay O(1):
+    # a badly scaled basis, not a degenerate one
+    assert cli.main(["--no-timing", "verify", "--example", "hl-lt",
+                     "--t", t, "--samples", "100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass"
+    assert report["checks"][0]["value"] <= 1e-14
+
+
 def test_cli_solve_u1_reports_continuation_level(capsys):
     # a = 0 is reached by continuation, which may stop at a small a > 0
     with warnings.catch_warnings():
@@ -356,6 +387,8 @@ def test_cli_solve_u1_reports_newton_trace():
     assert report["factorizations"] == sol.factorizations > 0
     assert report["levels"] == [rec.level for rec in sol.trace]
     assert report["levels"][0] == 1.0
+    assert report["stops"] == [rec.stop for rec in sol.trace]
+    assert report["residuals"] == [rec.residuals for rec in sol.trace]
 
 
 def test_report_envelope_failure_lists_checks():
