@@ -196,10 +196,10 @@ def _map_slabs(v: np.ndarray, h: float, func, log: bool = False):
                          for r in rs])
 
 
-def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
-    """Writes det(I + H) of the samples v into ratio and returns ratio;
-    raises NonKahlerIterateError, with every node of ratio written, if
-    1 + H11 or det(I + H) is nonpositive at a node."""
+def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray) -> bool:
+    """Writes det(I + H) of the samples v into ratio, every node of it;
+    returns whether the iterate is Kahler: False if the least 1 + H11 or
+    det(I + H) is <= 0 (a NaN node alone does not make it False)."""
     def slab(rows, H11, H22, re, im):
         """writes the slab's det(I + H); returns its least 1 + H11 or
         det(I + H)"""
@@ -215,18 +215,17 @@ def _volume_ratio(v: np.ndarray, h: float, ratio: np.ndarray) -> np.ndarray:
         out -= re
         return min(np.min(H11), np.min(out))
 
-    minima = _map_slabs(v, h, slab)
-    if np.min(minima) <= 0.0:
-        raise NonKahlerIterateError(
-            "1 + H11 has nonpositive nodes" if v.ndim == 2
-            else "omega + i ddbar phi lost positivity")
-    return ratio
+    return not np.min(_map_slabs(v, h, slab)) <= 0.0
 
 
 def ma_operator(phi: TorusField) -> TorusField:
     """Nodewise ratio (omega + i ddbar phi)^m / omega^m = det(I + H)."""
-    return TorusField(phi.m, _volume_ratio(
-        phi.values, phi.h, np.empty_like(phi.values)))
+    ratio = np.empty_like(phi.values)
+    if not _volume_ratio(phi.values, phi.h, ratio):
+        raise NonKahlerIterateError(
+            "1 + H11 has nonpositive nodes" if phi.m == 1
+            else "omega + i ddbar phi lost positivity")
+    return TorusField(phi.m, ratio)
 
 
 def normalize_source(f: TorusField) -> TorusField:
@@ -288,6 +287,9 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     up to 1 / t_steps, and the next step, of length dt after one of length
     L, starts from the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}),
     or from phi_k if that is not Kahler; a halved retry starts from phi_k.
+    A step that would end within 1e-14 of t = 1 ends at t = 1 exactly, so
+    the path's residual is the final record's last residual, the max norm
+    of det(I + H) - e^{f + c} at the returned phi.
 
     The additive constant c_t is determined discretely from the
     solvability condition mean(det(I + H)) = mean(e^{t f + c_t}): for
@@ -317,17 +319,13 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     t = 0.0
     dt = 1.0 / t_steps
     last = 0.0      # the last step's length if it was accepted, else 0
-    while t < 1.0 - 1e-14:
-        t_next = min(1.0, t + dt)
+    while t < 1.0:
+        t_next = t + dt if t + dt < 1.0 - 1e-14 else 1.0
         if last:    # trial holds the iterate accepted before phi: predict
             trial -= phi                    # phi + (dt / last)(phi - trial)
             trial *= (t - t_next) / last
             trial += phi
-            try:
-                _volume_ratio(trial, f.h, det)
-            except NonKahlerIterateError:
-                last = 0.0
-        if not last:
+        if not (last and _volume_ratio(trial, f.h, det)):
             np.copyto(trial, phi)
             _volume_ratio(phi, f.h, det)
         level = np.mean(np.exp(np.multiply(f.values, t_next, out=cand),
@@ -340,18 +338,14 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
             while lam >= 2.0 ** -12:
                 np.add(trial, np.multiply(step, lam, out=cand), out=cand)
                 cand -= np.mean(cand)
-                try:
-                    _volume_ratio(cand, f.h, det)
-                except NonKahlerIterateError:
-                    lam *= 0.5
-                    continue
-                sc, cnorm = _residual(det, f, t_next, level, rhs)
-                if cnorm < rnorm:
-                    trial, cand = cand, trial
-                    rnorm, s = cnorm, sc
-                    rec.residuals.append(rnorm)
-                    rec.step_lengths.append(lam)
-                    break
+                if _volume_ratio(cand, f.h, det):
+                    sc, cnorm = _residual(det, f, t_next, level, rhs)
+                    if cnorm < rnorm:
+                        trial, cand = cand, trial
+                        rnorm, s = cnorm, sc
+                        rec.residuals.append(rnorm)
+                        rec.step_lengths.append(lam)
+                        break
                 lam *= 0.5
             else:
                 rec.step_lengths.append(0.0)
@@ -378,15 +372,14 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         dt = min(2.0 * dt, 1.0 / t_steps)
     step = None     # before the copy, so the heap can shrink first
     path.phi = TorusField(f.m, phi.copy())
-    level = np.mean(np.exp(f.values, out=cand))
-    _, path.residual = _residual(det, f, 1.0, level)
+    path.residual = rec.residuals[-1]
     return path
 
 
-def _residual(det, f: TorusField, t, level, rhs=None):
+def _residual(det, f: TorusField, t, level, rhs):
     """s = mean(det) / level, level the grid mean of e^{t f}, and the max
     norm of the residual det - s e^{t f}, formed in slabs of axis-0 planes
-    as the stencil's; with rhs, also writes -2 times the residual there."""
+    as the stencil's, writing -2 times the residual into rhs."""
     s = np.mean(det) / level
     planes = max(1, SLAB_NODES // det[0].size)
     scratch = np.empty((planes,) + det.shape[1:])
@@ -397,8 +390,7 @@ def _residual(det, f: TorusField, t, level, rhs=None):
         np.exp(np.multiply(f.values[rows], t, out=r), out=r)
         np.subtract(det[rows], np.multiply(r, s, out=r), out=r)
         hi, lo = max(hi, r.max()), min(lo, r.min())
-        if rhs is not None:
-            np.multiply(r, -2.0, out=rhs[rows])
+        np.multiply(r, -2.0, out=rhs[rows])
     return s, float(max(hi, -lo))
 
 
@@ -417,17 +409,18 @@ def poisson_reference_solution(f: TorusField) -> TorusField:
 
 
 def ricci_form(ratio: TorusField):
-    """rho = -i ddbar log f for a positive volume-ratio field.
+    """rho = -i ddbar log f for a volume-ratio field f > 0 (NaN rejected).
 
-    m = 1: returns (coefficient field, closedness residual) where the
-    coefficient is against the area form (i/2) dz ^ dzbar, equal to
-    -(1/2) Laplacian(log f).  m = 2: returns the 2 x 2 complex coefficient
-    arrays rho_{j kbar} = -(log f)_{z_j zbar_k} and the residual.
-    Closedness is automatic for commuting central stencils; the reported
-    residual is the Hermitian-symmetry defect of the coefficients.
+    m = 1: returns (coefficient, 0.0), the coefficient against the area form
+    (i/2) dz ^ dzbar, equal to -(1/2) Laplacian(log f).  m = 2: returns the
+    2 x 2 complex coefficient arrays rho_{j kbar} = -(log f)_{z_j zbar_k}
+    and 0.0.  The second value is a residual that is zero by construction:
+    closedness is automatic for commuting central stencils, and rho_{1 0}
+    is written from the same arrays as rho_{0 1}, conjugated, so the
+    coefficients are exactly Hermitian.
     """
     vals = ratio.values
-    if np.min(vals) <= 0.0:
+    if not np.min(vals) > 0.0:      # a NaN minimum fails too
         raise InvalidVolumeError("volume ratio must be positive")
     if ratio.m == 1:
         coeff = np.empty_like(vals)
@@ -441,8 +434,7 @@ def ricci_form(ratio: TorusField):
     r = rho.view(float)  # (..., 2, 4): row j is Re, Im of rho_{j0}, rho_{j1}
 
     def slab(rows, H11, H22, re, im):
-        """writes the slab's rho; returns its Hermitian-symmetry defect
-        |rho_{0 1} - conj(rho_{1 0})|"""
+        """writes the slab's rho"""
         q = r[rows]
         for a in (H11, H22, re, im):
             a *= -0.5
@@ -450,12 +442,9 @@ def ricci_form(ratio: TorusField):
         q[..., 0, 2], q[..., 0, 3], q[..., 1, 0] = re, im, re
         np.negative(im, out=q[..., 1, 1])
         q[..., 0, 1] = q[..., 1, 3] = 0.0
-        np.subtract(q[..., 0, 2], q[..., 1, 0], out=re)
-        np.add(q[..., 0, 3], q[..., 1, 1], out=im)
-        return np.max(np.hypot(re, im, out=re))
 
-    residual = float(np.max(_map_slabs(vals, ratio.h, slab, log=True)))
-    return rho, residual
+    _map_slabs(vals, ratio.h, slab, log=True)
+    return rho, 0.0
 
 
 # ---------------------------------------------------------------------------

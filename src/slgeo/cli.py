@@ -111,6 +111,8 @@ def _cmd_verify(args):
 
 def _boundary_from_name(name, b, c):
     from .u1 import BoundaryData
+    if not (np.isfinite(b) and np.isfinite(c)):
+        raise ValueError("b and c must be finite, got %r and %r" % (b, c))
     if name == "zero":
         return BoundaryData(lambda x, y: np.zeros_like(np.asarray(x)))
     if name == "affine":

@@ -208,9 +208,11 @@ def family_point(fam: ModelFamily, params):
 def sl_residual_sweep(fam: ModelFamily, n_samples: int = 1000,
                       seed: int = 0) -> float:
     """Max SL defect of analytic tangent planes over seeded samples."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1, got %r" % (n_samples,))
     rng = np.random.default_rng(seed)
     tangents = family_point(fam, fam.sample_params(rng, n_samples))[1]
-    return float(np.max(plane_defects(real_coords(tangents))[0], initial=0.0))
+    return float(np.max(plane_defects(real_coords(tangents))[0]))
 
 
 def branched_truncation_bound(patch_size: float) -> float:

@@ -14,6 +14,7 @@ present.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,14 +89,10 @@ def read_grid(path) -> GridField:
         nx, ny = int(parts[0]), int(parts[1])
         x0, y0, hx, hy = (float(p) for p in parts[2:6])
         has_mask = bool(int(parts[6]))
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    vals = np.array(rows, dtype=float)
-    if vals.shape != (nx, ny):
+        with warnings.catch_warnings():     # an empty payload is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            vals = np.loadtxt(fh, delimiter=",", ndmin=2)
+    if not vals.size or vals.shape != (nx, ny):
         raise GridFormatError("payload shape %r does not match header (%d, %d)"
                               % (vals.shape, nx, ny))
     mask = ~np.isnan(vals) if has_mask else None

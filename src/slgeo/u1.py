@@ -228,29 +228,31 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     single level a.  For a = 0 the solution is the continuation limit
     along a_k = 2^{-k}, stopped when successive iterates agree to tol in
     sup norm.  The first level starts from initial, or from the harmonic
-    extension of phi; each later level starts from the one before.
+    extension of phi; each later level starts from the one before.  If the
+    first level fails, NewtonDivergenceError carries its record; after a
+    later failure a ContinuationStalledWarning keeps the last converged
+    level, whose record's final residual, max |P(f)|, is residual_P.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if not abs(a) <= np.sqrt(np.finfo(float).max):
         raise ValueError("a must be finite with a finite square, got %r" % (a,))
     ops = _direction_ops(domain, phi)
-    fv, prev, trace = initial, None, []
+    fv, trace = initial, []
     for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:
-        try:
-            fv, rec = _newton(ops, domain, ak, tol, max_newton, fv)
-        except NewtonDivergenceError as exc:
-            trace.append(exc.record)
+        fk, rec = _newton(ops, domain, ak, tol, max_newton, fv)
+        trace.append(rec)
+        if rec.stop != "converged":
             if len(trace) == 1:   # no level converged
-                raise
+                raise NewtonDivergenceError(rec)
             warnings.warn("continuation stalled at a = %g (residual %.2e); "
-                          "returning the last converged level" % (ak, exc.residual),
+                          "returning the last converged level"
+                          % (ak, rec.residuals[-1]),
                           ContinuationStalledWarning, stacklevel=2)
             break
-        trace.append(rec)
-        if prev is not None and np.max(np.abs(fv - prev)) < tol:
+        prev, fv = fv, fk   # _newton returns a new array each level
+        if len(trace) > 1 and np.max(np.abs(fv - prev)) < tol:
             break
-        prev = fv   # _newton returns a new array each level
     return _package(a, domain, ops, fv, trace)
 
 
@@ -266,7 +268,7 @@ def _factor(J):
 
 
 def _newton(ops, domain, a, tol, max_newton, initial=None):
-    """Damped Newton for P(f) = 0 at level a; returns (f, NewtonRecord).
+    """Damped Newton for P(f) = 0 at level a; returns (last f, NewtonRecord).
 
     The Jacobian's LU is kept while full steps at least halve the residual
     2-norm (chord steps) and refactored after a damped or weaker step.  A
@@ -307,7 +309,7 @@ def _newton(ops, domain, a, tol, max_newton, initial=None):
         rec.residuals.append(float(np.max(np.abs(res))))
         if rec.residuals[-1] <= tol:
             rec.stop = "converged"
-            return fv, rec
+            break
         if it == max_newton:
             rec.stop = "max iterations"
             break
@@ -329,24 +331,22 @@ def _newton(ops, domain, a, tol, max_newton, initial=None):
         rec.step_lengths.append(lam)
         if lam < 1.0 or np.linalg.norm(res) > 0.5 * rnorm:
             lu = None
-    raise NewtonDivergenceError(rec)
+    return fv, rec
 
 
 def _package(a, domain, ops, fv, trace):
-    """The solution at fv; residual_P is evaluated at the level of the last
-    converged Newton solve."""
+    """The solution at fv, the iterate of the last converged Newton solve,
+    whose record gives residual_P."""
     Ax, bx, _, _, Ay, by, _, _ = ops
     v = Ax @ fv + bx
     u = Ay @ fv + by
-    a_eval = [r.level for r in trace if r.stop == "converged"][-1]
-    res = _p_residual(ops, domain.y[domain.nodes[:, 1]], a_eval, fv)
+    done = [r for r in trace if r.stop == "converged"]
     sol = PotentialSolution(
         domain=domain, a=a, f=_to_field(domain, fv), u=_to_field(domain, u),
         v=_to_field(domain, v),
-        residual_P=float(np.max(np.abs(res))), residual_CR=np.nan,
-        newton_iters=sum(len(r.step_lengths) for r in trace
-                         if r.stop == "converged"),
-        fvec=fv, continuation_a=a_eval if a == 0.0 else None,
+        residual_P=done[-1].residuals[-1], residual_CR=np.nan,
+        newton_iters=sum(len(r.step_lengths) for r in done),
+        fvec=fv, continuation_a=done[-1].level if a == 0.0 else None,
         trace=trace, factorizations=sum(r.factorizations for r in trace))
     sol.residual_CR = cr_residual(sol)
     return sol

@@ -47,13 +47,9 @@ def _hessian(phi):
 
 
 def _unchecked_ratio(v, h):
-    """det(I + H) of the samples v at every node, positive or not:
-    _volume_ratio writes every node before its positivity check raises."""
+    """det(I + H) of the samples v at every node, positive or not."""
     ratio = np.empty_like(v)
-    try:
-        calabi._volume_ratio(v, h, ratio)
-    except calabi.NonKahlerIterateError:
-        pass
+    calabi._volume_ratio(v, h, ratio)
     return ratio
 
 
@@ -381,15 +377,19 @@ def test_float32_step_keeps_the_float64_iteration():
     assert np.max(np.abs(path.phi.values - wide.phi.values)) <= 1e-12
 
 
-@pytest.mark.parametrize("t_steps", [1, 4, 10])
+@pytest.mark.parametrize("t_steps", [1, 3, 4, 6, 7, 10])
 def test_m1_takes_one_iteration_per_level(t_steps):
     # the flat Laplacian is the exact m = 1 Jacobian, in float64, so each
-    # level is one step from the accepted or the predicted phi
+    # level is one step from the accepted or the predicted phi; the path
+    # ends at t = 1 exactly (t_steps 6, 7 and 10 sum dt to just under 1),
+    # so its residual is the last record's
     f = calabi.normalize_source(calabi.TorusField.from_function(
         1, 32, lambda x, y: 0.1 * np.cos(x) * np.cos(y)))
     path = calabi.solve_calabi(f, tol=1e-12, t_steps=t_steps)
     assert path.newton_iters == [1] * t_steps
     assert path.halvings == []
+    assert path.steps[-1] == 1.0
+    assert path.residual == path.trace[-1].residuals[-1]
 
 
 def test_predictor_starts_later_levels_lower():
@@ -408,18 +408,18 @@ def test_non_kahler_prediction_falls_back_to_accepted_phi():
     volume_ratio, residual = calabi._volume_ratio, calabi._residual
     state = {"armed": False, "fired": 0}
 
-    def checked(det, f, t, level, rhs=None):
+    def checked(det, f, t, level, rhs):
         s, rnorm = residual(det, f, t, level, rhs)
         state["armed"] = rnorm <= 1e-10
         return s, rnorm
 
     def refusing(v, h, ratio):
-        volume_ratio(v, h, ratio)
+        kahler = volume_ratio(v, h, ratio)
         if state["armed"]:
             state["armed"] = False
             state["fired"] += 1
-            raise calabi.NonKahlerIterateError("predicted start refused")
-        return ratio
+            return False
+        return kahler
 
     with mock.patch.object(calabi, "_volume_ratio", refusing), \
             mock.patch.object(calabi, "_residual", checked):
@@ -555,6 +555,12 @@ def test_nonpositive_ratio_rejected():
     bad = calabi.TorusField(1, np.full((8, 8), -1.0))
     with pytest.raises(calabi.InvalidVolumeError):
         calabi.ricci_form(bad)
+    # one NaN node among positive ones, which a minimum would let through
+    for m in (1, 2):
+        values = np.ones((8,) * (2 * m))
+        values[3, 5] = np.nan
+        with pytest.raises(calabi.InvalidVolumeError):
+            calabi.ricci_form(calabi.TorusField(m, values))
 
 
 # ---------------------------------------------------------------------------

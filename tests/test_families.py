@@ -91,6 +91,9 @@ def test_family_parameter_validation():
      "at least one degree"),
     (lambda: families.ci_moduli_dimension(6, [2, 3]), ValueError,
      "mixed degrees"),
+] + [(lambda n=n: families.sl_residual_sweep(
+          families.ModelFamily("hl_cone_L0"), n), ValueError,
+      "n_samples must be at least 1") for n in (0, -5)
 ] + [(lambda name=name, t=t: families.ModelFamily(name, {"t": t}),
       families.ParameterRangeError, "t must be positive and finite")
      for name in ("hl_Lt", "so3_Lt")

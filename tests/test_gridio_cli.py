@@ -73,7 +73,11 @@ def test_blank_payload_lines_skipped(tmp_path):
      "does not match header"),
     ("# slgeo-grid v1, 2, 2, 0, 0, nan, 0.5, 0\n1, 2\n3, 4\n", ValueError,
      "spacing must be positive and finite"),
-], ids=["short-header", "missing-row", "extra-column", "nan-spacing"])
+    (_HEADER + "\n", gridio.GridFormatError, "does not match header"),
+    ("# slgeo-grid v1, 0, 1, 0, 0, 0.5, 0.5, 0\n", gridio.GridFormatError,
+     "does not match header"),
+], ids=["short-header", "missing-row", "extra-column", "nan-spacing",
+        "empty-payload", "empty-payload-empty-header"])
 def test_read_grid_guards(tmp_path, text, error, message):
     path = tmp_path / "bad.csv"
     path.write_text(text)
@@ -265,7 +269,15 @@ def test_cli_exit_codes():
             (["evolve", "--dt", "inf"], "dt must be positive and finite"),
             (["fibration", "--a", "nan"], "a and b must be finite"),
             (["fibration", "--b", "nan+0j", "--scan"],
-             "a and b must be finite")):
+             "a and b must be finite"),
+            (["verify", "--example", "hl-cone", "--samples", "0"],
+             "n_samples must be at least 1"),
+            (["verify", "--example", "hl-cone", "--samples", "-5"],
+             "n_samples must be at least 1"),
+            (["solve-u1", "--boundary", "affine", "--c", "inf",
+              "--grid-n", "17"], "b and c must be finite"),
+            (["solve-u1", "--boundary", "x2", "--b", "nan",
+              "--grid-n", "17"], "b and c must be finite")):
         p = _run_cli(args, timeout=60)
         assert p.returncode == 2
         assert message in p.stderr and "Traceback" not in p.stderr

@@ -82,11 +82,21 @@ def test_two_initial_guesses_agree():
 
 
 def test_p_operator_matches_packaged_residual():
+    # residual_P is the last converged record's residual, max |P| of the
+    # returned iterate at that record's level, bit for bit
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
     dom = _disc()
     sol = u1.solve_dirichlet(phi, 0.5, dom, tol=1e-10)
     res = u1.p_operator(sol.f, 0.5, dom, phi)
-    assert abs(np.nanmax(np.abs(res.values)) - sol.residual_P) < 1e-13
+    assert np.nanmax(np.abs(res.values)) == sol.residual_P
+    # a stalled a = 0 solve, evaluated at its last converged level
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
+    dom = _disc(33)
+    with pytest.warns(u1.ContinuationStalledWarning):
+        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10)
+    assert sol.trace[-1].stop != "converged"
+    res = u1.p_operator(sol.f, sol.continuation_a, dom, phi)
+    assert np.nanmax(np.abs(res.values)) == sol.residual_P
 
 
 def test_continuation_reaches_a_zero():
