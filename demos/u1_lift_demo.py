@@ -17,7 +17,7 @@ def main():
         sol = u1.solve_dirichlet(phi, 1.0, dom, tol=1e-10)
         cloud = u1.lift_to_sl3(sol)
         print("grid %3d^2: |P(f)| = %.2e, CR residual = %.2e"
-              % (n, sol.residual_P, sol.residual_CR))
+              % (n, sol.residual_P, u1.cr_residual(sol)))
         print("           lifted %5d points, SL defect %.2e, "
               "moment error %.1e"
               % (len(cloud.points), np.nanmax(cloud.sl_defects),

@@ -75,6 +75,9 @@ class TorusField:
             raise ValueError("all axes must have equal length")
         if n == 0:
             raise ValueError("grid must have at least one node per axis")
+        # two reductions, no full-grid temporary; a NaN propagates to both
+        if not np.all(np.isfinite((np.min(self.values), np.max(self.values)))):
+            raise ValueError("field values must be finite")
         self.n = n
         self.h = 2.0 * np.pi / n
 
@@ -282,8 +285,9 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     linear solve per step; for m = 2 it is the Jacobian only to O(|H|), so
     the Poisson solve runs in float32 at no cost in iterations).  A step
     whose Newton solve fails is halved: its record stops "damping
-    underflow" (no step down to 2^-12 lowered the residual) or "max
-    iterations".  After each accepted step the step length doubles again,
+    underflow" (no step down to 2^-12 lowered the residual), "max
+    iterations" or "non-finite residual" (a NaN node, as when e^{t f}
+    overflows).  After each accepted step the step length doubles again,
     up to 1 / t_steps, and the next step, of length dt after one of length
     L, starts from the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}),
     or from phi_k if that is not Kahler; a halved retry starts from phi_k.
@@ -353,6 +357,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                 rec.stop = "damping underflow"
                 break
         rec.stop = rec.stop or ("converged" if rnorm <= tol
+                                else "non-finite residual" if np.isnan(rnorm)
                                 else "max iterations")
         path.trace.append(rec)
         if rec.stop != "converged":
@@ -378,20 +383,20 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
 
 def _residual(det, f: TorusField, t, level, rhs):
     """s = mean(det) / level, level the grid mean of e^{t f}, and the max
-    norm of the residual det - s e^{t f}, formed in slabs of axis-0 planes
-    as the stencil's, writing -2 times the residual into rhs."""
+    norm of the residual det - s e^{t f} (NaN if a node is), formed in
+    slabs of axis-0 planes as the stencil's, writing -2 times it into rhs."""
     s = np.mean(det) / level
     planes = max(1, SLAB_NODES // det[0].size)
     scratch = np.empty((planes,) + det.shape[1:])
-    hi, lo = -np.inf, np.inf
+    hi = 0.0
     for start in range(0, len(det), planes):
         rows = slice(start, start + planes)
         r = scratch[:len(det[rows])]
         np.exp(np.multiply(f.values[rows], t, out=r), out=r)
         np.subtract(det[rows], np.multiply(r, s, out=r), out=r)
-        hi, lo = max(hi, r.max()), min(lo, r.min())
+        hi = np.maximum(hi, np.maximum(np.max(r), -np.min(r)))
         np.multiply(r, -2.0, out=rhs[rows])
-    return s, float(max(hi, -lo))
+    return s, float(hi)
 
 
 def poisson_reference_solution(f: TorusField) -> TorusField:

@@ -178,7 +178,6 @@ class PotentialSolution:
     u: GridField
     v: GridField
     residual_P: float
-    residual_CR: float
     newton_iters: int
     fvec: np.ndarray = field(repr=False, default=None)
     # for a = 0 solves: the smallest continuation level that converged;
@@ -237,6 +236,10 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if not abs(a) <= np.sqrt(np.finfo(float).max):
         raise ValueError("a must be finite with a finite square, got %r" % (a,))
+    if initial is not None and not (np.shape(initial) == (len(domain.nodes),)
+                                    and np.all(np.isfinite(initial))):
+        raise ValueError("initial must hold one finite value per active node "
+                         "(%d)" % len(domain.nodes))
     ops = _direction_ops(domain, phi)
     fv, trace = initial, []
     for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:
@@ -341,15 +344,12 @@ def _package(a, domain, ops, fv, trace):
     v = Ax @ fv + bx
     u = Ay @ fv + by
     done = [r for r in trace if r.stop == "converged"]
-    sol = PotentialSolution(
+    return PotentialSolution(
         domain=domain, a=a, f=_to_field(domain, fv), u=_to_field(domain, u),
-        v=_to_field(domain, v),
-        residual_P=done[-1].residuals[-1], residual_CR=np.nan,
+        v=_to_field(domain, v), residual_P=done[-1].residuals[-1],
         newton_iters=sum(len(r.step_lengths) for r in done),
         fvec=fv, continuation_a=done[-1].level if a == 0.0 else None,
         trace=trace, factorizations=sum(r.factorizations for r in trace))
-    sol.residual_CR = cr_residual(sol)
-    return sol
 
 
 # ---------------------------------------------------------------------------

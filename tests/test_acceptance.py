@@ -93,7 +93,7 @@ def test_criterion_03_u1_dirichlet_solver(u1_solutions):
                      np.max(np.abs(sol_aff.u.values[inside] - c)))
     # quadratic data at 129^2
     sol = u1_solutions[129]
-    crs = [u1_solutions[n].residual_CR for n in (33, 65, 129)]
+    crs = [u1.cr_residual(u1_solutions[n]) for n in (33, 65, 129)]
     slopes = np.log2(np.array(crs[:-1]) / np.array(crs[1:]))
     # two initial guesses
     sol_b = u1.solve_dirichlet(u1_solutions["phi"], 1.0, dom, tol=tol,

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slgeo import calabi
+from slgeo import calabi, u1
 
 EPS = np.finfo(float).eps
 
@@ -545,22 +545,64 @@ _FLAT = calabi.TorusField(1, np.zeros((8, 8)))
 ] + [(lambda tol=tol: calabi.solve_calabi(_FLAT, tol=tol),
       "tol must be positive and finite") for tol in (np.nan, np.inf)]
   + [(lambda C=C: calabi.radial_ricci_flat_profile(C),
-      "C must be nonnegative and finite") for C in (-1.0, np.nan, np.inf)])
+      "C must be nonnegative and finite") for C in (-1.0, np.nan, np.inf)]
+  + [(lambda v=v: calabi.TorusField(1, np.full((4, 4), v)),
+      "field values must be finite") for v in (np.nan, np.inf, -np.inf)])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+_DISC17 = u1.ConvexDomain("disc", n=17)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((np.nan, np.inf, -np.inf)), st.integers(0, 2 ** 20))
+def test_non_finite_node_rejected_at_entry(bad, node):
+    # one non-finite value at a drawn node of each array input of the
+    # solvers: a torus field for m = 1 and 2, and a U(1) starting vector
+    for m in (1, 2):
+        v = np.ones((6,) * (2 * m))
+        v.flat[node % v.size] = bad
+        with pytest.raises(ValueError, match="field values must be finite"):
+            calabi.TorusField(m, v)
+    start = np.zeros(len(_DISC17.nodes))
+    start[node % start.size] = bad
+    with pytest.raises(ValueError, match="one finite value per active node"):
+        u1.solve_dirichlet(u1.BoundaryData(lambda x, y: 0.0 * x), 1.0,
+                           _DISC17, initial=start)
+
+
+def test_overflowing_source_stops_non_finite():
+    # e^{t f} overflows past t = 709 / 800, so s = 0 and the residual has
+    # NaN nodes: each such record stops "non-finite residual" and is
+    # halved, and no record converges at a non-finite residual
+    f = calabi.TorusField.from_function(
+        1, 16, lambda x, y: 800.0 * np.cos(x) * np.cos(y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(calabi.PathFailureError) as info:
+            calabi.solve_calabi(f, t_steps=1)
+    assert abs(info.value.last_good_t - 709.0 / 800.0) < 1e-3
+    path = info.value.path
+    nan = [rec for rec in path.trace if np.isnan(rec.residuals[-1])]
+    assert nan and all(rec.stop == "non-finite residual" for rec in nan)
+    assert [r for _, _, r in path.halvings].count("non-finite residual") \
+        == len(nan)
+    assert all(np.isfinite(rec.residuals[-1]) for rec in path.trace
+               if rec.stop == "converged")
 
 
 def test_nonpositive_ratio_rejected():
     bad = calabi.TorusField(1, np.full((8, 8), -1.0))
     with pytest.raises(calabi.InvalidVolumeError):
         calabi.ricci_form(bad)
-    # one NaN node among positive ones, which a minimum would let through
+    # one NaN node among positive ones, which a minimum would let through,
+    # set after the field's own finite check
     for m in (1, 2):
-        values = np.ones((8,) * (2 * m))
-        values[3, 5] = np.nan
+        ratio = calabi.TorusField(m, np.ones((8,) * (2 * m)))
+        ratio.values[3, 5] = np.nan
         with pytest.raises(calabi.InvalidVolumeError):
-            calabi.ricci_form(calabi.TorusField(m, values))
+            calabi.ricci_form(ratio)
 
 
 # ---------------------------------------------------------------------------

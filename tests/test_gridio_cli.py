@@ -1,5 +1,6 @@
 """Tests for the grid CSV format and the JSON-report command line."""
 
+import dataclasses
 import json
 import pathlib
 import shlex
@@ -11,7 +12,8 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from slgeo import cli, fibrations, gridio, u1
+import slgeo
+from slgeo import calabi, cli, evolution, families, fibrations, gridio, u1
 from slgeo.core import real_coords
 
 
@@ -407,7 +409,79 @@ def test_report_envelope_failure_lists_checks():
     rep = cli.Report("demo", {})
     rep.check("good", 0.0, 1.0)
     rep.check("bad", 2.0, 1.0)
+    rep.check("nan", np.nan, 1.0)
     code = rep.finish(no_timing=True)
     assert code == 1
     assert rep.envelope["status"] == "fail"
-    assert rep.envelope["failing"] == ["bad"]
+    assert rep.envelope["failing"] == ["bad", "nan"]
+    assert rep.envelope["checks"][2]["value"] is None
+
+
+def test_report_version_is_the_package_version():
+    assert cli.Report("demo", {}).envelope["version"] == slgeo.__version__
+
+
+def _shift_f(sol):
+    sol.f.values[sol.domain.inside] += 1e-3
+    return sol
+
+
+def _bump_phi(path):
+    bump = calabi.TorusField.from_function(
+        path.phi.m, path.phi.n, lambda x1, *rest: 1e-3 * np.cos(x1))
+    path.phi = calabi.TorusField(path.phi.m, path.phi.values + bump.values)
+    return path
+
+
+def _shift_point(rec):
+    rec.points[0] += 1e-3
+    return rec
+
+
+_EVOLVE = ["evolve", "--nodes", "162", "--t-end", "0.01"]
+
+# (argv, module, function, change to its result, the check that must fail)
+_WRONG_ANSWERS = [
+    (["verify", "--example", "hl-cone", "--samples", "100"], families,
+     "sl_residual_sweep", lambda worst: 1.0, "sl_residual_max"),
+    (["solve-u1", "--boundary", "x2", "--grid-n", "33"], u1,
+     "solve_dirichlet", _shift_f, "residual_P"),
+    (["solve-calabi", "--m", "2", "--grid", "8", "--t-steps", "2"], calabi,
+     "solve_calabi", _bump_phi, "ma_residual"),
+    (["fibration"], fibrations, "explicit_F_fiber", _shift_point,
+     "roundtrip_max_error"),
+    (["fibration"], fibrations, "explicit_F_fiber",
+     lambda rec: dataclasses.replace(rec, sl_residual_max=1.0),
+     "sl_residual_max"),
+    (["fibration", "--scan"], fibrations, "discriminant_scan",
+     lambda sing: [], "discriminant_is_a_eq_0"),
+    (_EVOLVE, evolution, "symplectic_drift", lambda drift: 1.0,
+     "symplectic_drift"),
+    (_EVOLVE, evolution, "compare_so3", lambda dev: 1.0,
+     "so3_family_deviation"),
+    (["index", "--gram", "l0"], families, "legendrian_index_flat_torus",
+     lambda count: 5, "l_index"),
+]
+
+
+def test_every_cli_check_can_fail(capsys):
+    # each command, handed a wrong answer, fails the check on that answer
+    # alone; the cases reach every check the commands report
+    failed, reported = set(), set()
+    for argv, module, name, change, check in _WRONG_ANSWERS:
+        real = getattr(module, name)
+        with mock.patch.object(module, name, lambda *a, real=real,
+                               change=change, **k: change(real(*a, **k))):
+            assert cli.main(["--no-timing"] + argv) == 1, argv
+        report = json.loads(capsys.readouterr().out)
+        assert report["status"] == "fail"
+        assert report["failing"] == [check]
+        failed.add((argv[0], check))
+        reported.update((argv[0], c["name"]) for c in report["checks"])
+    assert reported == failed
+    # a command whose values cannot fail reports them with no checks
+    for argv in (["index", "--gram", "identity"],
+                 ["moduli-dim", "--vars", "5", "--degrees", "5"]):
+        assert cli.main(["--no-timing"] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["checks"] == [] and report["status"] == "pass"

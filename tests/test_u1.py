@@ -67,7 +67,7 @@ def test_quadratic_data_converges():
     sol = u1.solve_dirichlet(phi, 0.5, _disc(), tol=1e-10)
     assert sol.residual_P < 1e-9
     assert sol.newton_iters >= 1
-    assert np.isfinite(sol.residual_CR)
+    assert np.isfinite(u1.cr_residual(sol))
 
 
 def test_two_initial_guesses_agree():
@@ -192,7 +192,7 @@ def test_singular_points_match_node_walk(half_n, seed, zero_share, nan_share):
     u = gridio.GridField(rng.standard_normal((dom.n, dom.n)), -dom.rx, -dom.ry,
                          dom.hx, dom.hy)
     sol = u1.PotentialSolution(domain=dom, a=0.0, f=v, u=u, v=v, residual_P=0.0,
-                               residual_CR=0.0, newton_iters=0)
+                               newton_iters=0)
     assert u1.singular_points(sol) == _singular_points_loop(sol)
 
 
@@ -263,8 +263,7 @@ def test_difference_zeros_match_cell_walk(half_n, seed, zero_share, nan_share):
         fields = [gridio.GridField(g, -dom.rx, -dom.ry, dom.hx, dom.hy)
                   for g in (u, v)]
         return u1.PotentialSolution(domain=dom, a=0.0, f=fields[1], u=fields[0],
-                                    v=fields[1], residual_P=0.0, residual_CR=0.0,
-                                    newton_iters=0)
+                                    v=fields[1], residual_P=0.0, newton_iters=0)
 
     s1 = sol(du + X, dv - Y)
     s2 = sol(X, -Y)
@@ -333,7 +332,7 @@ def _singular_field(offset, k=3):
     f = gridio.GridField(0.2 * (X - x0) ** 2 + 0.1 * Y ** 2, -dom.rx, -dom.ry,
                          dom.hx, dom.hy, mask=dom.inside.copy())
     return u1.PotentialSolution(domain=dom, a=0.0, f=f, u=f, v=f,
-                                residual_P=0.0, residual_CR=0.0, newton_iters=0)
+                                residual_P=0.0, newton_iters=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -452,6 +451,9 @@ def _zero_data(x, y):
     return np.zeros_like(x)
 
 
+_N17 = len(_disc(17).nodes)     # active nodes of the 17-node disc
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: u1.ConvexDomain("square"), "kind must be disc or ellipse"),
     (lambda: u1.ConvexDomain("disc", n=15), "resolution must be >= 17"),
@@ -466,7 +468,12 @@ def _zero_data(x, y):
                                          _disc(17), tol=tol),
       "tol must be positive and finite") for tol in (np.nan, np.inf)]
   + [(lambda a=a: u1.solve_dirichlet(u1.BoundaryData(_zero_data), a, _disc(17)),
-      "a must be finite") for a in (np.nan, np.inf, -np.inf, 1e300, -1e200)])
+      "a must be finite") for a in (np.nan, np.inf, -np.inf, 1e300, -1e200)]
+  + [(lambda v=v: u1.solve_dirichlet(u1.BoundaryData(_zero_data), 1.0,
+                                     _disc(17), initial=v),
+      "initial must hold one finite value per active node")
+     for v in (np.full(_N17, np.nan), np.full(_N17, -np.inf), np.zeros(3),
+               np.zeros((_N17, 1)))])
 def test_input_guards(call, message):
     with pytest.raises(ValueError, match=message):
         call()
