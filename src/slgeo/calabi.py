@@ -332,8 +332,10 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         if not (last and _volume_ratio(trial, f.h, det)):
             np.copyto(trial, phi)
             _volume_ratio(phi, f.h, det)
-        level = np.mean(np.exp(np.multiply(f.values, t_next, out=cand),
-                               out=cand))
+        # e^{t f} may overflow; the record stops on the NaN residual it gives
+        with np.errstate(over="ignore"):
+            level = np.mean(np.exp(np.multiply(f.values, t_next, out=cand),
+                                   out=cand))
         s, rnorm = _residual(det, f, t_next, level, rhs)
         rec = NewtonRecord(t_next, [rnorm])
         while rnorm > tol and len(rec.step_lengths) < max_newton:
@@ -389,13 +391,15 @@ def _residual(det, f: TorusField, t, level, rhs):
     planes = max(1, SLAB_NODES // det[0].size)
     scratch = np.empty((planes,) + det.shape[1:])
     hi = 0.0
-    for start in range(0, len(det), planes):
-        rows = slice(start, start + planes)
-        r = scratch[:len(det[rows])]
-        np.exp(np.multiply(f.values[rows], t, out=r), out=r)
-        np.subtract(det[rows], np.multiply(r, s, out=r), out=r)
-        hi = np.maximum(hi, np.maximum(np.max(r), -np.min(r)))
-        np.multiply(r, -2.0, out=rhs[rows])
+    # overflow and 0 * inf leave NaN nodes; hi carries them to the record
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(det), planes):
+            rows = slice(start, start + planes)
+            r = scratch[:len(det[rows])]
+            np.exp(np.multiply(f.values[rows], t, out=r), out=r)
+            np.subtract(det[rows], np.multiply(r, s, out=r), out=r)
+            hi = np.maximum(hi, np.maximum(np.max(r), -np.min(r)))
+            np.multiply(r, -2.0, out=rhs[rows])
     return s, float(hi)
 
 

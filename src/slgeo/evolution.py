@@ -126,23 +126,26 @@ class EvolvingSurface:
     states: list = field(default_factory=list)
     times: list = field(default_factory=list)
     dt: float = 0.01
-    drifts: list = field(default_factory=list)
+    drifts: list = field(init=False)
     halvings: list = field(default_factory=list)
     D: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite, got %r"
+                             % (self.dt,))
+        if not all(np.isfinite(s).all() for s in self.states):
+            raise ValueError("surface states must be finite")
         self.D = sp.vstack([self.D1, self.D2], format="csr")
+        self.drifts = [state_drift(self, s) for s in self.states]
 
     @classmethod
     def sphere(cls, subdivisions: int = 3, scale: complex = 1.0,
                dt: float = 0.01) -> "EvolvingSurface":
-        if not 0 < dt < np.inf:
-            raise ValueError("dt must be positive and finite, got %r" % (dt,))
         verts, faces = icosphere(subdivisions)
         D1, D2 = _pushforward_matrices(verts, faces)
-        surf = cls(verts, faces, D1, D2, dt=dt)
-        surf.states.append(scale * verts.astype(complex))
-        surf.times.append(0.0)
+        surf = cls(verts, faces, D1, D2, [scale * verts.astype(complex)],
+                   [0.0], dt)
         chi = surf.velocity(surf.states[0])
         if np.min(np.linalg.norm(chi, axis=1)) < 1e-12:
             raise InvalidChiError("area bivector vanishes at a node")
@@ -188,23 +191,16 @@ def state_drift(surf: EvolvingSurface, state: np.ndarray) -> float:
     return float(np.max(np.abs(om[:, 0] + om[:, 1] + om[:, 2])))
 
 
-def _recorded_drifts(surf: EvolvingSurface) -> list:
-    """surf.drifts, extended by the states it does not cover yet."""
-    surf.drifts.extend(state_drift(surf, s)
-                       for s in surf.states[len(surf.drifts):])
-    return surf.drifts
-
-
 def evolve_step(surf: EvolvingSurface) -> EvolvingSurface:
     """One accepted RK4 step; halves dt while the drift budget is exceeded,
     recording each rejected candidate in surf.halvings."""
     state = surf.states[-1]
-    base = _recorded_drifts(surf)[-1]
+    base = surf.drifts[-1]
     dt = surf.dt
     while True:
         cand = _rk4(surf, state, dt)
         drift = state_drift(surf, cand)
-        if drift <= max(base, 0.0) + DRIFT_BUDGET:
+        if drift <= base + DRIFT_BUDGET:
             break
         surf.halvings.append((surf.times[-1], dt, drift))
         dt *= 0.5
@@ -230,7 +226,7 @@ def evolve_run(surf: EvolvingSurface, t_end: float) -> EvolvingSurface:
 
 def symplectic_drift(surf: EvolvingSurface) -> float:
     """Max discrete pullback of omega over all cells and recorded times."""
-    return max(_recorded_drifts(surf))
+    return max(surf.drifts)
 
 
 def swept_sl_defect(surf: EvolvingSurface, stride: int = 50) -> float:

@@ -196,8 +196,8 @@ def explicit_F_fiber(a: float, b: complex) -> FiberRecord:
                             broadcast_stack([0, 1j * r2 * e2, 1j * rmin * e3])],
                            axis=-2)
     defects = plane_defects(real_coords(rows).reshape(-1, 3, 6))[0]
-    sing = [(0.0, 0.0, b)] if a == 0.0 else []
-    topo = "T2_cone" if a == 0.0 else "S1xR2"
+    sing = [(0.0, 0.0, b)] if apex.any() else []
+    topo = "T2_cone" if sing else "S1xR2"
     return FiberRecord((a, b.real, b.imag), pts[keep], topo, sing,
                        float(np.max(defects, initial=0.0)))
 

@@ -539,14 +539,12 @@ def lift_to_sl3(sol: PotentialSolution, samples_per_node: int = 4) -> LiftedClou
     dom = sol.domain
     a = sol.a
     F = sol.f.values
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        u = _central4(F, 1, dom.hy)
-        v = _central4(F, 0, dom.hx)
-        ux = _central4(u, 0, dom.hx)
-        uy = _central4(u, 1, dom.hy)
-        vx = _central4(v, 0, dom.hx)
-        vy = _central4(v, 1, dom.hy)
+    u = _central4(F, 1, dom.hy)
+    v = _central4(F, 0, dom.hx)
+    ux = _central4(u, 0, dom.hx)
+    uy = _central4(u, 1, dom.hy)
+    vx = _central4(v, 0, dom.hx)
+    vy = _central4(v, 1, dom.hy)
     X, Y = sol.f.coords()
     sel = _deep_interior(dom, 4) & np.isfinite(ux) & np.isfinite(vx)
     s = a + np.sqrt(a * a + np.abs(v[sel] + 1j * Y[sel]) ** 2)

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from slgeo import calabi, u1
+from slgeo import calabi, evolution, u1
 
 EPS = np.finfo(float).eps
 
@@ -554,13 +554,15 @@ def test_input_guards(call, message):
 
 
 _DISC17 = u1.ConvexDomain("disc", n=17)
+_SPHERE = evolution.EvolvingSurface.sphere(1)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from((np.nan, np.inf, -np.inf)), st.integers(0, 2 ** 20))
 def test_non_finite_node_rejected_at_entry(bad, node):
     # one non-finite value at a drawn node of each array input of the
-    # solvers: a torus field for m = 1 and 2, and a U(1) starting vector
+    # solvers: a torus field for m = 1 and 2, a U(1) starting vector and
+    # one of two surface-flow states
     for m in (1, 2):
         v = np.ones((6,) * (2 * m))
         v.flat[node % v.size] = bad
@@ -571,6 +573,12 @@ def test_non_finite_node_rejected_at_entry(bad, node):
     with pytest.raises(ValueError, match="one finite value per active node"):
         u1.solve_dirichlet(u1.BoundaryData(lambda x, y: 0.0 * x), 1.0,
                            _DISC17, initial=start)
+    states = [_SPHERE.states[0].copy() for _ in range(2)]
+    size = states[0].size
+    states[node // size % 2].flat[node % size] = bad
+    with pytest.raises(ValueError, match="surface states must be finite"):
+        evolution.EvolvingSurface(_SPHERE.verts, _SPHERE.faces, _SPHERE.D1,
+                                  _SPHERE.D2, states=states, times=[0.0, 0.1])
 
 
 def test_overflowing_source_stops_non_finite():
@@ -579,9 +587,8 @@ def test_overflowing_source_stops_non_finite():
     # halved, and no record converges at a non-finite residual
     f = calabi.TorusField.from_function(
         1, 16, lambda x, y: 800.0 * np.cos(x) * np.cos(y))
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(calabi.PathFailureError) as info:
-            calabi.solve_calabi(f, t_steps=1)
+    with pytest.raises(calabi.PathFailureError) as info:
+        calabi.solve_calabi(f, t_steps=1)
     assert abs(info.value.last_good_t - 709.0 / 800.0) < 1e-3
     path = info.value.path
     nan = [rec for rec in path.trace if np.isnan(rec.residuals[-1])]

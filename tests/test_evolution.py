@@ -201,8 +201,8 @@ def test_nonpositive_dt_rejected(dt):
     assert surf.times == [0.0]
 
 
-def _surface_at(state_of_verts, dt=0.01):
-    base = evolution.EvolvingSurface.sphere(1, dt=dt)
+def _surface_at(state_of_verts, dt=0.01, sub=1):
+    base = evolution.EvolvingSurface.sphere(sub, dt=dt)
     return evolution.EvolvingSurface(base.verts, base.faces, base.D1, base.D2,
                                      states=[state_of_verts(base.verts)],
                                      times=[0.0], dt=dt)
@@ -221,9 +221,8 @@ def _underflow_state(v):
 @pytest.mark.parametrize("call, error, message", [
     (lambda: evolution.EvolvingSurface.sphere(1, scale=0.0),
      evolution.InvalidChiError, "bivector vanishes"),
-    # a NaN state never meets the drift budget, so dt is halved away
-    (lambda: evolution.evolve_step(_surface_at(_nan_state)),
-     evolution.StepRejectedError, "drift budget unattainable"),
+    (lambda: _surface_at(_nan_state), ValueError,
+     "surface states must be finite"),
     (lambda: evolution.compare_so3(_surface_at(_underflow_state)),
      evolution.NoMatchError, "constant is nonpositive"),
 ] + [(lambda dt=dt: evolution.EvolvingSurface.sphere(1, dt=dt), ValueError,
@@ -276,11 +275,9 @@ def _assert_close(a, b):
 def _bumped_sphere(sub, dt):
     # a phase-rotated sphere stretched along x: not a fixed shape of the
     # flow, so large steps break the drift budget and get halved
-    surf = evolution.EvolvingSurface.sphere(sub, scale=np.exp(1j * np.pi / 6),
-                                            dt=dt)
-    v = surf.verts
-    surf.states[0] = np.exp(1j * np.pi / 6) * v * (1.0 + 0.1 * v[:, :1] ** 2)
-    return surf
+    return _surface_at(
+        lambda v: np.exp(1j * np.pi / 6) * v * (1.0 + 0.1 * v[:, :1] ** 2),
+        dt, sub)
 
 
 @pytest.mark.parametrize("bumped", [False, True])
@@ -318,8 +315,8 @@ def test_halvings_record_rejected_candidates():
 
 
 def test_diagnostics_on_constructed_surface_match_per_state():
-    # the benchmark builds its surface through the constructor, so the drift
-    # list starts empty and every diagnostic must fill in what it lacks
+    # the benchmark builds its surface through the constructor, which
+    # records the drift of every state it is given
     base = evolution.EvolvingSurface.sphere(3, scale=np.exp(1j * np.pi / 5),
                                             dt=0.02)
     surf = evolution.EvolvingSurface(base.verts, base.faces, base.D1, base.D2,

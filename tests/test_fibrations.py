@@ -56,6 +56,18 @@ def test_explicit_fiber_singular_point():
     assert rec2.singular_points == []
 
 
+@pytest.mark.parametrize("a", [-0.5, -1e-30, 0.0, 1e-30, 0.5])
+def test_explicit_fiber_singular_points_are_sampled_apexes(a):
+    # the record is singular exactly where its own sample reaches
+    # z1 = z2 = 0, which at |a| = 1e-30 the sampler collapses an orbit to
+    rec = fib.explicit_F_fiber(a, 0.4 + 0.1j)
+    pts = rec.points
+    apex = pts[(pts[:, 0] == 0) & (pts[:, 1] == 0)]
+    assert rec.singular_points == [tuple(p) for p in apex]
+    assert rec.topology == ("T2_cone" if len(apex) else "S1xR2")
+    assert len(apex) == (a in (-1e-30, 0.0, 1e-30))
+
+
 def test_explicit_map_is_only_piecewise_smooth():
     # one-sided derivatives across |z1| = |z2| disagree by O(1)
     jump = fib.explicit_F_smoothness_jump(0.0, 0.3)
