@@ -41,7 +41,9 @@ class NewtonRecord:
     max-norm residual before each step and at the end, the accepted
     line-search step of each step (0.0 where none was found), U(1)'s
     Jacobian refreshes (``fresh``, ``factorizations``) and why it stopped:
-    "converged", "damping underflow" or "max iterations"."""
+    "converged", "round-off floor" (a U(1) a = 0 rung accepted at the
+    round-off bound of P), "damping underflow", "max iterations" or
+    "non-finite residual" (Calabi)."""
 
     level: float
     residuals: list = field(default_factory=list)

@@ -179,8 +179,9 @@ def explicit_F_fiber(a: float, b: complex) -> FiberRecord:
     r1 = np.sqrt(np.maximum(r2 ** 2 + 2.0 * a, 0.0))
     rmin = np.minimum(r1, r2)
     pts = broadcast_stack([r1 * e1, r2 * e2, b - rmin * e3]).reshape(n_r, -1, 3)
-    # where both circles collapse the whole orbit is the single point (0, 0, b)
-    apex = ((r1 < 1e-13) & (r2 < 1e-13))[:, 0, 0]
+    # where both radii are exactly zero (a = 0, s = 0) the whole orbit is
+    # the single point (0, 0, b)
+    apex = ((r1 == 0.0) & (r2 == 0.0))[:, 0, 0]
     keep = np.ones(pts.shape[:2], dtype=bool)
     keep[apex, 1:] = False
     pts[apex, 0] = (0.0, 0.0, b)

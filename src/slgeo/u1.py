@@ -37,6 +37,8 @@ from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
 DAMPING_MIN = 2.0 ** -20  # smallest line-search step before a stall
+KAPPA = 0.25  # a = 0 rungs stop at KAPPA times the round-off bound of P
+ACCEPTED = ("converged", "round-off floor")  # Newton stops that keep a level
 
 
 class NewtonDivergenceError(RuntimeError):
@@ -180,8 +182,8 @@ class PotentialSolution:
     residual_P: float
     newton_iters: int
     fvec: np.ndarray = field(repr=False, default=None)
-    # for a = 0 solves: the smallest continuation level that converged;
-    # residual_P is evaluated against the equation at this level
+    # for a = 0 solves: the level where the ladder ended, at tol or at its
+    # round-off floor; residual_P is evaluated against the equation there
     continuation_a: float = None
     # one NewtonRecord per Newton solve (continuation level), and the
     # sparse factorisations summed over them
@@ -226,11 +228,13 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     For a != 0 the equation is uniformly elliptic and the ladder is the
     single level a.  For a = 0 the solution is the continuation limit
     along a_k = 2^{-k}, stopped when successive iterates agree to tol in
-    sup norm.  The first level starts from initial, or from the harmonic
-    extension of phi; each later level starts from the one before.  If the
-    first level fails, NewtonDivergenceError carries its record; after a
-    later failure a ContinuationStalledWarning keeps the last converged
-    level, whose record's final residual, max |P(f)|, is residual_P.
+    sup norm, or at the first level accepted at its round-off floor (see
+    _newton), a bound on rounding in P that grows like 1/a.  The first
+    level starts from initial, or from the harmonic extension of phi; each
+    later level starts from the one before.  If the first level fails,
+    NewtonDivergenceError carries its record; after a later failure a
+    ContinuationStalledWarning keeps the last accepted level, whose
+    record's final residual, max |P(f)|, is residual_P.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -241,11 +245,12 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
         raise ValueError("initial must hold one finite value per active node "
                          "(%d)" % len(domain.nodes))
     ops = _direction_ops(domain, phi)
+    floor = None if a != 0.0 else (abs(ops[2]), abs(ops[6]))
     fv, trace = initial, []
     for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:
-        fk, rec = _newton(ops, domain, ak, tol, max_newton, fv)
+        fk, rec = _newton(ops, domain, ak, tol, max_newton, fv, floor)
         trace.append(rec)
-        if rec.stop != "converged":
+        if rec.stop not in ACCEPTED:
             if len(trace) == 1:   # no level converged
                 raise NewtonDivergenceError(rec)
             warnings.warn("continuation stalled at a = %g (residual %.2e); "
@@ -254,7 +259,8 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
                           ContinuationStalledWarning, stacklevel=2)
             break
         prev, fv = fv, fk   # _newton returns a new array each level
-        if len(trace) > 1 and np.max(np.abs(fv - prev)) < tol:
+        if rec.stop != "converged" or (len(trace) > 1
+                                       and np.max(np.abs(fv - prev)) < tol):
             break
     return _package(a, domain, ops, fv, trace)
 
@@ -270,13 +276,16 @@ def _factor(J):
                      options=dict(SymmetricMode=True))
 
 
-def _newton(ops, domain, a, tol, max_newton, initial=None):
+def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
     """Damped Newton for P(f) = 0 at level a; returns (last f, NewtonRecord).
 
     The Jacobian's LU is kept while full steps at least halve the residual
     2-norm (chord steps) and refactored after a damped or weaker step.  A
     line search that fails on a kept LU is retried on a fresh one, so a
-    stall is declared only on a fresh Jacobian.
+    stall is declared only on a fresh Jacobian.  Given floor = (|A_xx|,
+    |A_yy|), a residual above tol but within KAPPA times the round-off
+    bound eps max[c (|A_xx| |f| + |b_xx|) + 2 (|A_yy| |f| + |b_yy|)] of P
+    at the start iterate stops "round-off floor".
     """
     Ax, bx, Axx, bxx, _, _, Ayy, byy = ops
     yv = domain.y[domain.nodes[:, 1]]
@@ -307,11 +316,17 @@ def _newton(ops, domain, a, tol, max_newton, initial=None):
     else:
         fv = np.asarray(initial, dtype=float).copy()
     res = _p_residual(ops, yv, a, fv)
+    stop_at = tol
+    if floor is not None:
+        af = np.abs(fv)
+        bound = (_coefficient(Ax @ fv + bx, yv, a) * (floor[0] @ af + np.abs(bxx))
+                 + 2.0 * (floor[1] @ af + np.abs(byy)))
+        stop_at = max(tol, KAPPA * np.finfo(float).eps * float(np.max(bound)))
     lu = None
     for it in range(max_newton + 1):
         rec.residuals.append(float(np.max(np.abs(res))))
-        if rec.residuals[-1] <= tol:
-            rec.stop = "converged"
+        if rec.residuals[-1] <= stop_at:
+            rec.stop = "converged" if rec.residuals[-1] <= tol else "round-off floor"
             break
         if it == max_newton:
             rec.stop = "max iterations"
@@ -338,12 +353,12 @@ def _newton(ops, domain, a, tol, max_newton, initial=None):
 
 
 def _package(a, domain, ops, fv, trace):
-    """The solution at fv, the iterate of the last converged Newton solve,
+    """The solution at fv, the iterate of the last accepted Newton solve,
     whose record gives residual_P."""
     Ax, bx, _, _, Ay, by, _, _ = ops
     v = Ax @ fv + bx
     u = Ay @ fv + by
-    done = [r for r in trace if r.stop == "converged"]
+    done = [r for r in trace if r.stop in ACCEPTED]
     return PotentialSolution(
         domain=domain, a=a, f=_to_field(domain, fv), u=_to_field(domain, u),
         v=_to_field(domain, v), residual_P=done[-1].residuals[-1],

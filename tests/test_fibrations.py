@@ -59,13 +59,13 @@ def test_explicit_fiber_singular_point():
 @pytest.mark.parametrize("a", [-0.5, -1e-30, 0.0, 1e-30, 0.5])
 def test_explicit_fiber_singular_points_are_sampled_apexes(a):
     # the record is singular exactly where its own sample reaches
-    # z1 = z2 = 0, which at |a| = 1e-30 the sampler collapses an orbit to
+    # z1 = z2 = 0, which only the a = 0 fibre does, however small |a| is
     rec = fib.explicit_F_fiber(a, 0.4 + 0.1j)
     pts = rec.points
     apex = pts[(pts[:, 0] == 0) & (pts[:, 1] == 0)]
     assert rec.singular_points == [tuple(p) for p in apex]
     assert rec.topology == ("T2_cone" if len(apex) else "S1xR2")
-    assert len(apex) == (a in (-1e-30, 0.0, 1e-30))
+    assert len(apex) == (a == 0.0)
 
 
 def test_explicit_map_is_only_piecewise_smooth():
@@ -77,6 +77,14 @@ def test_explicit_map_is_only_piecewise_smooth():
 def test_discriminant_is_exactly_a_zero():
     sing = fib.discriminant_scan(np.linspace(-1.0, 1.0, 21))
     assert sing == [0.0]
+
+
+def test_discriminant_scan_skips_tiny_nonzero_levels():
+    # both circle radii are below 1e-13 at these levels, yet the fibres
+    # are smooth; a = 0 keeps its apex
+    levels = [-1e-26, -4e-27, 1e-27, 4e-27, 1e-26]
+    assert fib.discriminant_scan(levels) == []
+    assert fib.discriminant_scan(levels + [0.0]) == [0.0]
 
 
 # ---------------------------------------------------------------------------

@@ -89,11 +89,12 @@ def test_p_operator_matches_packaged_residual():
     sol = u1.solve_dirichlet(phi, 0.5, dom, tol=1e-10)
     res = u1.p_operator(sol.f, 0.5, dom, phi)
     assert np.nanmax(np.abs(res.values)) == sol.residual_P
-    # a stalled a = 0 solve, evaluated at its last converged level
+    # a stalled a = 0 solve, evaluated at its last converged level: the
+    # a = 2^-8 rung runs out of Newton steps above its round-off floor
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     dom = _disc(33)
     with pytest.warns(u1.ContinuationStalledWarning):
-        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10)
+        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10, max_newton=25)
     assert sol.trace[-1].stop != "converged"
     res = u1.p_operator(sol.f, sol.continuation_a, dom, phi)
     assert np.nanmax(np.abs(res.values)) == sol.residual_P
@@ -548,8 +549,10 @@ def test_exhausted_newton_budget_keeps_its_record():
     assert info.value.residual == rec.residuals[-1] > 1e-10
 
 
-def test_stalled_continuation_ends_on_a_fresh_factor():
-    # data near b = c = 0 stall at the round-off floor before a = 0
+def test_stalled_continuation_ends_on_a_fresh_factor(monkeypatch):
+    # with no round-off floor to stop at, data near b = c = 0 stall at the
+    # round-off plateau before a = 0
+    monkeypatch.setattr(u1, "KAPPA", 0.0)
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     with pytest.warns(u1.ContinuationStalledWarning):
         sol = u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
@@ -567,8 +570,57 @@ def test_stalled_continuation_ends_on_a_fresh_factor():
 def test_stall_warning_points_at_the_caller():
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     with pytest.warns(u1.ContinuationStalledWarning) as record:
-        u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
+        u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10, max_newton=25)
     assert record[0].filename == __file__
+
+
+@pytest.mark.parametrize("n", [33, 65])
+def test_a_zero_ladder_stops_at_its_round_off_floor(monkeypatch, n):
+    # the last rung levels off above tol but within KAPPA times the
+    # round-off bound of P at its start iterate, and is accepted as it is
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
+    dom, tol = _disc(n), 1e-10
+    starts, newton = [], u1._newton
+
+    def recording(ops, domain, a, tol, max_newton, initial=None, floor=None):
+        starts.append(initial)
+        return newton(ops, domain, a, tol, max_newton, initial, floor)
+
+    monkeypatch.setattr(u1, "_newton", recording)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=tol)
+    assert caught == []
+    *done, last = sol.trace
+    assert last.stop == "round-off floor"
+    assert all(rec.stop == "converged" for rec in done)
+    Ax, bx, Axx, bxx, _, _, Ayy, byy = u1._direction_ops(dom, phi)
+    f0 = np.abs(starts[-1])
+    c = 1.0 / np.sqrt((Ax @ starts[-1] + bx) ** 2
+                      + dom.y[dom.nodes[:, 1]] ** 2 + last.level ** 2)
+    B = np.finfo(float).eps * np.max(c * (abs(Axx) @ f0 + np.abs(bxx))
+                                     + 2.0 * (abs(Ayy) @ f0 + np.abs(byy)))
+    assert tol < last.residuals[-1] <= 0.25 * B
+    assert sol.continuation_a == last.level
+    assert sol.newton_iters == sum(len(rec.step_lengths) for rec in sol.trace)
+    assert sol.residual_P == last.residuals[-1] <= 10 * tol
+    res = u1.p_operator(sol.f, sol.continuation_a, dom, phi)
+    assert np.nanmax(np.abs(res.values)) == sol.residual_P
+
+
+def test_nonzero_level_is_held_to_tol():
+    # the a = 0 ladder accepts its last rung at the round-off floor; a solve
+    # at that level from that iterate keeps tol and stalls above it
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
+    dom = _disc(33)
+    sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10)
+    assert sol.trace[-1].stop == "round-off floor"
+    with pytest.raises(u1.NewtonDivergenceError) as info:
+        u1.solve_dirichlet(phi, sol.continuation_a, dom, tol=1e-10,
+                           initial=sol.fvec)
+    rec = info.value.record
+    assert rec.residuals[0] == sol.residual_P
+    assert rec.stop == "damping underflow" and info.value.residual > 1e-10
 
 
 def test_initial_seeds_the_first_rung_at_a_zero():
