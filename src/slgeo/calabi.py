@@ -287,10 +287,10 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     whose Newton solve fails is halved: its record stops "damping
     underflow" (no step down to 2^-12 lowered the residual), "max
     iterations" or "non-finite residual" (a NaN node, as when e^{t f}
-    overflows).  After each accepted step the step length doubles again,
-    up to 1 / t_steps, and the next step, of length dt after one of length
-    L, starts from the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}),
-    or from phi_k if that is not Kahler; a halved retry starts from phi_k.
+    overflows).  The first step is 1 / t_steps long; after an accepted
+    step of length L the next is dt = min(L, 1 - t) long and starts from
+    the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}), or from
+    phi_k if that is not Kahler; a halved retry starts from phi_k.
     A step that would end within 1e-14 of t = 1 ends at t = 1 exactly, so
     the path's residual is the final record's last residual, the max norm
     of det(I + H) - e^{f + c} at the returned phi.
@@ -317,6 +317,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if t_steps < 1:
         raise ValueError("t_steps must be at least 1")
+    if max_newton < 0:
+        raise ValueError("max_newton must be at least 0")
     path = ContinuityPath(f=f)
     phi, trial, cand, det = np.zeros((4,) + f.values.shape)
     rhs = np.empty(f.values.shape, np.float32 if f.m == 2 else float)
@@ -376,7 +378,6 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         path.steps.append(t)
         path.c_values.append(float(np.log(s)))
         path.newton_iters.append(len(rec.step_lengths))
-        dt = min(2.0 * dt, 1.0 / t_steps)
     step = None     # before the copy, so the heap can shrink first
     path.phi = TorusField(f.m, phi.copy())
     path.residual = rec.residuals[-1]

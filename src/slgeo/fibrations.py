@@ -40,7 +40,7 @@ class EmptyFiberError(ValueError):
 class FiberRecord:
     alpha: tuple
     points: np.ndarray                  # (N, 3) complex
-    topology: str                       # T2_cone | S1xR2 | plane_pair | T3_like | other
+    topology: str                       # T2_cone | S1xR2 | T3_like | other
     singular_points: list
     sl_residual_max: float
 

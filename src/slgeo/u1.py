@@ -238,6 +238,8 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
+    if max_newton < 0:
+        raise ValueError("max_newton must be at least 0")
     if not abs(a) <= np.sqrt(np.finfo(float).max):
         raise ValueError("a must be finite with a finite square, got %r" % (a,))
     if initial is not None and not (np.shape(initial) == (len(domain.nodes),)

@@ -344,23 +344,36 @@ def test_unrelated_error_propagates_without_halving():
     assert len(calls) == 1
 
 
-def test_step_doubles_after_each_accepted_step():
-    # the A = 2 source of the test above: each failed step is halved and
-    # each accepted step of length L is followed by an attempt of length
-    # min(2 L, 1 - t), halvings included
+def test_step_keeps_its_length_after_each_accepted_step():
+    # the A = 2 source of the test above: the first attempt is 1 / t_steps
+    # long, each failed step is halved, and each accepted step of length L
+    # is followed by an attempt of length min(L, 1 - t), so a halved path
+    # does not double back to a step that fails again
     f = calabi.normalize_source(calabi.TorusField.from_function(
         2, 8, lambda x1, y1, x2, y2: 2.0 * (np.cos(x1) + np.cos(y2))))
     with pytest.raises(calabi.PathFailureError) as info:
         calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=5)
     path = info.value.path
     ends = path.steps
-    assert len(ends) > 1 and len(path.halvings) > len(ends)
-    for i, (s, e) in enumerate(zip([0.0] + ends, ends)):
-        tried = [dt for t, dt, _ in path.halvings if t == s] + [e - s]
+    starts = [0.0] + ends
+    lengths = [1.0] + [e - s for s, e in zip(starts, ends)]
+    assert len(ends) > 1
+    for i, s in enumerate(starts):
+        tried = [dt for t, dt, _ in path.halvings if t == s]
+        tried += [e - s for e in ends[i:i + 1]]
+        assert tried[0] == pytest.approx(min(lengths[i], 1.0 - s))
         assert tried[1:] == pytest.approx([0.5 * dt for dt in tried[:-1]])
-        failed = [dt for t, dt, _ in path.halvings if t == e]
-        first = failed[0] if failed else ends[i + 1] - e
-        assert first == pytest.approx(min(2.0 * (e - s), 1.0 - e))
+
+
+def test_halved_path_reaches_t1():
+    # the full step fails at 20 iterations and is halved, and the later
+    # steps keep the halved length up to t = 1; doubling each accepted
+    # step instead fails every next attempt and stalls before t = 0.9
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 4, lambda x1, y1, x2, y2: 0.5 * (np.cos(x1) + np.cos(y2))))
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=20)
+    assert path.halvings and path.steps[-1] == 1.0
+    assert path.residual <= 1e-10
 
 
 def test_float32_step_keeps_the_float64_iteration():
@@ -542,6 +555,8 @@ _FLAT = calabi.TorusField(1, np.zeros((8, 8)))
     (lambda: calabi.TorusField(1, np.zeros((8, 4))), "equal length"),
     (lambda: calabi.poisson_reference_solution(
         calabi.TorusField(2, np.zeros((4,) * 4))), "m = 1 case"),
+    (lambda: calabi.solve_calabi(_FLAT, max_newton=-1),
+     "max_newton must be at least 0"),
 ] + [(lambda tol=tol: calabi.solve_calabi(_FLAT, tol=tol),
       "tol must be positive and finite") for tol in (np.nan, np.inf)]
   + [(lambda C=C: calabi.radial_ricci_flat_profile(C),

@@ -461,6 +461,8 @@ _N17 = len(_disc(17).nodes)     # active nodes of the 17-node disc
     (lambda: u1.solve_dirichlet(u1.BoundaryData(
         lambda x, y: np.where(x > 0.5, np.nan, 0.0)), 1.0, _disc(17)),
      "boundary data must be finite"),
+    (lambda: u1.solve_dirichlet(u1.BoundaryData(_zero_data), 1.0, _disc(17),
+                                max_newton=-1), "max_newton must be at least 0"),
 ] + [(lambda r=r: u1.ConvexDomain("disc", rx=r),
       "radii must be positive and finite") for r in (0.0, -1.0, np.nan, np.inf)]
   + [(lambda r=r: u1.ConvexDomain("ellipse", rx=1.0, ry=r),
