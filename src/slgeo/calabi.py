@@ -6,9 +6,11 @@ damped Newton iteration preconditioned with the flat-metric Laplacian
 (inverted by FFT with the second-order difference symbol, so the
 preconditioner is the exact Jacobian at phi = 0; for m = 2 it is only
 good to O(|H|), so the step is taken in float32), each level after the
-first starting from a secant prediction.  Each Newton solve records a
-core.NewtonRecord, as the U(1) solver's do, with the level t in place of
-a; a step whose record does not stop "converged" is halved.
+first starting from a secant prediction.  A level short of t = 1 only
+seeds the next prediction, so it stops halfway to tol on a log scale
+from its start residual; t = 1 is solved to tol.  Each Newton solve
+records a core.NewtonRecord, as the U(1) solver's do, with the level t in
+place of a; a step whose record does not stop "converged" is halved.
 
 The nodewise volume ratio is det(I + H) with H_{jk} = 2 phi_{z_j zbar_k};
 for m = 1 this is 1 + Laplacian(phi)/2 and the equation is linear.  One
@@ -232,8 +234,11 @@ def ma_operator(phi: TorusField) -> TorusField:
 
 
 def normalize_source(f: TorusField) -> TorusField:
-    """Shift f by the constant making the discrete mean of e^f equal 1."""
-    c = -np.log(np.mean(np.exp(f.values)))
+    """Shift f by the constant making the discrete mean of e^f equal 1,
+    c = -(M + log mean e^{f - M}) with M = max f, so no e^f overflows."""
+    top = np.max(f.values)
+    shifted = np.subtract(f.values, top)
+    c = -(top + np.log(np.mean(np.exp(shifted, out=shifted))))
     return TorusField(f.m, f.values + c)
 
 
@@ -261,7 +266,9 @@ class ContinuityPath:
 
     ``trace`` holds one :class:`~slgeo.core.NewtonRecord` per Newton solve,
     accepted or failed, at the level t it aimed at.  Per accepted step: the
-    level t (``steps``), the discrete constant c_t and the iteration count.
+    level t (``steps``), the discrete constant c_t and the iteration count;
+    for t < 1, c_t is that of an iterate accepted at its level's goal
+    max(tol, sqrt(tol r0)), r0 the level's start residual, not at tol.
     Each failed step is one ``halvings`` entry (t, dt, reason): the step of
     length dt from level t stopped for the reason its record gives.
     """
@@ -291,6 +298,11 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     step of length L the next is dt = min(L, 1 - t) long and starts from
     the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}), or from
     phi_k if that is not Kahler; a halved retry starts from phi_k.
+    Only the level t = 1 is solved to tol.  A level short of it seeds the
+    next prediction and converges at max(tol, sqrt(tol r0)), halfway to
+    tol on a log scale from its start residual r0, or at tol if r0 is not
+    finite; that goal shrinks with the step, so short steps near t = 1
+    hand the last level little slack.
     A step that would end within 1e-14 of t = 1 ends at t = 1 exactly, so
     the path's residual is the final record's last residual, the max norm
     of det(I + H) - e^{f + c} at the returned phi.
@@ -340,7 +352,10 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                                    out=cand))
         s, rnorm = _residual(det, f, t_next, level, rhs)
         rec = NewtonRecord(t_next, [rnorm])
-        while rnorm > tol and len(rec.step_lengths) < max_newton:
+        # short of t = 1, halfway to tol on a log scale unless r0 is inf/NaN
+        goal = (max(tol, np.sqrt(tol) * np.sqrt(rnorm))
+                if t_next < 1.0 and rnorm < np.inf else tol)
+        while rnorm > goal and len(rec.step_lengths) < max_newton:
             step = _poisson_solve(rhs, f.h)
             lam = 1.0
             while lam >= 2.0 ** -12:
@@ -360,7 +375,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
                 rec.residuals.append(rnorm)
                 rec.stop = "damping underflow"
                 break
-        rec.stop = rec.stop or ("converged" if rnorm <= tol
+        rec.stop = rec.stop or ("converged" if rnorm <= goal
                                 else "non-finite residual" if np.isnan(rnorm)
                                 else "max iterations")
         path.trace.append(rec)

@@ -168,8 +168,10 @@ def explicit_F_fiber(a: float, b: complex) -> FiberRecord:
     """
     n_r, n_phase, r_max = 12, 8, 2.0
     b = complex(b)
-    if not (np.isfinite(a) and np.isfinite(b)):
-        raise ValueError("a and b must be finite, got %r, %r" % (a, b))
+    a_max = np.finfo(float).max / 4     # 2a and the squared radii stay finite
+    if not (abs(a) <= a_max and np.isfinite(b)):
+        raise ValueError("a and b must be finite with |a| <= %.4g, got "
+                         "%r, %r" % (a_max, a, b))
     smin = np.sqrt(max(0.0, -2.0 * a))
     s = np.linspace(smin, np.sqrt(smin ** 2 + r_max ** 2), n_r)
     t = 2 * np.pi * np.arange(n_phase) / n_phase

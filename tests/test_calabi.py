@@ -53,6 +53,14 @@ def _unchecked_ratio(v, h):
     return ratio
 
 
+def _goal(level, start, tol=1e-10):
+    """The residual a Newton solve at level t from residual start converges
+    at: tol at t = 1, short of it the geometric mean of tol and start."""
+    if level == 1.0:
+        return tol
+    return max(tol, np.sqrt(tol * start))
+
+
 def _recovery_error(path, phi_exact):
     target = phi_exact.values - np.mean(phi_exact.values)
     return float(np.max(np.abs(path.phi.values - target)))
@@ -275,7 +283,8 @@ def test_path_records_newton_trace_and_halvings():
         assert all(0.0 < lam <= 1.0 for lam in lams)
         assert rec.fresh == [] and rec.factorizations == 0
         if rec.stop == "converged":
-            assert rnorms[-1] <= 1e-10 < rnorms[0]
+            assert 1e-10 < rnorms[0]
+            assert rnorms[-1] <= _goal(rec.level, rnorms[0])
         else:
             assert len(lams) == 11 and rnorms[-1] > 1e-10
     assert path.residual <= 1e-10
@@ -300,7 +309,7 @@ def test_path_failure_keeps_partial_path():
     assert path.newton_iters == [len(r.step_lengths) for r in done]
     for rec in done:
         assert len(rec.residuals) == len(rec.step_lengths) + 1
-        assert rec.residuals[-1] <= 1e-10
+        assert rec.residuals[-1] <= _goal(rec.level, rec.residuals[0])
     t, dt, reason = path.halvings[-1]
     assert t == exc.last_good_t and 0.5 * dt < 1e-4
     assert reason == path.trace[-1].stop and reason in str(exc)
@@ -376,6 +385,59 @@ def test_halved_path_reaches_t1():
     assert path.residual <= 1e-10
 
 
+def test_loose_levels_carry_a_stiff_path_to_t1():
+    # with every level solved to tol this path stalls at t = 0.917; with
+    # the levels short of t = 1 stopped halfway to tol it reaches t = 1
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 8, lambda x1, y1, x2, y2: 0.5 * (np.cos(x1) + np.cos(y2))))
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=3, max_newton=20)
+    assert path.steps[-1] == 1.0 and path.residual <= 1e-10
+    for rec in path.trace:
+        if rec.stop == "converged":
+            assert rec.residuals[-1] <= _goal(rec.level, rec.residuals[0])
+
+
+def test_infinite_start_residual_is_never_accepted():
+    # sqrt(tol * inf) is inf, which every residual meets, so a level that
+    # starts at an infinite residual aims at tol instead: with every
+    # residual infinite no level converges, and with only each level's
+    # start infinite each level is solved to tol
+    f = _mild_m2_source()
+    residual = calabi._residual
+    levels = []
+
+    def infinite(start_only):
+        def call(det, f, t, level, rhs):
+            s, rnorm = residual(det, f, t, level, rhs)
+            start = not levels or levels[-1] != t
+            levels.append(t)
+            return s, (np.inf if start or not start_only else rnorm)
+        return call
+
+    with mock.patch.object(calabi, "_residual", infinite(False)):
+        with pytest.raises(calabi.PathFailureError) as info:
+            calabi.solve_calabi(f, t_steps=3)
+    trace = info.value.path.trace
+    assert trace and all(rec.stop == "damping underflow" for rec in trace)
+    levels.clear()
+    with mock.patch.object(calabi, "_residual", infinite(True)):
+        path = calabi.solve_calabi(f, t_steps=3)
+    assert len(path.steps) == 3 and path.halvings == []
+    for rec in path.trace:
+        assert rec.residuals[0] == np.inf and rec.stop == "converged"
+        assert rec.residuals[-1] <= 1e-10
+
+
+def test_readme_source_takes_fewer_iterations():
+    # the levels t = 1/3 and 2/3 stop halfway to tol: 3 + 3 + 5 iterations
+    # where solving each level to tol took 5 + 5 + 5
+    f = calabi.normalize_source(calabi.TorusField.from_function(
+        2, 16, lambda x1, y1, x2, y2: 0.05 * (np.cos(x1) + np.cos(y2))))
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=3)
+    assert sum(path.newton_iters) <= 11
+    assert path.residual <= 1e-10
+
+
 def test_float32_step_keeps_the_float64_iteration():
     # the frozen Laplacian is the Jacobian only to O(|H|), so the float32
     # step changes nothing that a float64 step would do
@@ -420,10 +482,11 @@ def test_non_kahler_prediction_falls_back_to_accepted_phi():
     f = _mild_m2_source()
     volume_ratio, residual = calabi._volume_ratio, calabi._residual
     state = {"armed": False, "fired": 0}
+    starts = {}     # each level's first residual
 
     def checked(det, f, t, level, rhs):
         s, rnorm = residual(det, f, t, level, rhs)
-        state["armed"] = rnorm <= 1e-10
+        state["armed"] = rnorm <= _goal(t, starts.setdefault(t, rnorm))
         return s, rnorm
 
     def refusing(v, h, ratio):
@@ -441,8 +504,9 @@ def test_non_kahler_prediction_falls_back_to_accepted_phi():
     assert path.steps == [0.5, 1.0] and path.halvings == []
     assert [rec.stop for rec in path.trace] == ["converged"] * 2
     # the level t = 1 starts from phi at t = 0.5, which is the one-step
-    # solve of the source f / 2
+    # solve of the source f / 2 to that level's goal
     half = calabi.solve_calabi(calabi.TorusField(2, 0.5 * f.values),
+                               tol=_goal(0.5, path.trace[0].residuals[0]),
                                t_steps=1).phi
     det = calabi.ma_operator(half).values
     target = np.exp(f.values)
@@ -481,6 +545,20 @@ def test_manufactured_order_two_m1():
         errs.append(_recovery_error(path, phi_e))
     slopes = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert np.all(np.abs(slopes - 2.0) < 0.1)
+
+
+@pytest.mark.parametrize("f", [
+    calabi.TorusField.from_function(1, 32, lambda x, y:
+                                    800.0 * np.cos(x) * np.cos(y)),
+    calabi.TorusField(2, np.full((8,) * 4, -800.0))],
+    ids=["800cos", "const-800"])
+def test_normalize_source_far_from_zero(f):
+    # e^800 overflows and e^-800 underflows to 0, each with a
+    # RuntimeWarning, which pytest raises: the shift by max f keeps every
+    # exponential in range
+    g = calabi.normalize_source(f)
+    assert np.all(np.isfinite(g.values))
+    assert abs(np.mean(np.exp(g.values)) - 1.0) <= 1e-12
 
 
 def test_mean_constraint_and_c_values():

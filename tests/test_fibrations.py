@@ -43,6 +43,20 @@ def test_explicit_fiber_rejects_nonfinite_level(a, b):
         fib.explicit_F_fiber(a, b)
 
 
+@pytest.mark.parametrize("a", [4e307, -4e307])
+def test_explicit_fiber_at_the_largest_levels(a):
+    rec = fib.explicit_F_fiber(a, 0.3)
+    assert np.all(np.isfinite(rec.points))
+    worst = max(abs(fib.explicit_F(p)[0] - a) for p in rec.points)
+    assert worst <= 1e-15 * abs(a)
+
+
+@pytest.mark.parametrize("a", [1e308, -1e308])
+def test_explicit_fiber_rejects_overflowing_level(a):
+    with pytest.raises(ValueError, match=r"\|a\| <= 4\.494e\+307"):
+        fib.explicit_F_fiber(a, 0.3)
+
+
 def test_explicit_fiber_topology_transition():
     labels = [fib.explicit_F_fiber(a, 0.3).topology
               for a in (-0.5, 0.0, 0.5)]

@@ -135,7 +135,10 @@ def test_cli_solve_calabi_reports_newton_trace():
     assert report["levels"] == [0.5, 1.0]
     assert report["stops"] == ["converged"] * 2
     assert [len(r) - 1 for r in report["residuals"]] == report["newton_iters"]
-    assert all(r[-1] <= 1e-10 for r in report["residuals"])
+    # the level t = 0.5 stops halfway to tol on a log scale, t = 1 at tol
+    half, full = report["residuals"]
+    assert half[-1] <= max(1e-10, np.sqrt(1e-10 * half[0]))
+    assert full[-1] <= 1e-10
 
 
 def test_solve_calabi_report_independent_of_cpus(capsys):
@@ -293,6 +296,25 @@ def test_cli_exit_codes(capsys):
         assert p.returncode == 2
         assert "t_end must be finite" in p.stderr
         assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("a", ["1e6", "1e12", "-1e12"])
+def test_cli_fibration_far_level_passes(a, capsys):
+    # F rounds at the scale of |z1|^2 ~ |a|, so the round trip is checked
+    # relative to max(1, |a|, |b|)
+    assert cli.main(["--no-timing", "fibration", "--a=" + a,
+                     "--b", "0.3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["pass"] for c in report["checks"]] == [True, True]
+
+
+def test_cli_fibration_rejects_overflowing_level(capsys):
+    # 2a overflows: exit 2 with the guard's message, not NaN points
+    code, err = _cli_error(["fibration", "--a", "1e308", "--b", "0.3"],
+                           capsys)
+    assert code == 2
+    assert "a and b must be finite with |a| <=" in err
+    assert "Traceback" not in err
 
 
 def _readme_commands():
