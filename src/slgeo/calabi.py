@@ -320,7 +320,8 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     predictor overwrites), its line-search candidate and det(I + H) of the
     last iterate evaluated.  The residual is never stored: the pass that
     tests a candidate writes -2 times it into the FFT's input, float32 for
-    m = 2.  A start from phi_k recomputes its det(I + H).  The Newton step
+    m = 2.  A start from phi_k recomputes its det(I + H), except at t = 0,
+    where phi is zero and det(I + H) is 1 at every node.  The Newton step
     the FFT returns is kept until the next one is returned, across
     continuity steps too: freeing it sooner let the heap give the FFT's
     memory back to the system and fault it in again every iteration.
@@ -345,7 +346,10 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
             trial += phi
         if not (last and _volume_ratio(trial, f.h, det)):
             np.copyto(trial, phi)
-            _volume_ratio(phi, f.h, det)
+            if t:
+                _volume_ratio(phi, f.h, det)
+            else:   # phi is the zero field, where det(I + H) is exactly 1
+                det.fill(1.0)
         # e^{t f} may overflow; the record stops on the NaN residual it gives
         with np.errstate(over="ignore"):
             level = np.mean(np.exp(np.multiply(f.values, t_next, out=cand),
@@ -437,12 +441,13 @@ def ricci_form(ratio: TorusField):
     """rho = -i ddbar log f for a volume-ratio field f > 0 (NaN rejected).
 
     m = 1: returns (coefficient, 0.0), the coefficient against the area form
-    (i/2) dz ^ dzbar, equal to -(1/2) Laplacian(log f).  m = 2: returns the
-    2 x 2 complex coefficient arrays rho_{j kbar} = -(log f)_{z_j zbar_k}
-    and 0.0.  The second value is a residual that is zero by construction:
-    closedness is automatic for commuting central stencils, and rho_{1 0}
-    is written from the same arrays as rho_{0 1}, conjugated, so the
-    coefficients are exactly Hermitian.
+    (i/2) dz ^ dzbar, equal to -(1/2) Laplacian(log f).  m = 2: returns a
+    (4, n, n, n, n) float array of the coefficients rho_{j kbar} =
+    -(log f)_{z_j zbar_k}: rho_{0 0}, rho_{1 1}, Re rho_{0 1} and
+    Im rho_{0 1}, with rho_{1 0} = conj rho_{0 1} implied, so the form is
+    Hermitian by construction; and 0.0.  The second value is a residual
+    that is zero by construction (closedness is automatic for commuting
+    central stencils), kept while callers unpack two values.
     """
     vals = ratio.values
     if not np.min(vals) > 0.0:      # a NaN minimum fails too
@@ -455,18 +460,12 @@ def ricci_form(ratio: TorusField):
 
         _map_slabs(vals, ratio.h, slab, log=True)
         return coeff, 0.0
-    rho = np.empty(vals.shape + (2, 2), dtype=complex)
-    r = rho.view(float)  # (..., 2, 4): row j is Re, Im of rho_{j0}, rho_{j1}
+    rho = np.empty((4,) + vals.shape)
 
-    def slab(rows, H11, H22, re, im):
-        """writes the slab's rho"""
-        q = r[rows]
-        for a in (H11, H22, re, im):
-            a *= -0.5
-        q[..., 0, 0], q[..., 1, 2] = H11, H22
-        q[..., 0, 2], q[..., 0, 3], q[..., 1, 0] = re, im, re
-        np.negative(im, out=q[..., 1, 1])
-        q[..., 0, 1] = q[..., 1, 3] = 0.0
+    def slab(rows, *H):
+        """writes the slab's rho from H11, H22, Re H12 and Im H12"""
+        for k, a in enumerate(H):
+            np.multiply(a, -0.5, out=rho[k][rows])
 
     _map_slabs(vals, ratio.h, slab, log=True)
     return rho, 0.0

@@ -2,15 +2,17 @@
 
 Every subcommand runs one library operation and writes a report envelope
 to stdout (or --out): plain fields, and checks that pass when |value| <=
-tolerance.  Exit status is 0 when every check passes, 1 when any fails,
-2 on usage errors.  With --no-timing the report is byte-identical across
-runs with the same configuration and seed.
+tolerance.  Exit status is 0 when every check passes, 1 when any fails
+or a solver gives up (the report then gives its reason and what it
+recorded), 2 on usage errors.  With --no-timing the report is
+byte-identical across runs with the same configuration and seed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 
@@ -45,13 +47,19 @@ class Report:
             "pass": bool(abs(value) <= tolerance),
         })
 
+    def fail(self, exc):
+        """Marks the report of a solver that gave up with its reason."""
+        self.envelope["reason"] = str(exc)
+        return self
+
     def artifact(self, path):
         self.envelope["artifacts"].append(str(path))
 
     def finish(self, no_timing):
         if not no_timing:
             self.envelope["timing"] = {"seconds": round(time.time() - self._t0, 3)}
-        ok = all(c["pass"] for c in self.envelope["checks"])
+        ok = "reason" not in self.envelope and all(
+            c["pass"] for c in self.envelope["checks"])
         self.envelope["status"] = "pass" if ok else "fail"
         if not ok:
             self.envelope["failing"] = [c["name"] for c in
@@ -59,8 +67,20 @@ class Report:
         return 0 if ok else 1
 
 
+def _finite(obj):
+    """obj with each non-finite float, as a NaN residual, made None."""
+    if isinstance(obj, float):
+        return obj if np.isfinite(obj) else None
+    if isinstance(obj, (list, tuple)):
+        return [_finite(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    return obj
+
+
 def _emit(report, args):
-    text = json.dumps(report.envelope, sort_keys=True, indent=2)
+    text = json.dumps(_finite(report.envelope), sort_keys=True, indent=2,
+                      allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -128,7 +148,11 @@ def _cmd_solve_u1(args):
     rep = Report("solve-u1", {"a": args.a, "boundary": args.boundary,
                               "b": args.b, "c": args.c, "grid_n": dom.n,
                               "tol": args.tol})
-    sol = u1.solve_dirichlet(phi, args.a, dom, tol=args.tol)
+    try:
+        sol = u1.solve_dirichlet(phi, args.a, dom, tol=args.tol)
+    except u1.NewtonDivergenceError as exc:
+        _report_trace(rep, [exc.record])
+        return rep.fail(exc)
     # the returned f, evaluated again at its level (continuation_a if a = 0)
     P = u1.p_operator(sol.f, args.a or sol.continuation_a, dom, phi)
     rep.check("residual_P", np.max(np.abs(P.values[P.mask])), 10.0 * args.tol)
@@ -189,7 +213,12 @@ def _cmd_solve_calabi(args):
             2, args.grid,
             lambda x1, y1, x2, y2: 0.05 * (np.cos(x1) + np.cos(y2)))
     f = calabi.normalize_source(f)
-    path = calabi.solve_calabi(f, tol=args.tol, t_steps=args.t_steps)
+    try:
+        path = calabi.solve_calabi(f, tol=args.tol, t_steps=args.t_steps)
+    except calabi.PathFailureError as exc:
+        rep.envelope["halvings"] = exc.path.halvings
+        _report_trace(rep, exc.path.trace)
+        return rep.fail(exc)
     # the returned phi, evaluated again: det(I + H) - e^{f + c} at t = 1
     ratio = calabi.ma_operator(path.phi).values
     ratio -= np.exp(f.values + path.c_values[-1])
@@ -208,7 +237,11 @@ def _cmd_evolve(args):
                             "dt": args.dt, "t_end": args.t_end})
     surf = evolution.EvolvingSurface.sphere(
         ICOSPHERE_LEVELS[args.nodes], scale=np.exp(1j * np.pi / 6), dt=args.dt)
-    evolution.evolve_run(surf, args.t_end)
+    try:
+        evolution.evolve_run(surf, args.t_end)
+    except evolution.StepRejectedError as exc:
+        rep.envelope["halvings"] = surf.halvings
+        return rep.fail(exc)
     drift = evolution.symplectic_drift(surf)
     rep.check("symplectic_drift", drift, 1e-6)
     dev = evolution.compare_so3(surf)
@@ -316,9 +349,23 @@ def build_parser():
     return p
 
 
+def _joined_negative_values(argv):
+    """argv with each "--flag -1e12" written "--flag=-1e12": argparse takes
+    only -N and -N.N for negative numbers and reads -1e12 as an option."""
+    out = []
+    for tok in argv:
+        if (re.match(r"-\.?\d", tok) and out and out[-1].startswith("--")
+                and "=" not in out[-1]):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_negative_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         report = args.func(args)
     except np.linalg.LinAlgError:

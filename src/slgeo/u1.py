@@ -425,8 +425,6 @@ def cr_residual(sol: PotentialSolution) -> float:
     if sol.a == 0.0:
         axis = np.abs(Y) < 0.5 * dom.hy
         sel &= ~(axis & (np.abs(vvals) < _vanishing_threshold(vvals)))
-    if not np.any(sel):
-        return 0.0
     return float(max(np.max(r1[sel]), np.max(r2[sel])))
 
 

@@ -308,6 +308,85 @@ def test_cli_fibration_far_level_passes(a, capsys):
     assert [c["pass"] for c in report["checks"]] == [True, True]
 
 
+@pytest.mark.parametrize("argv", [
+    ["fibration", "--a", "-1e12", "--b", "0.3"],
+    ["solve-u1", "--a", "-1e-3", "--grid-n", "17"]])
+def test_cli_takes_negative_levels_in_exponent_form(argv, capsys):
+    # argparse alone reads -1e12 as an unknown option and exits 2
+    assert cli.main(["--no-timing"] + argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["a"] == float(argv[2])
+
+
+def _strict_json(text):
+    """text parsed as JSON that holds no NaN or infinity."""
+    def reject(name):
+        raise ValueError("non-finite number %s in the report" % name)
+    return json.loads(text, parse_constant=reject)
+
+
+def test_cli_solver_failure_is_a_report(capsys):
+    # tol 1e-100 lies below the round-off floor, so the path stalls: exit
+    # 1 with the reason and the partial trace, the same bytes on each run
+    argv = ["--no-timing", "solve-calabi", "--grid", "8", "--t-steps", "2",
+            "--tol", "1e-100"]
+    outs = []
+    for _ in range(2):
+        assert cli.main(argv) == 1
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    report = _strict_json(outs[0])
+    assert report["status"] == "fail" and report["checks"] == []
+    assert report["reason"].startswith("continuity path stalled at t = ")
+    assert report["reason"].endswith("damping underflow at residual 2.220e-16")
+    assert report["stops"][-1] == report["halvings"][-1][2] == \
+        "damping underflow"
+    assert len(report["levels"]) == len(report["residuals"]) == \
+        len(report["stops"])
+
+
+_REAL_SOLVE_CALABI = calabi.solve_calabi
+_REAL_SOLVE_DIRICHLET = u1.solve_dirichlet
+
+
+def _scaled_calabi(f, **kwargs):
+    # 1e6 f overflows e^{t f} at every level the halved path tries
+    return _REAL_SOLVE_CALABI(calabi.TorusField(f.m, 1e6 * f.values), **kwargs)
+
+
+# (argv, module, name, replacement, reason prefix): each solver gives up
+_GIVE_UPS = [
+    (["solve-calabi", "--grid", "8", "--t-steps", "1"], calabi,
+     "solve_calabi", _scaled_calabi, "continuity path stalled"),
+    (["solve-u1", "--boundary", "x2", "--grid-n", "17"], u1,
+     "solve_dirichlet",
+     lambda *a, **k: _REAL_SOLVE_DIRICHLET(*a, max_newton=1, **k),
+     "max iterations at residual"),
+    (["evolve", "--nodes", "162", "--t-end", "0.01"], evolution,
+     "DRIFT_BUDGET", -1.0, "drift budget unattainable"),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, replacement, reason", _GIVE_UPS,
+                         ids=[case[0][0] for case in _GIVE_UPS])
+def test_cli_reports_each_solver_failure(argv, module, name, replacement,
+                                         reason, capsys):
+    with mock.patch.object(module, name, replacement):
+        assert cli.main(["--no-timing"] + argv) == 1
+    out = capsys.readouterr().out
+    report = _strict_json(out)
+    assert report["status"] == "fail" and report["checks"] == []
+    assert report["reason"].startswith(reason)
+    if argv[0] == "solve-calabi":
+        # the failed records' NaN residuals are written as null
+        assert None in report["residuals"][0] and "NaN" not in out
+    if argv[0] == "solve-u1":
+        assert report["stops"] == ["max iterations"]
+        assert len(report["residuals"][0]) == 2
+    if argv[0] == "evolve":
+        assert len(report["halvings"]) > 30
+
+
 def test_cli_fibration_rejects_overflowing_level(capsys):
     # 2a overflows: exit 2 with the guard's message, not NaN points
     code, err = _cli_error(["fibration", "--a", "1e308", "--b", "0.3"],
