@@ -25,6 +25,7 @@ EXAMPLES = {"hl-cone": "hl_cone_L0", "hl-lt": "hl_Lt", "so3": "so3_Lt",
             "quadric": "quadric_L", "branched": "branched_leading"}
 # evolve --nodes -> icosphere subdivision level
 ICOSPHERE_LEVELS = {162: 2, 642: 3, 2562: 4}
+GRID_N_MAX = 513  # largest solve-u1 --grid-n; a solve there peaks near 400 MB
 
 
 class Report:
@@ -143,6 +144,8 @@ def _cmd_solve_u1(args):
     from . import gridio, u1
     if args.out_grid and not args.out_grid.endswith(".csv"):
         raise ValueError(f"--out-grid must name a .csv file: {args.out_grid}")
+    if args.grid_n > GRID_N_MAX:
+        raise ValueError("grid_n must be at most %d" % GRID_N_MAX)
     dom = u1.ConvexDomain("disc", rx=1.0, n=args.grid_n)
     phi = _boundary_from_name(args.boundary, args.b, args.c)
     rep = Report("solve-u1", {"a": args.a, "boundary": args.boundary,

@@ -17,8 +17,8 @@ and lift to U(1)-invariant special Lagrangian 3-folds of C^3 through
 Discretization: second-order finite differences on a boundary-fitted mask
 (Shortley-Weller unequal arms at cut nodes, boundary values injected along
 grid lines), damped Newton with a harmonic-extension initial guess and
-chord steps on a kept sparse LU, and continuation a_k = 2^{-k} for
-the degenerate a = 0 problem.
+chord steps on a kept sparse LU, and, for the degenerate a = 0 problem,
+continuation down powers of two from a = 1 with a secant predictor.
 """
 
 from __future__ import annotations
@@ -227,14 +227,16 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
 
     For a != 0 the equation is uniformly elliptic and the ladder is the
     single level a.  For a = 0 the solution is the continuation limit
-    along a_k = 2^{-k}, stopped when successive iterates agree to tol in
-    sup norm, or at the first level accepted at its round-off floor (see
-    _newton), a bound on rounding in P that grows like 1/a.  The first
-    level starts from initial, or from the harmonic extension of phi; each
-    later level starts from the one before.  If the first level fails,
-    NewtonDivergenceError carries its record; after a later failure a
-    ContinuationStalledWarning keeps the last accepted level, whose
-    record's final residual, max |P(f)|, is residual_P.
+    along powers of two from a = 1: from a_k the ladder steps to a_k/4 if
+    KAPPA times the round-off bound of P at (f_k, a_k/4) is at most tol,
+    else to a_k/2.  It stops when successive iterates agree to tol in sup
+    norm, or at the first level accepted at its round-off floor (see
+    _newton).  The first level starts from initial or from the harmonic
+    extension of phi, the second from f_0, and later ones from the secant
+    through the last two.  If the first level fails, NewtonDivergenceError
+    carries its record; after a later failure a ContinuationStalledWarning
+    keeps the last accepted level, whose record's final residual,
+    max |P(f)|, is residual_P.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -248,9 +250,14 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
                          "(%d)" % len(domain.nodes))
     ops = _direction_ops(domain, phi)
     floor = None if a != 0.0 else (abs(ops[2]), abs(ops[6]))
-    fv, trace = initial, []
-    for ak in [a] if a != 0.0 else [2.0 ** -k for k in range(60)]:
-        fk, rec = _newton(ops, domain, ak, tol, max_newton, fv, floor)
+    fv, trace, ak = initial, [], a if a != 0.0 else 1.0
+    for k in range(1 if a != 0.0 else 60):
+        if k:   # quarter the level while its round-off floor stays below tol
+            ak /= 4.0 if KAPPA * _round_off_bound(
+                ops, floor, domain, ak / 4.0, fv) <= tol else 2.0
+        start = fv if k < 2 else fv + (ak - trace[-1].level) / (
+            trace[-1].level - trace[-2].level) * (fv - prev)
+        fk, rec = _newton(ops, domain, ak, tol, max_newton, start, floor)
         trace.append(rec)
         if rec.stop not in ACCEPTED:
             if len(trace) == 1:   # no level converged
@@ -278,6 +285,15 @@ def _factor(J):
                      options=dict(SymmetricMode=True))
 
 
+def _round_off_bound(ops, floor, domain, a, f):
+    """Round-off bound of P(f) at level a, given floor = (|A_xx|, |A_yy|)."""
+    Ax, bx, _, bxx, _, _, _, byy = ops
+    return np.finfo(float).eps * float(np.max(
+        _coefficient(Ax @ f + bx, domain.y[domain.nodes[:, 1]], a)
+        * (floor[0] @ np.abs(f) + np.abs(bxx))
+        + 2.0 * (floor[1] @ np.abs(f) + np.abs(byy))))
+
+
 def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
     """Damped Newton for P(f) = 0 at level a; returns (last f, NewtonRecord).
 
@@ -286,8 +302,8 @@ def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
     line search that fails on a kept LU is retried on a fresh one, so a
     stall is declared only on a fresh Jacobian.  Given floor = (|A_xx|,
     |A_yy|), a residual above tol but within KAPPA times the round-off
-    bound eps max[c (|A_xx| |f| + |b_xx|) + 2 (|A_yy| |f| + |b_yy|)] of P
-    at the start iterate stops "round-off floor".
+    bound of P at the start iterate (_round_off_bound) stops "round-off
+    floor".
     """
     Ax, bx, Axx, bxx, _, _, Ayy, byy = ops
     yv = domain.y[domain.nodes[:, 1]]
@@ -318,12 +334,8 @@ def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
     else:
         fv = np.asarray(initial, dtype=float).copy()
     res = _p_residual(ops, yv, a, fv)
-    stop_at = tol
-    if floor is not None:
-        af = np.abs(fv)
-        bound = (_coefficient(Ax @ fv + bx, yv, a) * (floor[0] @ af + np.abs(bxx))
-                 + 2.0 * (floor[1] @ af + np.abs(byy)))
-        stop_at = max(tol, KAPPA * np.finfo(float).eps * float(np.max(bound)))
+    stop_at = tol if floor is None else max(
+        tol, KAPPA * _round_off_bound(ops, floor, domain, a, fv))
     lu = None
     for it in range(max_newton + 1):
         rec.residuals.append(float(np.max(np.abs(res))))

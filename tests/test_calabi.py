@@ -215,6 +215,15 @@ def test_stencil_bitwise_independent_of_workers(m, n, planes, cpus):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("count, cpus", [(3, 3), (None, 1)])
+def test_cpus_without_an_affinity_mask(monkeypatch, count, cpus):
+    # a platform with no sched_getaffinity falls back to the CPU count,
+    # and to one CPU when that count is unknown
+    monkeypatch.delattr(calabi.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(calabi.os, "cpu_count", lambda: count)
+    assert calabi._cpus() == cpus
+
+
 @pytest.mark.parametrize("m, n", [(1, 12), (2, 7), (2, 16)])
 def test_ricci_form_bitwise_whole_grid_log(m, n):
     # log f taken on each wrapped slab gives the Hessian of the whole-grid

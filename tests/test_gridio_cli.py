@@ -285,7 +285,9 @@ def test_cli_exit_codes(capsys):
             (["solve-u1", "--boundary", "affine", "--c", "inf",
               "--grid-n", "17"], "b and c must be finite"),
             (["solve-u1", "--boundary", "x2", "--b", "nan",
-              "--grid-n", "17"], "b and c must be finite")):
+              "--grid-n", "17"], "b and c must be finite"),
+            (["solve-u1", "--grid-n", "100000"],
+             "grid_n must be at most 513")):
         code, err = _cli_error(args, capsys)
         assert code == 2
         assert message in err and "Traceback" not in err
@@ -403,7 +405,16 @@ def _readme_commands():
             for line in block.split("```", 1)[0].splitlines()]
 
 
-@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda a: a[0])
+def _readme_ids(commands):
+    # the subcommand name, numbered from its second command on
+    names = [argv[0] for argv in commands]
+    seen = [names[:k].count(name) for k, name in enumerate(names)]
+    return [name + ("-%d" % (k + 1) if k else "")
+            for name, k in zip(names, seen)]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(),
+                         ids=_readme_ids(_readme_commands()))
 def test_readme_commands_run(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert cli.main(["--no-timing"] + argv) == 0

@@ -559,7 +559,7 @@ def test_stalled_continuation_ends_on_a_fresh_factor(monkeypatch):
     with pytest.warns(u1.ContinuationStalledWarning):
         sol = u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
     *done, last = sol.trace
-    assert [rec.level for rec in sol.trace] == [2.0 ** -k for k in range(len(sol.trace))]
+    assert [rec.level for rec in sol.trace] == [4.0 ** -k for k in range(len(sol.trace))]
     assert all(rec.stop == "converged" for rec in done)
     assert sol.continuation_a == done[-1].level
     assert last.stop == "damping underflow"
@@ -608,6 +608,59 @@ def test_a_zero_ladder_stops_at_its_round_off_floor(monkeypatch, n):
     assert sol.residual_P == last.residuals[-1] <= 10 * tol
     res = u1.p_operator(sol.f, sol.continuation_a, dom, phi)
     assert np.nanmax(np.abs(res.values)) == sol.residual_P
+
+
+def _stalling_data():
+    # data on which the halving-only ladder stalled at n = 65: its rung
+    # a = 2^-12 stopped "damping underflow" at residual 1.59e-10
+    b, c = 0.037219546802433501, -0.048148278232978931
+    return u1.BoundaryData(lambda x, y: 0.2 * x * x + b * x + c * y)
+
+
+def test_a_zero_ladder_reaches_its_floor_where_halving_stalled():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = u1.solve_dirichlet(_stalling_data(), 0.0, _disc(65), tol=1e-10)
+    assert caught == []
+    assert sol.continuation_a == 2.0 ** -12
+    assert sol.trace[-1].stop == "round-off floor"
+    assert sol.residual_P <= 10 * 1e-10
+    # the work is deterministic: eight rungs and twelve factorisations,
+    # where halving alone took thirteen rungs and twenty-five
+    assert [rec.level for rec in sol.trace] == [
+        2.0 ** -k for k in (0, 2, 4, 6, 8, 10, 11, 12)]
+    assert sol.factorizations == 12
+
+
+def test_a_zero_ladder_quarters_while_its_floor_is_below_tol(monkeypatch):
+    # from level a_k the next level is a_k/4 exactly when KAPPA times the
+    # round-off bound at (f_k, a_k/4) is at most tol, else a_k/2; from the
+    # third rung on each level starts from the secant through the last two
+    phi, dom, tol = _stalling_data(), _disc(65), 1e-10
+    calls, newton = [], u1._newton
+
+    def recording(ops, domain, a, tol, max_newton, initial=None, floor=None):
+        out = newton(ops, domain, a, tol, max_newton, initial, floor)
+        calls.append((a, initial, out[0]))
+        return out
+
+    monkeypatch.setattr(u1, "_newton", recording)
+    sol = u1.solve_dirichlet(phi, 0.0, dom, tol=tol)
+    levels = [a for a, _, _ in calls]
+    assert levels == [rec.level for rec in sol.trace]
+    assert all(np.frexp(a)[0] == 0.5 for a in levels)
+    ops = u1._direction_ops(dom, phi)
+    floor = (abs(ops[2]), abs(ops[6]))
+    steps = []
+    for (a, _, f), (a_next, _, _) in zip(calls, calls[1:]):
+        bound = u1._round_off_bound(ops, floor, dom, a / 4, f)
+        quarter = u1.KAPPA * bound <= tol
+        assert a_next == (a / 4 if quarter else a / 2)
+        steps.append(a / a_next)
+    assert 2.0 in steps and 4.0 in steps
+    for (a0, _, f0), (a1, _, f1), (a2, start, _) in zip(calls, calls[1:],
+                                                          calls[2:]):
+        assert np.array_equal(start, f1 + (a2 - a1) / (a1 - a0) * (f1 - f0))
 
 
 def test_nonzero_level_is_held_to_tol():
