@@ -25,7 +25,14 @@ EXAMPLES = {"hl-cone": "hl_cone_L0", "hl-lt": "hl_Lt", "so3": "so3_Lt",
             "quadric": "quadric_L", "branched": "branched_leading"}
 # evolve --nodes -> icosphere subdivision level
 ICOSPHERE_LEVELS = {162: 2, 642: 3, 2562: 4}
-GRID_N_MAX = 513  # largest solve-u1 --grid-n; a solve there peaks near 400 MB
+# the largest size flags; a run at each bound peaks near 300-500 MB
+GRID_N_MAX = 513  # solve-u1 --grid-n
+CALABI_GRID_MAX = {1: 2048, 2: 48}  # solve-calabi --grid, per --m
+CUTOFF_MAX = 2000  # index --cutoff
+SAMPLES_MAX = 10 ** 6  # verify --samples
+# the most time steps: evolve's t_end / dt (it keeps every state, 1.2 GB
+# at 2,562 nodes) and solve-calabi's --t-steps
+STEPS_MAX = 10_000
 
 
 class Report:
@@ -112,6 +119,8 @@ def _cmd_verify(args):
     from . import families
     if not 0 < args.tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % args.tol)
+    if args.samples > SAMPLES_MAX:
+        raise ValueError("samples must be at most %d" % SAMPLES_MAX)
     params = {"hl-lt": {"t": args.t}, "so3": {"t": args.t},
               "quadric": {"a1": 1, "a2": 2, "c": 1.0}}.get(args.example, {})
     fam = families.ModelFamily(EXAMPLES[args.example], params)
@@ -203,6 +212,11 @@ def _cmd_fibration(args):
 
 def _cmd_solve_calabi(args):
     from . import calabi
+    if args.grid > CALABI_GRID_MAX[args.m]:
+        raise ValueError("grid must be at most %d for m = %d"
+                         % (CALABI_GRID_MAX[args.m], args.m))
+    if args.t_steps > STEPS_MAX:
+        raise ValueError("t_steps must be at most %d" % STEPS_MAX)
     rep = Report("solve-calabi", {"m": args.m, "grid": args.grid,
                                   "source": args.source,
                                   "t_steps": args.t_steps, "tol": args.tol})
@@ -240,18 +254,17 @@ def _cmd_evolve(args):
                             "dt": args.dt, "t_end": args.t_end})
     surf = evolution.EvolvingSurface.sphere(
         ICOSPHERE_LEVELS[args.nodes], scale=np.exp(1j * np.pi / 6), dt=args.dt)
+    # a t_end of nan or inf gets evolve_run's own message
+    if np.isfinite(args.t_end) and args.t_end > STEPS_MAX * args.dt:
+        raise ValueError("t_end / dt must be at most %d" % STEPS_MAX)
     try:
         evolution.evolve_run(surf, args.t_end)
-    except evolution.StepRejectedError as exc:
-        rep.envelope["halvings"] = surf.halvings
+        dev = evolution.compare_so3(surf)
+    except (evolution.StepRejectedError, evolution.NoMatchError) as exc:
         return rep.fail(exc)
-    drift = evolution.symplectic_drift(surf)
-    rep.check("symplectic_drift", drift, 1e-6)
-    dev = evolution.compare_so3(surf)
+    rep.check("symplectic_drift", evolution.symplectic_drift(surf), 1e-6)
     rep.check("so3_family_deviation", dev, 1e-3)
     rep.envelope["steps"] = len(surf.states) - 1
-    rep.envelope["final_dt"] = surf.dt
-    rep.envelope["halvings"] = surf.halvings   # [t, dt, drift] per halving
     if args.out_csv:
         _write_cloud_csv(args.out_csv, surf.states[-1])
         rep.artifact(args.out_csv)
@@ -260,6 +273,8 @@ def _cmd_evolve(args):
 
 def _cmd_index(args):
     from . import families
+    if args.cutoff > CUTOFF_MAX:
+        raise ValueError("cutoff must be at most %d" % CUTOFF_MAX)
     rep = Report("index", {"gram": args.gram, "m": args.m,
                            "cutoff": args.cutoff})
     G = families.l0_link_gram() if args.gram == "l0" else np.eye(2)

@@ -14,7 +14,7 @@ r^3 sin(3 theta) = const.
 Discretization: icosphere mesh; per-node pushforward weights are fixed
 linear combinations of neighbor positions that reproduce two orthonormal
 reference tangents exactly (so they are exact for ambient-linear maps);
-explicit RK4 in time with drift-based step rejection.
+explicit RK4 in time at the given step; the drift is recorded, not used.
 """
 
 from __future__ import annotations
@@ -26,15 +26,13 @@ import scipy.sparse as sp
 
 from .core import plane_defects, real_coords
 
-DRIFT_BUDGET = 1e-6  # symplectic drift a step may add before dt is halved
-
 
 class InvalidChiError(ValueError):
     """The area bivector vanishes at some node."""
 
 
 class StepRejectedError(RuntimeError):
-    """A step exceeded the symplectic-drift budget even at minimum dt."""
+    """A step left the finite range, as past the blow-up time of a flow."""
 
 
 class NoMatchError(RuntimeError):
@@ -115,8 +113,7 @@ class EvolvingSurface:
 
     states holds complex (N, 3) node-position snapshots; chi is the unit
     area bivector encoded by the two pushforward operators, stacked as D.
-    drifts[i] is the symplectic drift of states[i]; halvings holds
-    (t, dt, drift) for each rejected RK4 candidate.
+    drifts[i] is the symplectic drift of states[i].
     """
 
     verts: np.ndarray
@@ -127,7 +124,6 @@ class EvolvingSurface:
     times: list = field(default_factory=list)
     dt: float = 0.01
     drifts: list = field(init=False)
-    halvings: list = field(default_factory=list)
     D: sp.csr_matrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -191,36 +187,24 @@ def state_drift(surf: EvolvingSurface, state: np.ndarray) -> float:
     return float(np.max(np.abs(om[:, 0] + om[:, 1] + om[:, 2])))
 
 
-def evolve_step(surf: EvolvingSurface) -> EvolvingSurface:
-    """One accepted RK4 step; halves dt while the drift budget is exceeded,
-    recording each rejected candidate in surf.halvings."""
-    state = surf.states[-1]
-    base = surf.drifts[-1]
-    dt = surf.dt
-    while True:
-        cand = _rk4(surf, state, dt)
-        drift = state_drift(surf, cand)
-        if drift <= base + DRIFT_BUDGET:
-            break
-        surf.halvings.append((surf.times[-1], dt, drift))
-        dt *= 0.5
-        if dt < 1e-12:
-            raise StepRejectedError("drift budget unattainable at dt = %g" % dt)
-    surf.states.append(cand)
-    surf.drifts.append(drift)
-    surf.times.append(surf.times[-1] + dt)
-    surf.dt = dt
-    return surf
-
-
 def evolve_run(surf: EvolvingSurface, t_end: float) -> EvolvingSurface:
+    """RK4 steps of surf.dt, the last one cut to end at t_end; raises
+    StepRejectedError at a step whose state or drift is not finite."""
     if not np.isfinite(t_end):
         raise ValueError("t_end must be finite, got %r" % (t_end,))
     if not surf.dt > 0:  # a step of dt <= 0 never advances the clock
         raise ValueError("dt must be positive, got %r" % (surf.dt,))
     while surf.times[-1] < t_end - 1e-12:
-        surf.dt = min(surf.dt, t_end - surf.times[-1])
-        evolve_step(surf)
+        dt = min(surf.dt, t_end - surf.times[-1])
+        with np.errstate(over="ignore", invalid="ignore"):
+            state = _rk4(surf, surf.states[-1], dt)
+            drift = state_drift(surf, state)
+        if not (np.isfinite(drift) and np.isfinite(state).all()):
+            raise StepRejectedError("the step from t = %.6g left the finite "
+                                    "range" % surf.times[-1])
+        surf.states.append(state)
+        surf.drifts.append(drift)
+        surf.times.append(surf.times[-1] + dt)
     return surf
 
 
