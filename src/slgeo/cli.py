@@ -27,6 +27,7 @@ EXAMPLES = {"hl-cone": "hl_cone_L0", "hl-lt": "hl_Lt", "so3": "so3_Lt",
 ICOSPHERE_LEVELS = {162: 2, 642: 3, 2562: 4}
 # the largest size flags; a run at each bound peaks near 300-500 MB
 GRID_N_MAX = 513  # solve-u1 --grid-n
+BC_MAX = 1e100  # solve-u1 |--b|, |--c|: f_x^2 + a^2 stays finite at any a
 CALABI_GRID_MAX = {1: 2048, 2: 48}  # solve-calabi --grid, per --m
 CUTOFF_MAX = 2000  # index --cutoff
 SAMPLES_MAX = 10 ** 6  # verify --samples
@@ -139,8 +140,9 @@ def _cmd_verify(args):
 
 def _boundary_from_name(name, b, c):
     from .u1 import BoundaryData
-    if not (np.isfinite(b) and np.isfinite(c)):
-        raise ValueError("b and c must be finite, got %r and %r" % (b, c))
+    if not (abs(b) <= BC_MAX and abs(c) <= BC_MAX):
+        raise ValueError("b and c must be finite with |b|, |c| <= %g, got %r "
+                         "and %r" % (BC_MAX, b, c))
     if name == "zero":
         return BoundaryData(lambda x, y: np.zeros_like(np.asarray(x)))
     if name == "affine":

@@ -16,9 +16,10 @@ and lift to U(1)-invariant special Lagrangian 3-folds of C^3 through
 
 Discretization: second-order finite differences on a boundary-fitted mask
 (Shortley-Weller unequal arms at cut nodes, boundary values injected along
-grid lines), damped Newton with a harmonic-extension initial guess and
-chord steps on a kept sparse LU, and, for the degenerate a = 0 problem,
-continuation down powers of two from a = 1 with a secant predictor.
+grid lines), damped Newton from the mean of phi's row and column
+interpolants with chord steps on a kept sparse LU, and, for the degenerate
+a = 0 problem, continuation down powers of two from a = 1 with a secant
+predictor.
 """
 
 from __future__ import annotations
@@ -170,6 +171,25 @@ def _direction_ops(dom: ConvexDomain, phi: BoundaryData):
     return ops
 
 
+def _line_average(domain: ConvexDomain, phi: BoundaryData) -> np.ndarray:
+    """Newton start: at each active node the mean of the straight-line
+    interpolants of phi along its grid row and its grid column, between the
+    two boundary cut points of that line (the harmonic extension for
+    quadratic phi on a disc)."""
+    start = np.zeros(len(domain.nodes))
+    for ax in (0, 1):
+        line = domain.nodes[:, 1 - ax]   # the line's index on the other axis
+        ends, vals = np.zeros((2, domain.n)), np.zeros((2, domain.n))
+        for e in (0, 1):   # the + and - ends
+            cut = domain.arm_nbr[:, 2 * ax + e] < 0
+            pts = domain.arm_cut[cut, 2 * ax + e]
+            ends[e, line[cut]], vals[e, line[cut]] = pts[:, ax], phi(*pts.T)
+        (zp, zm), (fp, fm) = ends[:, line], vals[:, line]
+        t = ((domain.x, domain.y)[ax][domain.nodes[:, ax]] - zm) / (zp - zm)
+        start += 0.5 * (fm + t * (fp - fm))
+    return start
+
+
 @dataclass
 class PotentialSolution:
     """A solved potential f with its derived pair (u, v) = (f_y, f_x)."""
@@ -231,12 +251,12 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     KAPPA times the round-off bound of P at (f_k, a_k/4) is at most tol,
     else to a_k/2.  It stops when successive iterates agree to tol in sup
     norm, or at the first level accepted at its round-off floor (see
-    _newton).  The first level starts from initial or from the harmonic
-    extension of phi, the second from f_0, and later ones from the secant
-    through the last two.  If the first level fails, NewtonDivergenceError
-    carries its record; after a later failure a ContinuationStalledWarning
-    keeps the last accepted level, whose record's final residual,
-    max |P(f)|, is residual_P.
+    _newton).  The first level starts from initial or from _line_average
+    of phi, the second from f_0, and later ones from the secant through the
+    last two; only Jacobians are factored.  If the first level fails,
+    NewtonDivergenceError carries its record; after a later failure a
+    ContinuationStalledWarning keeps the last accepted level, whose
+    record's final residual, max |P(f)|, is residual_P.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -250,7 +270,8 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
                          "(%d)" % len(domain.nodes))
     ops = _direction_ops(domain, phi)
     floor = None if a != 0.0 else (abs(ops[2]), abs(ops[6]))
-    fv, trace, ak = initial, [], a if a != 0.0 else 1.0
+    fv = _line_average(domain, phi) if initial is None else initial
+    trace, ak = [], a if a != 0.0 else 1.0
     for k in range(1 if a != 0.0 else 60):
         if k:   # quarter the level while its round-off floor stays below tol
             ak /= 4.0 if KAPPA * _round_off_bound(
@@ -294,30 +315,28 @@ def _round_off_bound(ops, floor, domain, a, f):
         + 2.0 * (floor[1] @ np.abs(f) + np.abs(byy))))
 
 
-def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
+def _newton(ops, domain, a, tol, max_newton, initial, floor=None):
     """Damped Newton for P(f) = 0 at level a; returns (last f, NewtonRecord).
 
     The Jacobian's LU is kept while full steps at least halve the residual
-    2-norm (chord steps) and refactored after a damped or weaker step.  A
-    line search that fails on a kept LU is retried on a fresh one, so a
-    stall is declared only on a fresh Jacobian.  Given floor = (|A_xx|,
-    |A_yy|), a residual above tol but within KAPPA times the round-off
-    bound of P at the start iterate (_round_off_bound) stops "round-off
-    floor".
+    2-norm (chord steps) and refactored after a damped or weaker step, or
+    after one whose ratio, kept up, would not reach the stop level in the
+    steps left.  A line search that fails on a kept LU is retried on a
+    fresh one, so a stall is declared only on a fresh Jacobian.  Given
+    floor = (|A_xx|, |A_yy|), a residual above tol but within KAPPA times
+    the round-off bound of P at the start iterate (_round_off_bound) stops
+    "round-off floor".
     """
-    Ax, bx, Axx, bxx, _, _, Ayy, byy = ops
+    Ax, bx, Axx, bxx, _, _, Ayy, _ = ops
     yv = domain.y[domain.nodes[:, 1]]
     rec = NewtonRecord(float(a))
 
-    def factor(M):
-        rec.factorizations += 1
-        return _factor(M)
-
     def jacobian(fv):
+        rec.factorizations += 1
         v = Ax @ fv + bx
         c = _coefficient(v, yv, a)
-        return factor(sp.diags(c) @ Axx + 2.0 * Ayy
-                      + sp.diags((Axx @ fv + bxx) * (-v * c ** 3)) @ Ax)
+        return _factor(sp.diags(c) @ Axx + 2.0 * Ayy
+                       + sp.diags((Axx @ fv + bxx) * (-v * c ** 3)) @ Ax)
 
     def line_search(fv, rnorm, step):
         lam = 1.0
@@ -329,10 +348,7 @@ def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
             lam *= 0.5
         return None
 
-    if initial is None:   # harmonic extension of phi
-        fv = factor(Axx + Ayy).solve(-(bxx + byy))
-    else:
-        fv = np.asarray(initial, dtype=float).copy()
+    fv = np.asarray(initial, dtype=float).copy()
     res = _p_residual(ops, yv, a, fv)
     stop_at = tol if floor is None else max(
         tol, KAPPA * _round_off_bound(ops, floor, domain, a, fv))
@@ -361,7 +377,9 @@ def _newton(ops, domain, a, tol, max_newton, initial=None, floor=None):
             break
         lam, fv, res = found
         rec.step_lengths.append(lam)
-        if lam < 1.0 or np.linalg.norm(res) > 0.5 * rnorm:
+        rho = float(np.linalg.norm(res) / rnorm)
+        if (lam < 1.0 or rho > 0.5 or rho ** (max_newton - it - 1)
+                * np.max(np.abs(res)) > stop_at):
             lu = None
     return fv, rec
 

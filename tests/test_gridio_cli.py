@@ -1,6 +1,8 @@
 """Tests for the grid CSV format and the JSON-report command line."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import pathlib
 import shlex
@@ -11,6 +13,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import slgeo
 from slgeo import calabi, cli, evolution, families, fibrations, gridio, u1
@@ -285,6 +289,9 @@ def test_cli_exit_codes(capsys):
               "--grid-n", "17"], "b and c must be finite"),
             (["solve-u1", "--boundary", "x2", "--b", "nan",
               "--grid-n", "17"], "b and c must be finite"),
+            (["solve-u1", "--boundary", "x2", "--c", "-1e308",
+              "--grid-n", "17"],
+             "b and c must be finite with |b|, |c| <= 1e+100"),
             (["solve-u1", "--grid-n", "100000"],
              "grid_n must be at most 513"),
             (["solve-calabi", "--grid", "100000"],
@@ -312,6 +319,60 @@ def test_cli_exit_codes(capsys):
         assert p.returncode == 2
         assert message in p.stderr
         assert "Traceback" not in p.stderr
+
+
+# the input scan: small base configurations, each with one numeric flag
+# set to one of the scan values in --flag=value form (a later flag wins)
+_SCAN_BASES = {
+    "verify": ["verify", "--example", "hl-lt", "--samples", "10"],
+    "solve-u1": ["solve-u1", "--boundary", "x2", "--grid-n", "17"],
+    "fibration": ["fibration"],
+    "solve-calabi": ["solve-calabi", "--grid", "8", "--t-steps", "2"],
+    "evolve": ["evolve", "--nodes", "162", "--dt", "0.05", "--t-end", "0.1"],
+    "index": ["index"],
+    "moduli-dim": ["moduli-dim", "--vars", "5", "--degrees", "2"]}
+_SCAN_FLAGS = [(command, flag) for command, flags in (
+    ("verify", ("samples", "seed", "tol", "t")),
+    ("solve-u1", ("a", "b", "c", "grid-n", "tol")),
+    ("fibration", ("a", "b")),
+    ("solve-calabi", ("m", "grid", "t-steps", "tol")),
+    ("evolve", ("nodes", "dt", "t-end")),
+    ("index", ("m", "cutoff")),
+    ("moduli-dim", ("vars", "degrees"))) for flag in flags]
+_SCAN_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320",
+                "-1e-3", "-0.0", "0", "-1", "2", "3", "1e6", "100000", "abc")
+
+
+# every (flag, value) pair: the budget exceeds their count and Hypothesis
+# stops once they are exhausted; the examples are the five cases that
+# ended outside the contract before the size and step bounds
+@settings(max_examples=2 * len(_SCAN_FLAGS) * len(_SCAN_VALUES),
+          deadline=None)
+@given(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES))
+@example(("solve-u1", "grid-n"), "100000")
+@example(("solve-calabi", "grid"), "100000")
+@example(("index", "cutoff"), "100000")
+@example(("solve-calabi", "tol"), "1e-320")
+@example(("solve-calabi", "t-steps"), "100000")
+def test_cli_input_scan(flag, value):
+    # exit 0, 1 or 2, with no exception, RuntimeWarning included
+    command, name = flag
+    argv = ["--no-timing"] + _SCAN_BASES[command] + ["--%s=%s" % (name, value)]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+
+
+def test_cli_fine_grid_solves_at_a_tol_above_round_off(capsys):
+    # at n = 257 the round-off of P is above the default tol 1e-10
+    assert cli.main(["--no-timing", "solve-u1", "--boundary", "x2",
+                     "--grid-n", "257", "--tol", "1e-9"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["status"] == "pass" and report["factorizations"] == 1
 
 
 def test_cli_linalg_error_propagates():

@@ -62,6 +62,53 @@ def test_affine_data_reproduced_exactly():
     assert np.max(np.abs(sol.u.values[inside] - c)) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(8, 64), st.floats(0.3, 2.5), st.floats(-1.0, 1.0),
+       st.floats(-1.0, 1.0))
+def test_line_average_is_the_harmonic_extension_of_quadratics(half_n, r, b, c):
+    # on a disc the mean of the row and column interpolants of a quadratic
+    # is harmonic, and the Shortley-Weller stencil is exact on quadratics
+    dom = u1.ConvexDomain("disc", r, r, 2 * half_n + 1)
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + b * x + c * y)
+    _, _, Axx, bxx, _, _, Ayy, byy = u1._direction_ops(dom, phi)
+    harmonic = spla.spsolve((Axx + Ayy).tocsc(), -(bxx + byy))
+    assert np.max(np.abs(u1._line_average(dom, phi) - harmonic)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind, rx, ry", [("disc", 1.0, 1.0),
+                                          ("ellipse", 1.4, 0.7)])
+def test_line_average_reproduces_affine_data(kind, rx, ry):
+    def affine(x, y):
+        return 0.4 * x - 0.2 * y + 0.3
+
+    dom = u1.ConvexDomain(kind, rx, ry, 65)
+    start = u1._line_average(dom, u1.BoundaryData(affine))
+    data = affine(dom.x[dom.nodes[:, 0]], dom.y[dom.nodes[:, 1]])
+    assert np.max(np.abs(start - data)) <= 1e-15
+
+
+def test_a_lift_sized_solve_factors_once():
+    # a = 1, n = 129, quadratic data: the start is the harmonic extension,
+    # and one Jacobian LU serves every step
+    phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.15 * x - 0.1 * y)
+    sol = u1.solve_dirichlet(phi, 1.0, _disc(129), tol=1e-10)
+    assert sol.trace[0].stop == "converged" and sol.residual_P <= 1e-10
+    assert sol.factorizations == 1 < sol.newton_iters
+
+
+def test_chord_run_fits_the_newton_budget():
+    # at a steady chord ratio near 1/2 one LU would take 34 steps; with a
+    # budget of 20 the LU is dropped once its ratio cannot reach tol in
+    # the steps left, and the fresh Jacobian converges
+    phi = u1.BoundaryData(lambda x, y: 0.3 * x ** 3 - 0.2 * x * y + 0.1 * y * y)
+    dom = _disc(65)
+    (kept,) = u1.solve_dirichlet(phi, 0.03, dom, tol=1e-10, max_newton=40).trace
+    assert kept.factorizations == 1 and len(kept.step_lengths) == 34
+    (rec,) = u1.solve_dirichlet(phi, 0.03, dom, tol=1e-10, max_newton=20).trace
+    assert rec.stop == "converged" and rec.residuals[-1] <= 1e-10
+    assert rec.factorizations == 2 and len(rec.step_lengths) == 8
+
+
 def test_quadratic_data_converges():
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
     sol = u1.solve_dirichlet(phi, 0.5, _disc(), tol=1e-10)
@@ -81,7 +128,7 @@ def test_two_initial_guesses_agree():
     assert np.max(np.abs(s1.fvec - s2.fvec)) < 10.0 * tol
 
 
-def test_p_operator_matches_packaged_residual():
+def test_p_operator_matches_packaged_residual(monkeypatch):
     # residual_P is the last converged record's residual, max |P| of the
     # returned iterate at that record's level, bit for bit
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
@@ -89,8 +136,9 @@ def test_p_operator_matches_packaged_residual():
     sol = u1.solve_dirichlet(phi, 0.5, dom, tol=1e-10)
     res = u1.p_operator(sol.f, 0.5, dom, phi)
     assert np.nanmax(np.abs(res.values)) == sol.residual_P
-    # a stalled a = 0 solve, evaluated at its last converged level: the
-    # a = 2^-8 rung runs out of Newton steps above its round-off floor
+    # a stalled a = 0 solve, evaluated at its last converged level: with no
+    # round-off floor to stop at, a rung stalls on the round-off plateau
+    monkeypatch.setattr(u1, "KAPPA", 0.0)
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     dom = _disc(33)
     with pytest.warns(u1.ContinuationStalledWarning):
@@ -535,8 +583,8 @@ def test_trace_of_a_nonzero_solve():
     assert sol.newton_iters == steps == len(rec.fresh)
     assert len(rec.residuals) == steps + 1
     assert rec.residuals[-1] <= 1e-10 < rec.residuals[0]
-    # the harmonic extension and the first Jacobian are factored; chord
-    # steps reuse the Jacobian's LU
+    # only Jacobians are factored, the first one at the line-average
+    # start; chord steps reuse its LU
     assert sol.factorizations == rec.factorizations < steps
     assert rec.fresh[0] and not all(rec.fresh)
 
@@ -569,7 +617,8 @@ def test_stalled_continuation_ends_on_a_fresh_factor(monkeypatch):
     assert sol.factorizations == sum(rec.factorizations for rec in sol.trace)
 
 
-def test_stall_warning_points_at_the_caller():
+def test_stall_warning_points_at_the_caller(monkeypatch):
+    monkeypatch.setattr(u1, "KAPPA", 0.0)
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     with pytest.warns(u1.ContinuationStalledWarning) as record:
         u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10, max_newton=25)
@@ -625,11 +674,11 @@ def test_a_zero_ladder_reaches_its_floor_where_halving_stalled():
     assert sol.continuation_a == 2.0 ** -12
     assert sol.trace[-1].stop == "round-off floor"
     assert sol.residual_P <= 10 * 1e-10
-    # the work is deterministic: eight rungs and twelve factorisations,
+    # the work is deterministic: eight rungs and eleven factorisations,
     # where halving alone took thirteen rungs and twenty-five
     assert [rec.level for rec in sol.trace] == [
         2.0 ** -k for k in (0, 2, 4, 6, 8, 10, 11, 12)]
-    assert sol.factorizations == 12
+    assert sol.factorizations == 11
 
 
 def test_a_zero_ladder_quarters_while_its_floor_is_below_tol(monkeypatch):
@@ -717,6 +766,6 @@ def test_failed_chord_step_is_retried_on_a_fresh_factor(monkeypatch):
     sol = u1.solve_dirichlet(phi, 0.5, _disc(33), tol=tol)
     (rec,) = sol.trace
     assert rec.stop == "converged" and all(rec.fresh)
-    assert rec.factorizations == len(rec.step_lengths) + 1
+    assert rec.factorizations == len(rec.step_lengths)
     ref = _full_newton(phi, 0.5, _disc(33), tol)
     assert np.max(np.abs(sol.fvec - ref)) <= 10.0 * tol
