@@ -43,11 +43,11 @@ class NonKahlerIterateError(RuntimeError):
 
 class PathFailureError(RuntimeError):
     """Continuity path could not be completed; path is the partial
-    :class:`ContinuityPath` up to last_good_t (phi and residual unset)."""
+    :class:`ContinuityPath` (phi and residual unset) up to its last level,
+    path.steps[-1] (0.0 if no step was accepted), which the message gives."""
 
-    def __init__(self, msg, last_good_t, path):
+    def __init__(self, msg, path):
         super().__init__(msg)
-        self.last_good_t = last_good_t
         self.path = path
 
 
@@ -98,6 +98,7 @@ class TorusField:
 # nodes per slab of the Hessian stencil, so that a slab's scratch stays in
 # a core's cache (n = 32, m = 2: two planes of 32^3 nodes, 0.5 MB per array)
 SLAB_NODES = 2 ** 16
+MAX_NEWTON = 200  # Newton steps per continuity level before "max iterations"
 
 
 def _cpus() -> int:
@@ -273,7 +274,6 @@ class ContinuityPath:
     length dt from level t stopped for the reason its record gives.
     """
 
-    f: TorusField
     steps: list = field(default_factory=list)       # t values
     c_values: list = field(default_factory=list)
     newton_iters: list = field(default_factory=list)
@@ -283,8 +283,8 @@ class ContinuityPath:
     residual: float = np.nan
 
 
-def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
-                 max_newton: int = 200) -> ContinuityPath:
+def solve_calabi(f: TorusField, tol: float = 1e-10,
+                 t_steps: int = 10) -> ContinuityPath:
     """Continuity-method solve of det(I + H(phi)) = e^{f_t} up to t = 1.
 
     Each step runs damped quasi-Newton with the flat-Laplacian
@@ -293,11 +293,11 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
     the Poisson solve runs in float32 at no cost in iterations).  A step
     whose Newton solve fails is halved: its record stops "damping
     underflow" (no step down to 2^-12 lowered the residual), "max
-    iterations" or "non-finite residual" (a NaN node, as when e^{t f}
-    overflows).  The first step is 1 / t_steps long; after an accepted
-    step of length L the next is dt = min(L, 1 - t) long and starts from
-    the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}), or from
-    phi_k if that is not Kahler; a halved retry starts from phi_k.
+    iterations" (MAX_NEWTON steps) or "non-finite residual" (a NaN node,
+    as when e^{t f} overflows).  The first step is 1 / t_steps long; after
+    an accepted step of length L the next is dt = min(L, 1 - t) long and
+    starts from the secant predictor phi_k + (dt / L)(phi_k - phi_{k-1}),
+    or from phi_k if that is not Kahler; a halved retry starts from phi_k.
     Only the level t = 1 is solved to tol.  A level short of it seeds the
     next prediction and converges at max(tol, sqrt(tol r0)), halfway to
     tol on a log scale from its start residual r0, or at tol if r0 is not
@@ -330,9 +330,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
     if t_steps < 1:
         raise ValueError("t_steps must be at least 1")
-    if max_newton < 0:
-        raise ValueError("max_newton must be at least 0")
-    path = ContinuityPath(f=f)
+    path = ContinuityPath()
     phi, trial, cand, det = np.zeros((4,) + f.values.shape)
     rhs = np.empty(f.values.shape, np.float32 if f.m == 2 else float)
     t = 0.0
@@ -359,7 +357,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
         # short of t = 1, halfway to tol on a log scale unless r0 is inf/NaN
         goal = (max(tol, np.sqrt(tol) * np.sqrt(rnorm))
                 if t_next < 1.0 and rnorm < np.inf else tol)
-        while rnorm > goal and len(rec.step_lengths) < max_newton:
+        while rnorm > goal and len(rec.step_lengths) < MAX_NEWTON:
             step = _poisson_solve(rhs, f.h)
             lam = 1.0
             while lam >= 2.0 ** -12:
@@ -390,7 +388,7 @@ def solve_calabi(f: TorusField, tol: float = 1e-10, t_steps: int = 10,
             if dt < 1e-4:
                 raise PathFailureError(
                     "continuity path stalled at t = %.6f: %s at residual %.3e"
-                    % (t, rec.stop, rec.residuals[-1]), t, path)
+                    % (t, rec.stop, rec.residuals[-1]), path)
             continue
         phi, trial = trial, phi
         last, t = t_next - t, t_next

@@ -30,6 +30,7 @@ GRID_N_MAX = 513  # solve-u1 --grid-n
 BC_MAX = 1e100  # solve-u1 |--b|, |--c|: f_x^2 + a^2 stays finite at any a
 CALABI_GRID_MAX = {1: 2048, 2: 48}  # solve-calabi --grid, per --m
 CUTOFF_MAX = 2000  # index --cutoff
+MODULI_MAX = 5000  # moduli-dim --vars, each --degrees: C(n+d-1, d) < 2^9999
 SAMPLES_MAX = 10 ** 6  # verify --samples
 # the most time steps: evolve's t_end / dt (it keeps every state, 1.2 GB
 # at 2,562 nodes) and solve-calabi's --t-steps
@@ -290,6 +291,8 @@ def _cmd_index(args):
 def _cmd_moduli_dim(args):
     from . import families
     degrees = [int(d) for d in args.degrees.split(",")]
+    if max([args.vars] + degrees) > MODULI_MAX:
+        raise ValueError("vars and degrees must be at most %d" % MODULI_MAX)
     rep = Report("moduli-dim", {"vars": args.vars, "degrees": degrees})
     dim = families.ci_moduli_dimension(args.vars, degrees)
     rep.envelope["dimension"] = dim
@@ -388,13 +391,13 @@ def main(argv=None):
         sys.argv[1:] if argv is None else argv))
     try:
         report = args.func(args)
+        code = report.finish(args.no_timing)
+        _emit(report, args)
     except np.linalg.LinAlgError:
         raise  # a numerical failure, though it subclasses ValueError
-    except ValueError as exc:
-        # every library input check raises a ValueError subclass
+    except (ValueError, OSError) as exc:
+        # library input checks raise ValueError, unwritable outputs OSError
         parser.error("%s: %s" % (args.subcommand, exc))
-    code = report.finish(args.no_timing)
-    _emit(report, args)
     return code
 
 

@@ -39,8 +39,8 @@ class InvalidActionError(ValueError):
 class NewtonRecord:
     """One damped Newton solve at a level (a for U(1), t for Calabi): the
     max-norm residual before each step and at the end, the accepted
-    line-search step of each step (0.0 where none was found), U(1)'s
-    Jacobian refreshes (``fresh``, ``factorizations``) and why it stopped:
+    line-search step of each step (0.0 where none was found), whether each
+    U(1) step factored a new sparse LU (``fresh``) and why it stopped:
     "converged", "round-off floor" (a U(1) a = 0 rung accepted at the
     round-off bound of P), "damping underflow", "max iterations" or
     "non-finite residual" (Calabi)."""
@@ -49,7 +49,6 @@ class NewtonRecord:
     residuals: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
     fresh: list = field(default_factory=list)
-    factorizations: int = 0
     stop: str = ""
 
 

@@ -26,6 +26,8 @@ import scipy.sparse as sp
 
 from .core import plane_defects, real_coords
 
+SWEPT_STRIDE = 50  # swept_sl_defect reads every SWEPT_STRIDE-th node
+
 
 class InvalidChiError(ValueError):
     """The area bivector vanishes at some node."""
@@ -213,11 +215,11 @@ def symplectic_drift(surf: EvolvingSurface) -> float:
     return max(surf.drifts)
 
 
-def swept_sl_defect(surf: EvolvingSurface, stride: int = 50) -> float:
-    """Max SL defect of 3-planes (surface tangents, velocity) over a node
-    subsample of all states; the swept 3-fold is SL when this vanishes."""
+def swept_sl_defect(surf: EvolvingSurface) -> float:
+    """Max SL defect of 3-planes (surface tangents, velocity) at every
+    SWEPT_STRIDE-th node of all states; zero when the swept 3-fold is SL."""
     n = len(surf.verts)
-    D = surf.D[np.r_[0:n:stride, n:2 * n:stride]]
+    D = surf.D[np.r_[0:n:SWEPT_STRIDE, n:2 * n:SWEPT_STRIDE]]
     cols = np.unique(D.indices)              # the nodes the subsample reads
     T1, T2 = _tangents(D[:, cols], np.stack([s[cols] for s in surf.states],
                                             axis=1))

@@ -250,8 +250,6 @@ def distance_to_cone(fam: ModelFamily, points) -> np.ndarray:
 @dataclass
 class DecayFit:
     slope: float
-    radii: np.ndarray
-    distances: np.ndarray
     degenerate: bool = False
 
 
@@ -287,9 +285,9 @@ def ac_decay_rate(fam: ModelFamily, radii) -> DecayFit:
             raise ValueError("no decay model for %r" % fam.name)
         dists[k] = np.max(distance_to_cone(fam, family_point(fam, params)[0]))
     if np.max(dists) < 1e-13:
-        return DecayFit(np.nan, radii, dists, degenerate=True)
+        return DecayFit(np.nan, degenerate=True)
     slope = float(np.polyfit(np.log(radii), np.log(dists), 1)[0])
-    return DecayFit(slope, radii, dists)
+    return DecayFit(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +372,8 @@ def ci_moduli_dimension(num_vars: int, degrees) -> int:
     k >= 2 hypersurfaces of equal degree d: dim Gr(k, C(n+d-1, d)) - (n^2-1).
     """
     n = int(num_vars)
+    if n < 2:   # the hypersurfaces live in P^{n-1}
+        raise ValueError("num_vars must be at least 2, got %d" % n)
     degrees = [int(d) for d in degrees]
     if not degrees:
         raise ValueError("need at least one degree")

@@ -38,7 +38,6 @@ class EmptyFiberError(ValueError):
 
 @dataclass
 class FiberRecord:
-    alpha: tuple
     points: np.ndarray                  # (N, 3) complex
     topology: str                       # T2_cone | S1xR2 | T3_like | other
     singular_points: list
@@ -95,7 +94,7 @@ class FibrationFamily:
         topo = {0: "S1xR2", 1: "T2_cone"}.get(len(sing), "other")
         finite = cloud.sl_defects[np.isfinite(cloud.sl_defects)]
         res = float(np.max(finite)) if finite.size else 0.0
-        return FiberRecord(tuple(alpha), cloud.points, topo,
+        return FiberRecord(cloud.points, topo,
                            [(0.0, 0.0, z3) for _, z3 in sing], res)
 
 
@@ -201,7 +200,7 @@ def explicit_F_fiber(a: float, b: complex) -> FiberRecord:
     defects = plane_defects(real_coords(rows).reshape(-1, 3, 6))[0]
     sing = [(0.0, 0.0, b)] if apex.any() else []
     topo = "T2_cone" if sing else "S1xR2"
-    return FiberRecord((a, b.real, b.imag), pts[keep], topo, sing,
+    return FiberRecord(pts[keep], topo, sing,
                        float(np.max(defects, initial=0.0)))
 
 
@@ -290,8 +289,7 @@ def classify_fiber_hl(a: float, b: float, c: float) -> FiberRecord:
         sing.insert(0, (0.0, 0.0, 0.0))
     defects = plane_defects(vt[~singular, 3:, :])[0]
     topo = "T2_cone" if sing else "T3_like"
-    return FiberRecord((a, b, c), z, topo, sing,
-                       float(np.max(defects, initial=0.0)))
+    return FiberRecord(z, topo, sing, float(np.max(defects, initial=0.0)))
 
 
 def discriminant_scan(a_values, b: complex = 0.0):

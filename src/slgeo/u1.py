@@ -38,17 +38,18 @@ from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
 DAMPING_MIN = 2.0 ** -20  # smallest line-search step before a stall
+MAX_NEWTON = 40  # Newton steps per level before "max iterations"
 KAPPA = 0.25  # a = 0 rungs stop at KAPPA times the round-off bound of P
 ACCEPTED = ("converged", "round-off floor")  # Newton stops that keep a level
 
 
 class NewtonDivergenceError(RuntimeError):
     """Damped Newton failed; carries the :class:`~slgeo.core.NewtonRecord`
-    of the failed solve and its last residual norm."""
+    of the failed solve, whose last residual norm the message gives."""
 
-    def __init__(self, record):
-        self.record, self.residual = record, record.residuals[-1]
-        super().__init__("%s at residual %.3e" % (record.stop, self.residual))
+    def __init__(self, rec):
+        self.record = rec
+        super().__init__("%s at residual %.3e" % (rec.stop, rec.residuals[-1]))
 
 
 @dataclass
@@ -206,7 +207,7 @@ class PotentialSolution:
     # round-off floor; residual_P is evaluated against the equation there
     continuation_a: float = None
     # one NewtonRecord per Newton solve (continuation level), and the
-    # sparse factorisations summed over them
+    # sparse LUs summed over them, the fresh steps of the trace
     trace: list = field(default_factory=list)
     factorizations: int = 0
 
@@ -241,7 +242,7 @@ def _to_field(domain: ConvexDomain, vec) -> GridField:
 
 
 def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
-                    tol: float = 1e-10, max_newton: int = 40,
+                    tol: float = 1e-10,
                     initial: np.ndarray | None = None) -> PotentialSolution:
     """Damped-Newton Dirichlet solve along a ladder of levels in a.
 
@@ -253,15 +254,14 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     norm, or at the first level accepted at its round-off floor (see
     _newton).  The first level starts from initial or from _line_average
     of phi, the second from f_0, and later ones from the secant through the
-    last two; only Jacobians are factored.  If the first level fails,
-    NewtonDivergenceError carries its record; after a later failure a
-    ContinuationStalledWarning keeps the last accepted level, whose
-    record's final residual, max |P(f)|, is residual_P.
+    last two; only Jacobians are factored, and each level takes at most
+    MAX_NEWTON steps.  If the first level fails, NewtonDivergenceError
+    carries its record; after a later failure a ContinuationStalledWarning
+    keeps the last accepted level, whose record's final residual,
+    max |P(f)|, is residual_P.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
-    if max_newton < 0:
-        raise ValueError("max_newton must be at least 0")
     if not abs(a) <= np.sqrt(np.finfo(float).max):
         raise ValueError("a must be finite with a finite square, got %r" % (a,))
     if initial is not None and not (np.shape(initial) == (len(domain.nodes),)
@@ -278,7 +278,7 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
                 ops, floor, domain, ak / 4.0, fv) <= tol else 2.0
         start = fv if k < 2 else fv + (ak - trace[-1].level) / (
             trace[-1].level - trace[-2].level) * (fv - prev)
-        fk, rec = _newton(ops, domain, ak, tol, max_newton, start, floor)
+        fk, rec = _newton(ops, domain, ak, tol, start, floor)
         trace.append(rec)
         if rec.stop not in ACCEPTED:
             if len(trace) == 1:   # no level converged
@@ -315,24 +315,23 @@ def _round_off_bound(ops, floor, domain, a, f):
         + 2.0 * (floor[1] @ np.abs(f) + np.abs(byy))))
 
 
-def _newton(ops, domain, a, tol, max_newton, initial, floor=None):
+def _newton(ops, domain, a, tol, initial, floor=None):
     """Damped Newton for P(f) = 0 at level a; returns (last f, NewtonRecord).
 
     The Jacobian's LU is kept while full steps at least halve the residual
     2-norm (chord steps) and refactored after a damped or weaker step, or
     after one whose ratio, kept up, would not reach the stop level in the
-    steps left.  A line search that fails on a kept LU is retried on a
-    fresh one, so a stall is declared only on a fresh Jacobian.  Given
-    floor = (|A_xx|, |A_yy|), a residual above tol but within KAPPA times
-    the round-off bound of P at the start iterate (_round_off_bound) stops
-    "round-off floor".
+    steps left of MAX_NEWTON.  A line search that fails on a kept LU is
+    retried on a fresh one, so a stall is declared only on a fresh
+    Jacobian.  Given floor = (|A_xx|, |A_yy|), a residual above tol but
+    within KAPPA times the round-off bound of P at the start iterate
+    (_round_off_bound) stops "round-off floor".
     """
     Ax, bx, Axx, bxx, _, _, Ayy, _ = ops
     yv = domain.y[domain.nodes[:, 1]]
     rec = NewtonRecord(float(a))
 
     def jacobian(fv):
-        rec.factorizations += 1
         v = Ax @ fv + bx
         c = _coefficient(v, yv, a)
         return _factor(sp.diags(c) @ Axx + 2.0 * Ayy
@@ -353,12 +352,12 @@ def _newton(ops, domain, a, tol, max_newton, initial, floor=None):
     stop_at = tol if floor is None else max(
         tol, KAPPA * _round_off_bound(ops, floor, domain, a, fv))
     lu = None
-    for it in range(max_newton + 1):
+    for it in range(MAX_NEWTON + 1):
         rec.residuals.append(float(np.max(np.abs(res))))
         if rec.residuals[-1] <= stop_at:
             rec.stop = "converged" if rec.residuals[-1] <= tol else "round-off floor"
             break
-        if it == max_newton:
+        if it == MAX_NEWTON:
             rec.stop = "max iterations"
             break
         rnorm = np.linalg.norm(res)
@@ -378,7 +377,7 @@ def _newton(ops, domain, a, tol, max_newton, initial, floor=None):
         lam, fv, res = found
         rec.step_lengths.append(lam)
         rho = float(np.linalg.norm(res) / rnorm)
-        if (lam < 1.0 or rho > 0.5 or rho ** (max_newton - it - 1)
+        if (lam < 1.0 or rho > 0.5 or rho ** (MAX_NEWTON - it - 1)
                 * np.max(np.abs(res)) > stop_at):
             lu = None
     return fv, rec
@@ -396,7 +395,7 @@ def _package(a, domain, ops, fv, trace):
         v=_to_field(domain, v), residual_P=done[-1].residuals[-1],
         newton_iters=sum(len(r.step_lengths) for r in done),
         fvec=fv, continuation_a=done[-1].level if a == 0.0 else None,
-        trace=trace, factorizations=sum(r.factorizations for r in trace))
+        trace=trace, factorizations=sum(sum(r.fresh) for r in trace))
 
 
 # ---------------------------------------------------------------------------

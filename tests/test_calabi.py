@@ -270,13 +270,14 @@ def test_working_set():
             tracemalloc.stop()
 
 
-def test_path_records_newton_trace_and_halvings():
+def test_path_records_newton_trace_and_halvings(monkeypatch):
     # at most 11 Newton iterations: the full step needs 14, and the step
     # 0.5 -> 1 from its predicted start needs more than 11, so the path
     # halves twice and reaches t = 1 in steps 0.5, 0.25, 0.25
     f = calabi.normalize_source(calabi.TorusField.from_function(
         2, 8, lambda x1, y1, x2, y2: 0.19 * (np.cos(x1) + np.cos(y2))))
-    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=11)
+    monkeypatch.setattr(calabi, "MAX_NEWTON", 11)
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1)
     assert path.steps == [0.5, 0.75, 1.0]
     assert path.halvings == [(0.0, 1.0, "max iterations"),
                              (0.5, 0.5, "max iterations")]
@@ -291,7 +292,7 @@ def test_path_records_newton_trace_and_halvings():
         assert len(rnorms) == len(lams) + 1
         assert all(b < a for a, b in zip(rnorms, rnorms[1:]))
         assert all(0.0 < lam <= 1.0 for lam in lams)
-        assert rec.fresh == [] and rec.factorizations == 0
+        assert rec.fresh == []
         if rec.stop == "converged":
             assert 1e-10 < rnorms[0]
             assert rnorms[-1] <= _goal(rec.level, rnorms[0])
@@ -302,16 +303,17 @@ def test_path_records_newton_trace_and_halvings():
     assert path.phi.values.flags.owndata
 
 
-def test_path_failure_keeps_partial_path():
+def test_path_failure_keeps_partial_path(monkeypatch):
     # at A = 2 a five-iteration Newton budget fails every full step, so
     # the path halves down to dt < 1e-4 and gives up early on
     f = calabi.normalize_source(calabi.TorusField.from_function(
         2, 8, lambda x1, y1, x2, y2: 2.0 * (np.cos(x1) + np.cos(y2))))
+    monkeypatch.setattr(calabi, "MAX_NEWTON", 5)
     with pytest.raises(calabi.PathFailureError) as info:
-        calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=5)
+        calabi.solve_calabi(f, tol=1e-10, t_steps=1)
     exc = info.value
     path = exc.path
-    assert path.steps and path.steps[-1] == exc.last_good_t
+    assert path.steps and "at t = %.6f:" % path.steps[-1] in str(exc)
     assert len(path.trace) == len(path.steps) + len(path.halvings)
     done = [r for r in path.trace if r.stop == "converged"]
     assert [r.level for r in done] == path.steps
@@ -321,7 +323,7 @@ def test_path_failure_keeps_partial_path():
         assert len(rec.residuals) == len(rec.step_lengths) + 1
         assert rec.residuals[-1] <= _goal(rec.level, rec.residuals[0])
     t, dt, reason = path.halvings[-1]
-    assert t == exc.last_good_t and 0.5 * dt < 1e-4
+    assert t == path.steps[-1] and 0.5 * dt < 1e-4
     assert reason == path.trace[-1].stop and reason in str(exc)
     assert path.phi is None
 
@@ -363,15 +365,16 @@ def test_unrelated_error_propagates_without_halving():
     assert len(calls) == 1
 
 
-def test_step_keeps_its_length_after_each_accepted_step():
+def test_step_keeps_its_length_after_each_accepted_step(monkeypatch):
     # the A = 2 source of the test above: the first attempt is 1 / t_steps
     # long, each failed step is halved, and each accepted step of length L
     # is followed by an attempt of length min(L, 1 - t), so a halved path
     # does not double back to a step that fails again
     f = calabi.normalize_source(calabi.TorusField.from_function(
         2, 8, lambda x1, y1, x2, y2: 2.0 * (np.cos(x1) + np.cos(y2))))
+    monkeypatch.setattr(calabi, "MAX_NEWTON", 5)
     with pytest.raises(calabi.PathFailureError) as info:
-        calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=5)
+        calabi.solve_calabi(f, tol=1e-10, t_steps=1)
     path = info.value.path
     ends = path.steps
     starts = [0.0] + ends
@@ -384,23 +387,25 @@ def test_step_keeps_its_length_after_each_accepted_step():
         assert tried[1:] == pytest.approx([0.5 * dt for dt in tried[:-1]])
 
 
-def test_halved_path_reaches_t1():
+def test_halved_path_reaches_t1(monkeypatch):
     # the full step fails at 20 iterations and is halved, and the later
     # steps keep the halved length up to t = 1; doubling each accepted
     # step instead fails every next attempt and stalls before t = 0.9
     f = calabi.normalize_source(calabi.TorusField.from_function(
         2, 4, lambda x1, y1, x2, y2: 0.5 * (np.cos(x1) + np.cos(y2))))
-    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1, max_newton=20)
+    monkeypatch.setattr(calabi, "MAX_NEWTON", 20)
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=1)
     assert path.halvings and path.steps[-1] == 1.0
     assert path.residual <= 1e-10
 
 
-def test_loose_levels_carry_a_stiff_path_to_t1():
+def test_loose_levels_carry_a_stiff_path_to_t1(monkeypatch):
     # with every level solved to tol this path stalls at t = 0.917; with
     # the levels short of t = 1 stopped halfway to tol it reaches t = 1
     f = calabi.normalize_source(calabi.TorusField.from_function(
         2, 8, lambda x1, y1, x2, y2: 0.5 * (np.cos(x1) + np.cos(y2))))
-    path = calabi.solve_calabi(f, tol=1e-10, t_steps=3, max_newton=20)
+    monkeypatch.setattr(calabi, "MAX_NEWTON", 20)
+    path = calabi.solve_calabi(f, tol=1e-10, t_steps=3)
     assert path.steps[-1] == 1.0 and path.residual <= 1e-10
     for rec in path.trace:
         if rec.stop == "converged":
@@ -644,8 +649,6 @@ _FLAT = calabi.TorusField(1, np.zeros((8, 8)))
     (lambda: calabi.TorusField(1, np.zeros((8, 4))), "equal length"),
     (lambda: calabi.poisson_reference_solution(
         calabi.TorusField(2, np.zeros((4,) * 4))), "m = 1 case"),
-    (lambda: calabi.solve_calabi(_FLAT, max_newton=-1),
-     "max_newton must be at least 0"),
 ] + [(lambda tol=tol: calabi.solve_calabi(_FLAT, tol=tol),
       "tol must be positive and finite") for tol in (np.nan, np.inf)]
   + [(lambda C=C: calabi.radial_ricci_flat_profile(C),
@@ -693,7 +696,7 @@ def test_overflowing_source_stops_non_finite():
         1, 16, lambda x, y: 800.0 * np.cos(x) * np.cos(y))
     with pytest.raises(calabi.PathFailureError) as info:
         calabi.solve_calabi(f, t_steps=1)
-    assert abs(info.value.last_good_t - 709.0 / 800.0) < 1e-3
+    assert abs(info.value.path.steps[-1] - 709.0 / 800.0) < 1e-3
     path = info.value.path
     nan = [rec for rec in path.trace if np.isnan(rec.residuals[-1])]
     assert nan and all(rec.stop == "non-finite residual" for rec in nan)

@@ -167,11 +167,12 @@ def test_dt_halving_improves_deviation():
     assert devs[0] / devs[1] >= 3.5
 
 
-def test_swept_surface_is_sl():
+def test_swept_surface_is_sl(monkeypatch):
     surf = evolution.EvolvingSurface.sphere(
         2, scale=np.exp(1j * np.pi / 6), dt=0.02)
     evolution.evolve_run(surf, 0.2)
-    assert evolution.swept_sl_defect(surf, stride=4) < 1e-10
+    monkeypatch.setattr(evolution, "SWEPT_STRIDE", 4)
+    assert evolution.swept_sl_defect(surf) < 1e-10
 
 
 def test_sphere_scale_recovers_parameter():
@@ -316,7 +317,7 @@ def test_run_past_blow_up_time_stops():
     assert len(surf.drifts) == len(surf.states) == len(surf.times)
 
 
-def test_diagnostics_on_constructed_surface_match_per_state():
+def test_diagnostics_on_constructed_surface_match_per_state(monkeypatch):
     # the benchmark builds its surface through the constructor, which
     # records the drift of every state it is given
     base = evolution.EvolvingSurface.sphere(3, scale=np.exp(1j * np.pi / 5),
@@ -334,13 +335,14 @@ def test_diagnostics_on_constructed_surface_match_per_state():
     assert fresh.drifts == surf.drifts
 
     stride = 7
+    monkeypatch.setattr(evolution, "SWEPT_STRIDE", stride)
     tangents = []
     for z in surf.states:
         T1, T2 = surf.D1 @ z, surf.D2 @ z
         tangents.append(np.stack([T1, T2, np.conj(np.cross(T1, T2))],
                                  axis=1)[::stride])
     bases = real_coords(np.concatenate(tangents)).reshape(-1, 3, 6)
-    _assert_close(evolution.swept_sl_defect(fresh, stride=stride),
+    _assert_close(evolution.swept_sl_defect(fresh),
                   np.max(plane_defects(bases)[0]))
 
     consts, ws = [], []

@@ -300,7 +300,24 @@ def test_cli_exit_codes(capsys):
              "grid must be at most 48 for m = 2"),
             (["index", "--cutoff", "100000"], "cutoff must be at most 2000"),
             (["verify", "--example", "hl-cone", "--samples", "100000000"],
-             "samples must be at most 1000000")):
+             "samples must be at most 1000000"),
+            (["moduli-dim", "--vars", "8000", "--degrees", "8000"],
+             "vars and degrees must be at most 5000"),
+            (["moduli-dim", "--vars", "5", "--degrees", "5,5001"],
+             "vars and degrees must be at most 5000"),
+            (["moduli-dim", "--vars", "0", "--degrees", "5"],
+             "num_vars must be at least 2"),
+            (["moduli-dim", "--vars", "1", "--degrees", "5"],
+             "num_vars must be at least 2"),
+            # an output path in a missing directory
+            (["--out", "/nonexistent/r.json", "index"],
+             "index: [Errno 2] No such file or directory"),
+            (["verify", "--example", "hl-cone", "--samples", "10",
+              "--out-csv", "/nonexistent/c.csv"],
+             "verify: [Errno 2] No such file or directory"),
+            (["solve-u1", "--grid-n", "17",
+              "--out-grid", "/nonexistent/g.csv"],
+             "solve-u1: [Errno 2] No such file or directory")):
         code, err = _cli_error(args, capsys)
         assert code == 2
         assert message in err and "Traceback" not in err
@@ -345,7 +362,9 @@ _SCAN_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320",
 
 # every (flag, value) pair: the budget exceeds their count and Hypothesis
 # stops once they are exhausted; the examples are the five cases that
-# ended outside the contract before the size and step bounds
+# ended outside the contract before the size and step bounds, and four
+# that ended in a traceback before unwritable output paths and moduli-dim
+# sizes exited 2 (a value may carry a further flag after a space)
 @settings(max_examples=2 * len(_SCAN_FLAGS) * len(_SCAN_VALUES),
           deadline=None)
 @given(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES))
@@ -354,10 +373,15 @@ _SCAN_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320",
 @example(("index", "cutoff"), "100000")
 @example(("solve-calabi", "tol"), "1e-320")
 @example(("solve-calabi", "t-steps"), "100000")
+@example(("index", "out"), "/nonexistent/r.json")
+@example(("verify", "out-csv"), "/nonexistent/c.csv")
+@example(("solve-u1", "out-grid"), "/nonexistent/g.csv")
+@example(("moduli-dim", "vars"), "8000 --degrees=8000")
 def test_cli_input_scan(flag, value):
     # exit 0, 1 or 2, with no exception, RuntimeWarning included
     command, name = flag
-    argv = ["--no-timing"] + _SCAN_BASES[command] + ["--%s=%s" % (name, value)]
+    argv = (["--no-timing"] + _SCAN_BASES[command]
+            + shlex.split("--%s=%s" % (name, value)))
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
@@ -434,7 +458,6 @@ def test_cli_solver_failure_is_a_report(capsys):
 
 
 _REAL_SOLVE_CALABI = calabi.solve_calabi
-_REAL_SOLVE_DIRICHLET = u1.solve_dirichlet
 
 
 def _scaled_calabi(f, **kwargs):
@@ -446,9 +469,7 @@ def _scaled_calabi(f, **kwargs):
 _GIVE_UPS = [
     (["solve-calabi", "--grid", "8", "--t-steps", "1"], calabi,
      "solve_calabi", _scaled_calabi, "continuity path stalled"),
-    (["solve-u1", "--boundary", "x2", "--grid-n", "17"], u1,
-     "solve_dirichlet",
-     lambda *a, **k: _REAL_SOLVE_DIRICHLET(*a, max_newton=1, **k),
+    (["solve-u1", "--boundary", "x2", "--grid-n", "17"], u1, "MAX_NEWTON", 1,
      "max iterations at residual"),
 ]
 

@@ -96,17 +96,19 @@ def test_a_lift_sized_solve_factors_once():
     assert sol.factorizations == 1 < sol.newton_iters
 
 
-def test_chord_run_fits_the_newton_budget():
+def test_chord_run_fits_the_newton_budget(monkeypatch):
     # at a steady chord ratio near 1/2 one LU would take 34 steps; with a
     # budget of 20 the LU is dropped once its ratio cannot reach tol in
     # the steps left, and the fresh Jacobian converges
     phi = u1.BoundaryData(lambda x, y: 0.3 * x ** 3 - 0.2 * x * y + 0.1 * y * y)
     dom = _disc(65)
-    (kept,) = u1.solve_dirichlet(phi, 0.03, dom, tol=1e-10, max_newton=40).trace
-    assert kept.factorizations == 1 and len(kept.step_lengths) == 34
-    (rec,) = u1.solve_dirichlet(phi, 0.03, dom, tol=1e-10, max_newton=20).trace
+    monkeypatch.setattr(u1, "MAX_NEWTON", 40)
+    (kept,) = u1.solve_dirichlet(phi, 0.03, dom, tol=1e-10).trace
+    assert sum(kept.fresh) == 1 and len(kept.step_lengths) == 34
+    monkeypatch.setattr(u1, "MAX_NEWTON", 20)
+    (rec,) = u1.solve_dirichlet(phi, 0.03, dom, tol=1e-10).trace
     assert rec.stop == "converged" and rec.residuals[-1] <= 1e-10
-    assert rec.factorizations == 2 and len(rec.step_lengths) == 8
+    assert sum(rec.fresh) == 2 and len(rec.step_lengths) == 8
 
 
 def test_quadratic_data_converges():
@@ -139,10 +141,11 @@ def test_p_operator_matches_packaged_residual(monkeypatch):
     # a stalled a = 0 solve, evaluated at its last converged level: with no
     # round-off floor to stop at, a rung stalls on the round-off plateau
     monkeypatch.setattr(u1, "KAPPA", 0.0)
+    monkeypatch.setattr(u1, "MAX_NEWTON", 25)
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     dom = _disc(33)
     with pytest.warns(u1.ContinuationStalledWarning):
-        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10, max_newton=25)
+        sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10)
     assert sol.trace[-1].stop != "converged"
     res = u1.p_operator(sol.f, sol.continuation_a, dom, phi)
     assert np.nanmax(np.abs(res.values)) == sol.residual_P
@@ -509,8 +512,6 @@ _N17 = len(_disc(17).nodes)     # active nodes of the 17-node disc
     (lambda: u1.solve_dirichlet(u1.BoundaryData(
         lambda x, y: np.where(x > 0.5, np.nan, 0.0)), 1.0, _disc(17)),
      "boundary data must be finite"),
-    (lambda: u1.solve_dirichlet(u1.BoundaryData(_zero_data), 1.0, _disc(17),
-                                max_newton=-1), "max_newton must be at least 0"),
 ] + [(lambda r=r: u1.ConvexDomain("disc", rx=r),
       "radii must be positive and finite") for r in (0.0, -1.0, np.nan, np.inf)]
   + [(lambda r=r: u1.ConvexDomain("ellipse", rx=1.0, ry=r),
@@ -585,18 +586,21 @@ def test_trace_of_a_nonzero_solve():
     assert rec.residuals[-1] <= 1e-10 < rec.residuals[0]
     # only Jacobians are factored, the first one at the line-average
     # start; chord steps reuse its LU
-    assert sol.factorizations == rec.factorizations < steps
+    assert sol.factorizations == sum(rec.fresh) < steps
     assert rec.fresh[0] and not all(rec.fresh)
 
 
-def test_exhausted_newton_budget_keeps_its_record():
+def test_exhausted_newton_budget_keeps_its_record(monkeypatch):
+    monkeypatch.setattr(u1, "MAX_NEWTON", 3)
     phi = u1.BoundaryData(lambda x, y: 0.2 * np.asarray(x) ** 2)
     with pytest.raises(u1.NewtonDivergenceError) as info:
-        u1.solve_dirichlet(phi, 0.1, _disc(33), tol=1e-10, max_newton=3)
+        u1.solve_dirichlet(phi, 0.1, _disc(33), tol=1e-10)
     rec = info.value.record
     assert rec.stop == "max iterations"
     assert len(rec.step_lengths) == len(rec.fresh) == len(rec.residuals) - 1 == 3
-    assert info.value.residual == rec.residuals[-1] > 1e-10
+    assert info.value.record.residuals[-1] == rec.residuals[-1] > 1e-10
+    assert str(info.value) == ("max iterations at residual %.3e"
+                               % rec.residuals[-1])
 
 
 def test_stalled_continuation_ends_on_a_fresh_factor(monkeypatch):
@@ -614,14 +618,15 @@ def test_stalled_continuation_ends_on_a_fresh_factor(monkeypatch):
     assert last.fresh[-1] and last.step_lengths[-1] == 0.0
     assert last.residuals[-1] == last.residuals[-2] > 1e-10
     assert sol.newton_iters == sum(len(rec.step_lengths) for rec in done)
-    assert sol.factorizations == sum(rec.factorizations for rec in sol.trace)
+    assert sol.factorizations == sum(sum(rec.fresh) for rec in sol.trace)
 
 
 def test_stall_warning_points_at_the_caller(monkeypatch):
     monkeypatch.setattr(u1, "KAPPA", 0.0)
+    monkeypatch.setattr(u1, "MAX_NEWTON", 25)
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     with pytest.warns(u1.ContinuationStalledWarning) as record:
-        u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10, max_newton=25)
+        u1.solve_dirichlet(phi, 0.0, _disc(33), tol=1e-10)
     assert record[0].filename == __file__
 
 
@@ -633,9 +638,9 @@ def test_a_zero_ladder_stops_at_its_round_off_floor(monkeypatch, n):
     dom, tol = _disc(n), 1e-10
     starts, newton = [], u1._newton
 
-    def recording(ops, domain, a, tol, max_newton, initial=None, floor=None):
+    def recording(ops, domain, a, tol, initial, floor=None):
         starts.append(initial)
-        return newton(ops, domain, a, tol, max_newton, initial, floor)
+        return newton(ops, domain, a, tol, initial, floor)
 
     monkeypatch.setattr(u1, "_newton", recording)
     with warnings.catch_warnings(record=True) as caught:
@@ -688,8 +693,8 @@ def test_a_zero_ladder_quarters_while_its_floor_is_below_tol(monkeypatch):
     phi, dom, tol = _stalling_data(), _disc(65), 1e-10
     calls, newton = [], u1._newton
 
-    def recording(ops, domain, a, tol, max_newton, initial=None, floor=None):
-        out = newton(ops, domain, a, tol, max_newton, initial, floor)
+    def recording(ops, domain, a, tol, initial, floor=None):
+        out = newton(ops, domain, a, tol, initial, floor)
         calls.append((a, initial, out[0]))
         return out
 
@@ -724,7 +729,8 @@ def test_nonzero_level_is_held_to_tol():
                            initial=sol.fvec)
     rec = info.value.record
     assert rec.residuals[0] == sol.residual_P
-    assert rec.stop == "damping underflow" and info.value.residual > 1e-10
+    assert (rec.stop == "damping underflow"
+            and info.value.record.residuals[-1] > 1e-10)
 
 
 def test_initial_seeds_the_first_rung_at_a_zero():
@@ -738,7 +744,7 @@ def test_initial_seeds_the_first_rung_at_a_zero():
     # the a = 1 rung starts from its own solution and takes no step
     first = sol.trace[0]
     assert first.level == 1.0 and first.stop == "converged"
-    assert first.step_lengths == [] and first.factorizations == 0
+    assert first.step_lengths == [] and sum(first.fresh) == 0
     assert first.residuals == [s1.trace[0].residuals[-1]]
     assert cold.trace[0].step_lengths
     assert [r.level for r in sol.trace] == [r.level for r in cold.trace]
@@ -766,6 +772,6 @@ def test_failed_chord_step_is_retried_on_a_fresh_factor(monkeypatch):
     sol = u1.solve_dirichlet(phi, 0.5, _disc(33), tol=tol)
     (rec,) = sol.trace
     assert rec.stop == "converged" and all(rec.fresh)
-    assert rec.factorizations == len(rec.step_lengths)
+    assert sum(rec.fresh) == len(rec.step_lengths)
     ref = _full_newton(phi, 0.5, _disc(33), tol)
     assert np.max(np.abs(sol.fvec - ref)) <= 10.0 * tol
