@@ -7,10 +7,10 @@ Modules (each is imported on first use, so a command loads only what it runs):
               the moment map of diagonal circle actions in SU(m)
   graphs      the special Lagrangian graph equation Im det(I + i Hess f)
   gridio      masked 2D grid fields and their CSV format
-  u1          the U(1)-invariant Dirichlet potential solver and its lift
-              to SL 3-folds of C^3
-  fibrations  SL fibrations: Dirichlet families, the explicit piecewise-
-              smooth map, the T^2-cone fibration
+  u1          the U(1)-invariant Dirichlet potential solver, its lift
+              to SL 3-folds of C^3 and the fibrations of its families
+  fibrations  SL fibrations in closed form: the explicit piecewise-smooth
+              map, the T^2-cone fibration
   families    closed-form model families, asymptotic-cone decay, the
               Legendrian index, complete-intersection moduli dimensions
   calabi      the Monge-Ampere continuity method on flat tori (m = 1, 2)

@@ -11,7 +11,9 @@ byte-identical across runs with the same configuration and seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import re
 import sys
 import time
@@ -107,10 +109,11 @@ def _write_cloud_csv(path, points):
 
 def _report_trace(rep, trace):
     """One entry per Newton solve of a list of core.NewtonRecords, failed
-    ones included: its level, why it stopped and its residuals."""
+    ones included: its level, stop word, residuals and line-search steps."""
     rep.envelope["levels"] = [rec.level for rec in trace]
     rep.envelope["stops"] = [rec.stop for rec in trace]
     rep.envelope["residuals"] = [rec.residuals for rec in trace]
+    rep.envelope["step_lengths"] = [rec.step_lengths for rec in trace]
 
 
 # ---------------------------------------------------------------------------
@@ -252,14 +255,14 @@ def _cmd_solve_calabi(args):
 
 
 def _cmd_evolve(args):
+    # a dt or t_end that is not positive and finite gets the library's message
+    if 0 < STEPS_MAX * args.dt < args.t_end < np.inf:
+        raise ValueError("t_end / dt must be at most %d" % STEPS_MAX)
     from . import evolution
     rep = Report("evolve", {"surface": args.surface, "nodes": args.nodes,
                             "dt": args.dt, "t_end": args.t_end})
     surf = evolution.EvolvingSurface.sphere(
         ICOSPHERE_LEVELS[args.nodes], scale=np.exp(1j * np.pi / 6), dt=args.dt)
-    # a t_end of nan or inf gets evolve_run's own message
-    if np.isfinite(args.t_end) and args.t_end > STEPS_MAX * args.dt:
-        raise ValueError("t_end / dt must be at most %d" % STEPS_MAX)
     try:
         evolution.evolve_run(surf, args.t_end)
         dev = evolution.compare_so3(surf)
@@ -372,6 +375,18 @@ def build_parser():
     return p
 
 
+def _check_outputs(args):
+    """Raise the OSError that opening an output path would raise if its
+    directory is missing or not writable; nothing is created."""
+    for path in filter(None, (args.out, getattr(args, "out_csv", None),
+                              getattr(args, "out_grid", None))):
+        parent = os.path.dirname(path) or "."
+        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            code = (errno.EACCES if os.path.isdir(parent) else errno.ENOTDIR
+                    if os.path.exists(parent) else errno.ENOENT)
+            raise OSError(code, os.strerror(code), path)
+
+
 def _joined_negative_values(argv):
     """argv with each "--flag -1e12" written "--flag=-1e12": argparse takes
     only -N and -N.N for negative numbers and reads -1e12 as an option."""
@@ -390,6 +405,7 @@ def main(argv=None):
     args = parser.parse_args(_joined_negative_values(
         sys.argv[1:] if argv is None else argv))
     try:
+        _check_outputs(args)
         report = args.func(args)
         code = report.finish(args.no_timing)
         _emit(report, args)

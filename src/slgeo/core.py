@@ -262,6 +262,15 @@ def complex_matrix_to_real(A: np.ndarray) -> np.ndarray:
     return real_coords(cols).T
 
 
+def conj_cross(a, b):
+    """conj(a x b) over the last axis, the metric dual of Omega(a, b, .)."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    c = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
+                 axis=-1)
+    return np.conj(c, out=c)
+
+
 def moment_map_values(weights, points) -> np.ndarray:
     """Hamiltonian sum_j w_j |z_j|^2 of the diagonal action
     z_j -> e^{i w_j theta} z_j at each point of a stack (..., m).

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .core import plane_defects, real_coords
+from .core import conj_cross, plane_defects, real_coords
 
 SWEPT_STRIDE = 50  # swept_sl_defect reads every SWEPT_STRIDE-th node
 
@@ -152,7 +152,7 @@ class EvolvingSurface:
     def velocity(self, state: np.ndarray) -> np.ndarray:
         """conj(T1 x T2) rowwise; the contraction of the pushed-forward
         bivector with Re Omega, metric-raised."""
-        return _conj_cross(*_tangents(self.D, state))
+        return conj_cross(*_tangents(self.D, state))
 
 
 def _tangents(D, z):
@@ -161,15 +161,6 @@ def _tangents(D, z):
     z = np.ascontiguousarray(z, dtype=complex)
     t = (D @ z.reshape(len(z), -1).view(float)).view(complex)
     return t.reshape((2, -1) + z.shape[1:])
-
-
-def _conj_cross(a, b):
-    """conj(a x b) over the last axis."""
-    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
-    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
-    c = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0],
-                 axis=-1)
-    return np.conj(c, out=c)
 
 
 def _rk4(surf: EvolvingSurface, state: np.ndarray, dt: float) -> np.ndarray:
@@ -223,7 +214,7 @@ def swept_sl_defect(surf: EvolvingSurface) -> float:
     cols = np.unique(D.indices)              # the nodes the subsample reads
     T1, T2 = _tangents(D[:, cols], np.stack([s[cols] for s in surf.states],
                                             axis=1))
-    tangents = np.stack([T1, T2, _conj_cross(T1, T2)], axis=-2)
+    tangents = np.stack([T1, T2, conj_cross(T1, T2)], axis=-2)
     bases = real_coords(tangents).reshape(-1, 3, 6)
     return float(np.max(plane_defects(bases)[0], initial=0.0))
 
@@ -242,17 +233,17 @@ def sphere_scale(state: np.ndarray) -> np.ndarray:
 def compare_so3(surf: EvolvingSurface) -> float:
     """Max relative radial deviation of the recorded states from the family
     r^3 sin(3 theta) = const, with the constant fitted per run."""
-    consts = np.empty((len(surf.states), len(surf.verts)))
+    lo, hi, total = np.inf, -np.inf, 0.0
     for k, state in enumerate(surf.states):
         w = sphere_scale(state)
         r = np.abs(w)
         th = np.angle(w)
         if np.any(r < 1e-12) or np.any(th <= 0) or np.any(th >= np.pi / 3):
             raise NoMatchError("state %d left the family parameter range" % k)
-        consts[k] = r ** 3 * np.sin(3 * th)
-    t3 = float(np.mean(consts))
+        c = r ** 3 * np.sin(3 * th)
+        lo, hi, total = min(lo, c.min()), max(hi, c.max()), total + c.sum()
+    t3 = float(total) / (len(surf.states) * len(surf.verts))
     if t3 <= 0:
         raise NoMatchError("fitted family constant is nonpositive")
-    consts /= t3
-    ratio = np.cbrt(consts, out=consts)   # r / r_model, r_model on the family
-    return float(max(ratio.max() - 1.0, 1.0 - ratio.min()))
+    # r / r_model = cbrt(c / t3) is monotone in c, so lo and hi bound it
+    return float(max(np.cbrt(hi / t3) - 1.0, 1.0 - np.cbrt(lo / t3)))

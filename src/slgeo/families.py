@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import broadcast_stack, plane_defects, real_coords
+from .core import broadcast_stack, conj_cross, plane_defects, real_coords
 
 
 class ParameterRangeError(ValueError):
@@ -50,19 +50,6 @@ class OverdeterminedModuliError(ValueError):
 
 class UnreliableFitWarning(UserWarning):
     """Decay-rate fit used radii inside the compact core."""
-
-
-def _cross(r: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """The C^3 cross product (half the conjugate coordinate cross)."""
-    rb, sb = np.conj(r), np.conj(s)
-    return 0.5 * np.array([rb[1] * sb[2] - rb[2] * sb[1],
-                           rb[2] * sb[0] - rb[0] * sb[2],
-                           rb[0] * sb[1] - rb[1] * sb[0]])
-
-
-def _omega(u: np.ndarray, v: np.ndarray) -> float:
-    """Kahler pairing of two complex vectors, omega(u, v) = Im <u, v>."""
-    return float(np.imag(np.vdot(u, v)))
 
 
 @dataclass
@@ -99,9 +86,9 @@ class ModelFamily:
             v = np.asarray(self.extra.get("v", [0, 1.0, 0]), dtype=complex)
             if np.linalg.matrix_rank(np.stack([u, v])) < 2:
                 raise ParameterRangeError("u, v must be linearly independent")
-            if abs(_omega(u, v)) > 1e-12:
+            if abs(np.vdot(u, v).imag) > 1e-12:   # omega(u, v) = Im <u, v>
                 raise ParameterRangeError("u, v must satisfy omega(u, v) = 0")
-            self.extra.update(u=u, v=v, w=_cross(u, v))
+            self.extra.update(u=u, v=v, w=0.5 * conj_cross(u, v))
 
     def sample_params(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """n parameter triples drawn from the interior of the valid range."""

@@ -1,29 +1,21 @@
-"""Special Lagrangian fibrations of subsets of C^3.
+"""Special Lagrangian fibrations of subsets of C^3 in closed form:
 
-Three constructions:
-
-  * families of U(1)-invariant Dirichlet problems Phi(a, b, c) =
-    phi + b x + c y over a convex domain, whose solved potentials lift to
-    pairwise-disjoint SL 3-folds N_alpha;
   * the explicit piecewise-smooth fibration F(z) = (a, b) with
     2a = |z1|^2 - |z2|^2 and a three-branch formula for b, whose fibers
     are T^2-cones at a = 0 and S^1 x R^2 otherwise;
   * the T^2-cone fibration (|z1|^2-|z3|^2, |z2|^2-|z3|^2, Im(z1 z2 z3)),
-    sampled in closed form along its U(1)^2 orbits.
+    sampled along its U(1)^2 orbits.
+
+The U(1)-invariant Dirichlet families N_alpha live in :mod:`slgeo.u1`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (broadcast_stack, moment_map_values, plane_defects,
-                   real_coords)
-
-if TYPE_CHECKING:  # u1 loads scipy, which only the Dirichlet families need
-    from .u1 import BoundaryData, ConvexDomain, PotentialSolution
+from .core import broadcast_stack, plane_defects, real_coords
 
 RANK_RTOL = 1e-8  # singular-value ratio below which the Jacobian drops rank
 
@@ -42,102 +34,6 @@ class FiberRecord:
     topology: str                       # T2_cone | S1xR2 | T3_like | other
     singular_points: list
     sl_residual_max: float
-
-
-@dataclass
-class FibrationFamily:
-    """Dirichlet-problem family Phi(a, b, c) = base_phi + b x + c y.
-
-    U is ((a_min, a_max), (b_min, b_max), (c_min, c_max)), closed ranges
-    that every requested alpha must lie in.  Solutions are cached per
-    alpha.  The paper's condition on same-a parameter pairs, that the
-    difference of their boundary data has exactly one maximum and one
-    minimum, holds in every such family: two distinct members differ on
-    the boundary by (b - b') x + (c - c') y, a nonzero linear function,
-    which has exactly one of each on the boundary of a strictly convex
-    domain.
-    """
-
-    base_phi: BoundaryData
-    U: tuple
-    domain: ConvexDomain
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def __post_init__(self):
-        for lo, hi in self.U:
-            if hi < lo:
-                raise InvalidRegionError("empty parameter range (%g, %g)" % (lo, hi))
-
-    def boundary_data(self, alpha) -> BoundaryData:
-        from .u1 import BoundaryData
-        a, b, c = alpha
-        base = self.base_phi
-        return BoundaryData(lambda x, y: base(x, y) + b * np.asarray(x)
-                            + c * np.asarray(y))
-
-    def solution(self, alpha) -> PotentialSolution:
-        from .u1 import solve_dirichlet
-        key = tuple(float(v) for v in alpha)
-        if not all(lo <= v <= hi for v, (lo, hi) in zip(key, self.U)):
-            raise InvalidRegionError("alpha %r lies outside U = %r" % (key, self.U))
-        if key not in self._cache:
-            self._cache[key] = solve_dirichlet(
-                self.boundary_data(key), key[0], self.domain)
-        return self._cache[key]
-
-    def fiber(self, alpha) -> FiberRecord:
-        from .u1 import lift_to_sl3, singular_points
-        sol = self.solution(alpha)
-        cloud = lift_to_sl3(sol, samples_per_node=2)
-        sing = singular_points(sol)
-        # a != 0 solutions have no singular points
-        topo = {0: "S1xR2", 1: "T2_cone"}.get(len(sing), "other")
-        finite = cloud.sl_defects[np.isfinite(cloud.sl_defects)]
-        res = float(np.max(finite)) if finite.size else 0.0
-        return FiberRecord(cloud.points, topo,
-                           [(0.0, 0.0, z3) for _, z3 in sing], res)
-
-
-def check_disjoint(fam: FibrationFamily, alpha_pairs):
-    """Disjointness report for parameter pairs.
-
-    Same-a pairs must have zero difference zeros of (u, v); different-a
-    pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a, and
-    report the least distance between 200 seeded points of each fiber.
-    """
-    from .u1 import difference_zeros
-    rng = np.random.default_rng(0)
-    report = []
-    for alpha, alpha2 in alpha_pairs:
-        entry = {"alpha": tuple(alpha), "alpha2": tuple(alpha2)}
-        if alpha[0] == alpha2[0]:
-            s1 = fam.solution(alpha)
-            s2 = fam.solution(alpha2)
-            rep = difference_zeros(s1, s2)
-            entry["mechanism"] = "difference-zeros"
-            entry["zeros"] = rep.total
-            entry["identical"] = rep.identical
-            entry["disjoint"] = (rep.total == 0) and not rep.identical
-        else:
-            c1 = fam.fiber(alpha)
-            c2 = fam.fiber(alpha2)
-            lvl1, lvl2 = (0.5 * moment_map_values((1, -1, 0), c.points)
-                          for c in (c1, c2))
-            entry["mechanism"] = "moment-level"
-            entry["level_error"] = float(max(np.max(np.abs(lvl1 - alpha[0])),
-                                             np.max(np.abs(lvl2 - alpha2[0]))))
-            entry["disjoint"] = bool(
-                abs(alpha[0] - alpha2[0]) > 2.0 * entry["level_error"])
-            idx1 = rng.choice(len(c1.points), min(200, len(c1.points)),
-                              replace=False)
-            idx2 = rng.choice(len(c2.points), min(200, len(c2.points)),
-                              replace=False)
-            p1, p2 = (np.concatenate([p.real, p.imag], axis=-1)
-                      for p in (c1.points[idx1], c2.points[idx2]))
-            d = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
-            entry["min_distance"] = float(np.min(d))
-        report.append(entry)
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,10 @@ and lift to U(1)-invariant special Lagrangian 3-folds of C^3 through
 
     z1 z2 = v + i y,   z3 = x + i u,   |z1|^2 - |z2|^2 = 2a.
 
+The data phi + b x + c y over a parameter box lift to the disjoint SL
+3-folds N_alpha of a fibration (:class:`FibrationFamily`,
+:func:`check_disjoint`).
+
 Discretization: second-order finite differences on a boundary-fitted mask
 (Shortley-Weller unequal arms at cut nodes, boundary values injected along
 grid lines), damped Newton from the mean of phi's row and column
@@ -34,6 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .core import (NewtonRecord, broadcast_stack, moment_map_values,
                    plane_defects, real_coords)
+from .fibrations import FiberRecord, InvalidRegionError
 from .gridio import GridField
 
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
@@ -106,13 +111,14 @@ class ConvexDomain:
             cut = nbr < 0
             dx, dy = di * self.hx, dj * self.hy
             h = abs(dx) + abs(dy)
-            # fraction t in (0, 1] with (x + t dx, y + t dy) on the boundary
+            # fraction t in (1 / (n - 1), 1] with (x + t dx, y + t dy) on the
+            # boundary; C < -1e-12 inside, so the root is real, and a
+            # neighbour on the boundary gives t = 1 only up to rounding
             xc, yc = x[cut], y[cut]
             A = (dx / self.rx) ** 2 + (dy / self.ry) ** 2
             B = 2.0 * (xc * dx / self.rx ** 2 + yc * dy / self.ry ** 2)
             C = (xc / self.rx) ** 2 + (yc / self.ry) ** 2 - 1.0
-            t = (-B + np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
-            t = np.minimum(np.maximum(t, 1e-6), 1.0)
+            t = np.minimum((-B + np.sqrt(B * B - 4.0 * A * C)) / (2.0 * A), 1.0)
             self.arm_nbr[:, d] = nbr
             self.arm_len[:, d] = h
             self.arm_len[cut, d] = t * h
@@ -485,7 +491,7 @@ def singular_points(sol: PotentialSolution):
 
 
 # ---------------------------------------------------------------------------
-# zero counting for pairs of solutions
+# zero counting for pairs of solutions; the fibrations N_alpha
 
 
 def winding_number(vectors: np.ndarray):
@@ -530,6 +536,98 @@ def difference_zeros(s1: PotentialSolution,
     zeros = [((float(dom.x[i] + 0.5 * dom.hx), float(dom.y[j] + 0.5 * dom.hy)),
               int(w[i, j])) for i, j in zip(*np.nonzero(cells & (w != 0)))]
     return DifferenceZeroReport(zeros, int(sum(abs(w) for _, w in zeros)))
+
+
+@dataclass
+class FibrationFamily:
+    """Dirichlet-problem family Phi(a, b, c) = base_phi + b x + c y.
+
+    U is ((a_min, a_max), (b_min, b_max), (c_min, c_max)), closed ranges
+    that every requested alpha must lie in.  Solutions are cached per
+    alpha.  The paper's condition on same-a parameter pairs, that the
+    difference of their boundary data has exactly one maximum and one
+    minimum, holds in every such family: two distinct members differ on
+    the boundary by (b - b') x + (c - c') y, a nonzero linear function,
+    which has exactly one of each on the boundary of a strictly convex
+    domain.
+    """
+
+    base_phi: BoundaryData
+    U: tuple
+    domain: ConvexDomain
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def __post_init__(self):
+        for lo, hi in self.U:
+            if hi < lo:
+                raise InvalidRegionError("empty parameter range (%g, %g)" % (lo, hi))
+
+    def boundary_data(self, alpha) -> BoundaryData:
+        a, b, c = alpha
+        base = self.base_phi
+        return BoundaryData(lambda x, y: base(x, y) + b * np.asarray(x)
+                            + c * np.asarray(y))
+
+    def solution(self, alpha) -> PotentialSolution:
+        key = tuple(float(v) for v in alpha)
+        if not all(lo <= v <= hi for v, (lo, hi) in zip(key, self.U)):
+            raise InvalidRegionError("alpha %r lies outside U = %r" % (key, self.U))
+        if key not in self._cache:
+            self._cache[key] = solve_dirichlet(
+                self.boundary_data(key), key[0], self.domain)
+        return self._cache[key]
+
+    def fiber(self, alpha) -> FiberRecord:
+        sol = self.solution(alpha)
+        cloud = lift_to_sl3(sol, samples_per_node=2)
+        sing = singular_points(sol)
+        # a != 0 solutions have no singular points
+        topo = {0: "S1xR2", 1: "T2_cone"}.get(len(sing), "other")
+        finite = cloud.sl_defects[np.isfinite(cloud.sl_defects)]
+        res = float(np.max(finite)) if finite.size else 0.0
+        return FiberRecord(cloud.points, topo,
+                           [(0.0, 0.0, z3) for _, z3 in sing], res)
+
+
+def check_disjoint(fam: FibrationFamily, alpha_pairs):
+    """Disjointness report for parameter pairs.
+
+    Same-a pairs must have zero difference zeros of (u, v); different-a
+    pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a, and
+    report the least distance between 200 seeded points of each fiber.
+    """
+    rng = np.random.default_rng(0)
+    report = []
+    for alpha, alpha2 in alpha_pairs:
+        entry = {"alpha": tuple(alpha), "alpha2": tuple(alpha2)}
+        if alpha[0] == alpha2[0]:
+            s1 = fam.solution(alpha)
+            s2 = fam.solution(alpha2)
+            rep = difference_zeros(s1, s2)
+            entry["mechanism"] = "difference-zeros"
+            entry["zeros"] = rep.total
+            entry["identical"] = rep.identical
+            entry["disjoint"] = (rep.total == 0) and not rep.identical
+        else:
+            c1 = fam.fiber(alpha)
+            c2 = fam.fiber(alpha2)
+            lvl1, lvl2 = (0.5 * moment_map_values((1, -1, 0), c.points)
+                          for c in (c1, c2))
+            entry["mechanism"] = "moment-level"
+            entry["level_error"] = float(max(np.max(np.abs(lvl1 - alpha[0])),
+                                             np.max(np.abs(lvl2 - alpha2[0]))))
+            entry["disjoint"] = bool(
+                abs(alpha[0] - alpha2[0]) > 2.0 * entry["level_error"])
+            idx1 = rng.choice(len(c1.points), min(200, len(c1.points)),
+                              replace=False)
+            idx2 = rng.choice(len(c2.points), min(200, len(c2.points)),
+                              replace=False)
+            p1, p2 = (np.concatenate([p.real, p.imag], axis=-1)
+                      for p in (c1.points[idx1], c2.points[idx2]))
+            d = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
+            entry["min_distance"] = float(np.min(d))
+        report.append(entry)
+    return report
 
 
 # ---------------------------------------------------------------------------

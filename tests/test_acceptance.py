@@ -144,7 +144,7 @@ def test_criterion_05_fibrations():
     # family disjointness over >= 100 seeded pairs
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        fam = fibrations.FibrationFamily(
+        fam = u1.FibrationFamily(
             base_phi=lambda x, y: 0.2 * x * x,
             U=((-0.5, 0.5), (-0.3, 0.3), (-0.3, 0.3)),
             domain=u1.ConvexDomain("disc", n=33))
@@ -157,7 +157,7 @@ def test_criterion_05_fibrations():
             if abs(b1 - b2) + abs(c1 - c2) < 1e-3:
                 b2 += 0.05
             pairs.append(((a, b1, c1), (a, b2, c2)))
-        report = fibrations.check_disjoint(fam, pairs)
+        report = u1.check_disjoint(fam, pairs)
     zero_counts = [entry.get("zeros", 0) for entry in report]
     ok = (roundtrip < 1e-10 and sing == [0.0]
           and labels == ["S1xR2", "T2_cone", "S1xR2"]

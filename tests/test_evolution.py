@@ -317,6 +317,30 @@ def test_run_past_blow_up_time_stops():
     assert len(surf.drifts) == len(surf.states) == len(surf.times)
 
 
+def _compare_so3_array(surf):
+    # the (states x nodes) formula that compare_so3 folds state by state
+    ws = [evolution.sphere_scale(z) for z in surf.states]
+    consts = np.array([np.abs(w) ** 3 * np.sin(3 * np.angle(w)) for w in ws])
+    ratio = np.cbrt(consts / np.mean(consts))
+    return float(max(ratio.max() - 1.0, 1.0 - ratio.min()))
+
+
+@pytest.mark.parametrize("make, t_end", [
+    # criterion 9's two compared runs, README's evolve, a stretched sphere
+    (lambda: evolution.EvolvingSurface.sphere(
+        3, scale=np.exp(1j * np.pi / 6), dt=0.05), 0.5),
+    (lambda: evolution.EvolvingSurface.sphere(
+        3, scale=np.exp(1j * np.pi / 6), dt=0.025), 0.5),
+    (lambda: evolution.EvolvingSurface.sphere(
+        3, scale=np.exp(1j * np.pi / 6), dt=0.01), 0.5),
+    (lambda: _bumped_sphere(2, 0.02, phase=np.pi / 5), 0.2)],
+    ids=["criterion-9-0.05", "criterion-9-0.025", "readme", "constructed"])
+def test_compare_so3_fold_matches_array_formula(make, t_end):
+    surf = make()
+    evolution.evolve_run(surf, t_end)
+    assert abs(evolution.compare_so3(surf) - _compare_so3_array(surf)) <= 1e-14
+
+
 def test_diagnostics_on_constructed_surface_match_per_state(monkeypatch):
     # the benchmark builds its surface through the constructor, which
     # records the drift of every state it is given

@@ -204,7 +204,7 @@ def test_hl_fiber_where_a_negative_level_dominates(level):
 def family():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return fib.FibrationFamily(
+        return u1.FibrationFamily(
             base_phi=lambda x, y: 0.2 * x * x,
             U=((-0.5, 0.5), (-0.3, 0.3), (-0.3, 0.3)),
             domain=u1.ConvexDomain("disc", n=33))
@@ -225,15 +225,15 @@ def test_family_fibers_disjoint(family):
              ((0.25, 0.1, 0.0), (-0.25, 0.1, 0.0))]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        report = fib.check_disjoint(family, pairs)
+        report = u1.check_disjoint(family, pairs)
     assert all(entry["disjoint"] for entry in report)
 
 
 def test_empty_parameter_box_rejected():
     with pytest.raises(fib.InvalidRegionError):
-        fib.FibrationFamily(base_phi=lambda x, y: 0.0,
-                            U=((0.5, -0.5), (0.0, 1.0), (0.0, 1.0)),
-                            domain=u1.ConvexDomain("disc", n=33))
+        u1.FibrationFamily(base_phi=lambda x, y: 0.0,
+                           U=((0.5, -0.5), (0.0, 1.0), (0.0, 1.0)),
+                           domain=u1.ConvexDomain("disc", n=33))
 
 
 def test_member_outside_parameter_box_rejected(family):

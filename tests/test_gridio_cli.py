@@ -8,6 +8,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 import warnings
 from unittest import mock
 
@@ -182,11 +183,12 @@ def test_cli_runs_as_module_without_runpy_warning():
     assert p.returncode == 0, p.stderr
 
 
-def _scipy_modules(code):
-    # the scipy modules a fresh interpreter holds after running code
+def _scipy_modules(code, prefix="scipy"):
+    # the scipy modules, or those under prefix, that a fresh interpreter
+    # holds after running code
     p = subprocess.run([sys.executable, "-c", code + "\nimport json, sys\n"
                         "print(json.dumps(sorted(m for m in sys.modules "
-                        "if m.startswith('scipy'))))"],
+                        "if m.startswith(%r))))" % (prefix,)],
                        capture_output=True, text=True, timeout=300)
     assert p.returncode == 0, p.stderr
     return json.loads(p.stdout.splitlines()[-1])
@@ -207,6 +209,15 @@ def test_import_slgeo_loads_no_scipy():
 def test_numpy_only_commands_load_no_scipy(argv):
     code = f"from slgeo.cli import main\nassert main({argv!r}) == 0"
     assert _scipy_modules(code) == []
+
+
+@pytest.mark.parametrize("code", [
+    "import slgeo.fibrations",
+    "from slgeo.cli import main\nassert main(['fibration', '--scan']) == 0"],
+    ids=["import", "scan"])
+def test_fibrations_load_neither_u1_nor_scipy(code):
+    # the Dirichlet families, which solve, live in u1
+    assert _scipy_modules(code, ("scipy", "slgeo.u1")) == []
 
 
 def test_solve_calabi_loads_no_sparse():
@@ -237,7 +248,7 @@ def _cli_error(args, capsys):
     return info.value.code, capsys.readouterr().err
 
 
-def test_cli_exit_codes(capsys):
+def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
     # usage error -> 2
     assert _cli_error(["verify"], capsys)[0] == 2
     # unknown names, unsupported node counts and numbers the library
@@ -321,6 +332,26 @@ def test_cli_exit_codes(capsys):
         code, err = _cli_error(args, capsys)
         assert code == 2
         assert message in err and "Traceback" not in err
+    # an unwritable output and a step count over the bound are found
+    # before the run starts, and no output is written
+    with monkeypatch.context() as m:
+        # undone before the child runs below, whose PYTHONPATH may be relative
+        m.chdir(tmp_path)
+        for args, message in (
+                (["solve-u1", "--boundary", "x2", "--grid-n", "513", "--tol",
+                  "1e-8", "--out-grid", "/nonexistent/g.csv"],
+                 "solve-u1: [Errno 2] No such file or directory"),
+                (["verify", "--example", "hl-cone", "--samples", "10",
+                  "--out-csv", "x.csv", "--out", "/nonexistent/r.json"],
+                 "verify: [Errno 2] No such file or directory"),
+                (["evolve", "--nodes", "2562", "--dt", "1e-7", "--t-end",
+                  "0.3"], "t_end / dt must be at most 10000")):
+            t0 = time.monotonic()
+            code, err = _cli_error(args, capsys)
+            assert time.monotonic() - t0 < 0.5
+            assert code == 2
+            assert message in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
     # a step toward t_end = inf would not end, nor would the runs past the
     # step bound, so these run in a child whose timeout bounds the run
     for args, message in (
@@ -646,6 +677,38 @@ def test_cli_solve_u1_reports_newton_trace():
     assert report["levels"][0] == 1.0
     assert report["stops"] == [rec.stop for rec in sol.trace]
     assert report["residuals"] == [rec.residuals for rec in sol.trace]
+
+
+def _spy_traces(module, name, traces):
+    # module.name, appending the trace of each solve it runs, failed or not
+    solve = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        try:
+            result = solve(*args, **kwargs)
+        except calabi.PathFailureError as exc:
+            traces.append(exc.path.trace)
+            raise
+        traces.append(result.trace)
+        return result
+    return spy
+
+
+@pytest.mark.parametrize("argv, module, name, code", [
+    (["solve-u1", "--a", "0", "--boundary", "x2", "--grid-n", "33"], u1,
+     "solve_dirichlet", 0),
+    (["solve-calabi", "--m", "2", "--grid", "8", "--t-steps", "2"], calabi,
+     "solve_calabi", 0),
+    (["solve-calabi", "--grid", "8", "--t-steps", "2", "--tol", "1e-100"],
+     calabi, "solve_calabi", 1)], ids=["solve-u1", "solve-calabi", "failure"])
+def test_cli_trace_carries_step_lengths(argv, module, name, code, capsys):
+    traces = []
+    with mock.patch.object(module, name, _spy_traces(module, name, traces)):
+        assert cli.main(["--no-timing"] + argv) == code
+    report = json.loads(capsys.readouterr().out)
+    assert len(traces) == 1
+    assert report["step_lengths"] == [rec.step_lengths for rec in traces[0]]
+    assert all(report["step_lengths"])
 
 
 def test_report_envelope_failure_lists_checks():

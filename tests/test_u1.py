@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slgeo import core, gridio, u1
@@ -49,6 +49,21 @@ def test_stencil_exact_on_quadratics(kind, half_n, rx, ry, c):
                    else 4 / (hp * hm))
         tol = 64 * np.finfo(float).eps * weights * (qmax + 1)
         assert np.all(np.abs(A @ qv + b - exact[k]) <= tol)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("disc", "ellipse")), st.floats(0.2, 5.0),
+       st.integers(17, 513))
+@example("disc", 1.0, 103)
+def test_cut_arms_are_never_tiny(kind, ratio, n):
+    # an inside node at normalised (a / m, b / m), m = (n - 1) / 2, has
+    # a^2 + b^2 <= m^2 - 1, so its arm fraction t >= sqrt(a^2 + 1) - a
+    # > 1 / (2m - 1); an ellipse has the same normalised grid
+    dom = u1.ConvexDomain(kind, rx=1.0, ry=ratio, n=n)
+    cut = dom.arm_nbr < 0
+    frac = (dom.arm_len / [dom.hx, dom.hx, dom.hy, dom.hy])[cut]
+    assert frac.min() > 1.0 / (dom.n - 1)
+    assert frac.max() <= 1.0
 
 
 def test_affine_data_reproduced_exactly():
