@@ -376,14 +376,16 @@ def build_parser():
 
 
 def _check_outputs(args):
-    """Raise the OSError that opening an output path would raise if its
-    directory is missing or not writable; nothing is created."""
+    """Raise the OSError that opening an output path would raise if it is a
+    directory or its directory is missing or unwritable; none is made."""
     for path in filter(None, (args.out, getattr(args, "out_csv", None),
                               getattr(args, "out_grid", None))):
         parent = os.path.dirname(path) or "."
-        if not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
-            code = (errno.EACCES if os.path.isdir(parent) else errno.ENOTDIR
-                    if os.path.exists(parent) else errno.ENOENT)
+        code = (errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+                if not os.path.exists(parent) else errno.ENOTDIR
+                if not os.path.isdir(parent) else errno.EACCES
+                if not os.access(parent, os.W_OK) else 0)
+        if code:
             raise OSError(code, os.strerror(code), path)
 
 

@@ -11,8 +11,8 @@ round sphere scaled by a unit complex number w it reduces to the scalar
 equation dw/dt = conj(w)^2, whose orbits are the SO(3)-invariant family
 r^3 sin(3 theta) = const.
 
-Discretization: icosphere mesh; per-node pushforward weights are fixed
-linear combinations of neighbor positions that reproduce two orthonormal
+Discretization: icosphere mesh; per node a fixed-width stencil of its own
+and its neighbours' positions whose weights reproduce two orthonormal
 reference tangents exactly (so they are exact for ambient-linear maps);
 explicit RK4 in time at the given step; the drift is recorded, not used.
 """
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import conj_cross, plane_defects, real_coords
 
@@ -77,36 +76,36 @@ def icosphere(subdivisions: int = 3):
     return verts, faces
 
 
-def _pushforward_matrices(verts, faces):
-    """Sparse operators D1, D2 with (D @ positions) the pushforwards of two
-    orthonormal reference tangents t1, t2 at each node (t1 x t2 outward).
+def _neighbours(faces, n):
+    """(n, K) table, K = 1 + max degree: row i is i, each neighbour j once
+    (one half-edge i -> j on a closed oriented mesh), then i as padding."""
+    tails = faces.ravel()
+    order = np.argsort(tails, kind="stable")
+    deg = np.bincount(tails, minlength=n)
+    slot = np.arange(1, len(tails) + 1) - np.repeat(np.cumsum(deg) - deg, deg)
+    nbr = np.repeat(np.arange(n)[:, None], 1 + deg.max(), axis=1)
+    nbr[tails[order], slot] = faces[:, [1, 2, 0]].ravel()[order]
+    return nbr
 
-    Coefficients are the minimum-norm exact solution of
-    sum_j c_j (x_j - x_i) = t, so they reproduce d(phi)(t) exactly
-    whenever phi is affine on the ambient space.  Nodes of equal degree
-    share one batched solve of A^T A y = [t1 t2].
-    """
-    n = len(verts)
-    edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
-    loops = np.repeat(np.arange(n)[:, None], 2, axis=1)   # the diagonal slots
-    rows, cols = np.divmod(np.unique(
-        np.concatenate([edges, edges[:, ::-1], loops]) @ [n, 1]), n)
-    deg = np.bincount(rows, minlength=n)
-    indptr = np.concatenate([[0], np.cumsum(deg)])
+
+def _pushforward_weights(verts, nbr):
+    """Weights D1, D2 on the node table nbr: sum_k D[i, k] x[nbr[i, k]] is
+    the pushforward of one of two orthonormal reference tangents t1, t2
+    at node i (t1 x t2 outward), and slot 0 holds minus the row sum.
+
+    They are the minimum-norm exact solution of sum_j c_j (x_j - x_i) = t,
+    so they reproduce d(phi)(t) exactly whenever phi is ambient-affine.
+    The own and padding slots are zero rows of A with weight 0, so one
+    batched solve of A^T A y = [t1 t2] serves every degree."""
     t1 = np.cross(verts, [0.0, 0.0, 1.0])
     pole = np.linalg.norm(t1, axis=1) < 1e-8
     t1[pole] = np.cross(verts[pole], [1.0, 0.0, 0.0])
     t1 /= np.linalg.norm(t1, axis=1, keepdims=True)
     T = np.stack([t1, np.cross(verts, t1)], axis=2)           # (n, 3, 2)
-    vals = np.empty((len(rows), 2))
-    for k in np.unique(deg):
-        idx = np.flatnonzero(deg == k)
-        slots = indptr[idx, None] + np.arange(k)                # (g, k)
-        A = verts[cols[slots]] - verts[idx, None]   # (g, k, 3), zero self row
-        vals[slots] = A @ np.linalg.solve(np.swapaxes(A, 1, 2) @ A, T[idx])
-    vals[rows == cols] = -np.add.reduceat(vals, indptr[:-1])
-    return tuple(sp.csr_matrix((vals[:, d], cols, indptr), shape=(n, n))
-                 for d in (0, 1))
+    A = verts[nbr] - verts[:, None]                            # (n, K, 3)
+    W = np.swapaxes(A @ np.linalg.solve(np.swapaxes(A, 1, 2) @ A, T), 1, 2)
+    W[:, :, 0] = -W.sum(axis=2)
+    return W[:, 0], W[:, 1]
 
 
 @dataclass
@@ -114,19 +113,20 @@ class EvolvingSurface:
     """A triangulated surface evolving in C^3.
 
     states holds complex (N, 3) node-position snapshots; chi is the unit
-    area bivector encoded by the two pushforward operators, stacked as D.
-    drifts[i] is the symplectic drift of states[i].
+    area bivector, encoded by the stencil weights D1, D2 (stacked as W)
+    on the node table nbr.  drifts[i] is the symplectic drift of states[i].
     """
 
     verts: np.ndarray
     faces: np.ndarray
-    D1: sp.csr_matrix = field(repr=False)
-    D2: sp.csr_matrix = field(repr=False)
+    D1: np.ndarray = field(repr=False)
+    D2: np.ndarray = field(repr=False)
     states: list = field(default_factory=list)
     times: list = field(default_factory=list)
     dt: float = 0.01
     drifts: list = field(init=False)
-    D: sp.csr_matrix = field(init=False, repr=False)
+    nbr: np.ndarray = field(init=False, repr=False)
+    W: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
@@ -134,14 +134,15 @@ class EvolvingSurface:
                              % (self.dt,))
         if not all(np.isfinite(s).all() for s in self.states):
             raise ValueError("surface states must be finite")
-        self.D = sp.vstack([self.D1, self.D2], format="csr")
+        self.nbr = _neighbours(self.faces, len(self.verts))
+        self.W = np.stack([self.D1, self.D2], axis=1)
         self.drifts = [state_drift(self, s) for s in self.states]
 
     @classmethod
     def sphere(cls, subdivisions: int = 3, scale: complex = 1.0,
                dt: float = 0.01) -> "EvolvingSurface":
         verts, faces = icosphere(subdivisions)
-        D1, D2 = _pushforward_matrices(verts, faces)
+        D1, D2 = _pushforward_weights(verts, _neighbours(faces, len(verts)))
         surf = cls(verts, faces, D1, D2, [scale * verts.astype(complex)],
                    [0.0], dt)
         chi = surf.velocity(surf.states[0])
@@ -152,15 +153,16 @@ class EvolvingSurface:
     def velocity(self, state: np.ndarray) -> np.ndarray:
         """conj(T1 x T2) rowwise; the contraction of the pushed-forward
         bivector with Re Omega, metric-raised."""
-        return conj_cross(*_tangents(self.D, state))
+        return conj_cross(*_tangents(self.nbr, self.W, state))
 
 
-def _tangents(D, z):
-    """(T1, T2), the two row halves of D @ z, for complex node-major
-    (N, ..., 3) z: one real matvec over all of it."""
+def _tangents(nbr, W, z):
+    """(T1, T2) on the rows of node table nbr with (n, 2, K) weights W, for
+    complex node-major (N, ..., 3) z: one gather and one batched product."""
     z = np.ascontiguousarray(z, dtype=complex)
-    t = (D @ z.reshape(len(z), -1).view(float)).view(complex)
-    return t.reshape((2, -1) + z.shape[1:])
+    t = W @ np.take(z.reshape(len(z), -1).view(float), nbr, axis=0)
+    t = t.view(complex).reshape((len(nbr), 2) + z.shape[1:])
+    return t[:, 0], t[:, 1]
 
 
 def _rk4(surf: EvolvingSurface, state: np.ndarray, dt: float) -> np.ndarray:
@@ -209,11 +211,10 @@ def symplectic_drift(surf: EvolvingSurface) -> float:
 def swept_sl_defect(surf: EvolvingSurface) -> float:
     """Max SL defect of 3-planes (surface tangents, velocity) at every
     SWEPT_STRIDE-th node of all states; zero when the swept 3-fold is SL."""
-    n = len(surf.verts)
-    D = surf.D[np.r_[0:n:SWEPT_STRIDE, n:2 * n:SWEPT_STRIDE]]
-    cols = np.unique(D.indices)              # the nodes the subsample reads
-    T1, T2 = _tangents(D[:, cols], np.stack([s[cols] for s in surf.states],
-                                            axis=1))
+    rows = surf.nbr[::SWEPT_STRIDE]
+    cols, sub = np.unique(rows, return_inverse=True)   # the nodes it reads
+    T1, T2 = _tangents(sub.reshape(rows.shape), surf.W[::SWEPT_STRIDE],
+                       np.stack([s[cols] for s in surf.states], axis=1))
     tangents = np.stack([T1, T2, conj_cross(T1, T2)], axis=-2)
     bases = real_coords(tangents).reshape(-1, 3, 6)
     return float(np.max(plane_defects(bases)[0], initial=0.0))

@@ -82,6 +82,19 @@ def _pushforward_per_vertex(verts, faces):
     return [sp.csr_matrix((v, (r, c)), shape=(n, n)) for r, c, v in entries]
 
 
+def _csr(nbr, w):
+    # a stencil's weights on its node table as an (n, n) sparse operator:
+    # the padding slots repeat the node at weight 0 and sum into slot 0
+    n, k = nbr.shape
+    return sp.csr_matrix((w.ravel(), (np.repeat(np.arange(n), k),
+                                      nbr.ravel())), shape=(n, n))
+
+
+def _operators(verts, faces):
+    nbr = evolution._neighbours(faces, len(verts))
+    return [_csr(nbr, w) for w in evolution._pushforward_weights(verts, nbr)]
+
+
 def _rotation(seed):
     q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
     return q * np.sign(np.diag(r))
@@ -98,6 +111,40 @@ def _to_pole(v):
 
 
 @settings(max_examples=20, deadline=None)
+@given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+@example(0, 0)
+@example(4, 0)
+def test_neighbour_table_lists_each_edge_once(sub, seed):
+    # under any labelling of the nodes, any face order and any cyclic turn
+    # of each face: each row is its node, then exactly its edge-set
+    # neighbours once each, then the node again at weight 0
+    verts, faces = evolution.icosphere(sub)
+    if seed:
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(len(verts))
+        verts = verts[np.argsort(perm)]
+        faces = perm[faces[rng.permutation(len(faces))]]
+        turn = rng.integers(0, 3, len(faces))[:, None]
+        faces = np.take_along_axis(faces, (np.arange(3) + turn) % 3, axis=1)
+    n = len(verts)
+    nbr = evolution._neighbours(faces, n)
+    nbrs = [set() for _ in range(n)]
+    for a, b, c in faces.tolist():
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    deg = [len(s) for s in nbrs]
+    assert nbr.shape == (n, 1 + max(deg))
+    weights = evolution._pushforward_weights(verts, nbr)
+    for i in range(n):
+        row = nbr[i].tolist()
+        assert row[0] == i and all(j == i for j in row[1 + deg[i]:])
+        assert sorted(row[1:1 + deg[i]]) == sorted(nbrs[i])
+        for w in weights:
+            assert np.all(w[i, 1 + deg[i]:] == 0.0)
+
+
+@settings(max_examples=20, deadline=None)
 @given(st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(("none", "random", "pole")))
 @example(sub=1, seed=154, rotate="pole")   # vertex 28 of icosphere(1) is -e3
@@ -108,7 +155,7 @@ def test_batched_pushforward_matches_per_vertex(sub, seed, rotate):
         verts = verts @ _rotation(seed).T
     elif rotate == "pole":
         verts = verts @ _to_pole(verts[seed % len(verts)]).T
-    for D, R in zip(evolution._pushforward_matrices(verts, faces),
+    for D, R in zip(_operators(verts, faces),
                     _pushforward_per_vertex(verts, faces)):
         D.sort_indices()
         R.sort_indices()
@@ -127,7 +174,7 @@ def test_pushforward_exact_on_linear_maps(sub, seed):
     verts, faces = evolution.icosphere(sub)
     if seed:
         verts = verts @ _rotation(seed).T
-    D1, D2 = evolution._pushforward_matrices(verts, faces)
+    D1, D2 = _operators(verts, faces)
     A = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, 3))
     t1, t2 = _reference_tangents(verts)
     assert np.max(np.abs(D1 @ (verts @ A.T) - t1 @ A.T)) <= 1e-12
@@ -243,10 +290,12 @@ def _reference_drift(faces, state):
 
 
 def _reference_run(surf, state, dt, t_end):
-    # RK4 with np.cross on separate D1 and D2 matvecs, each step dt but the
-    # last: the reference for the stacked real operator
+    # RK4 with np.cross on separate sparse D1 and D2 matvecs, each step dt
+    # but the last: the reference for the stacked stencil
+    D1, D2 = _csr(surf.nbr, surf.D1), _csr(surf.nbr, surf.D2)
+
     def vel(z):
-        return np.conj(np.cross(surf.D1 @ z, surf.D2 @ z))
+        return np.conj(np.cross(D1 @ z, D2 @ z))
 
     states, times = [state], [0.0]
     while times[-1] < t_end - 1e-12:
@@ -362,7 +411,8 @@ def test_diagnostics_on_constructed_surface_match_per_state(monkeypatch):
     monkeypatch.setattr(evolution, "SWEPT_STRIDE", stride)
     tangents = []
     for z in surf.states:
-        T1, T2 = surf.D1 @ z, surf.D2 @ z
+        # the full-grid tangents, of which swept_sl_defect takes a subset
+        T1, T2 = evolution._tangents(surf.nbr, surf.W, z)
         tangents.append(np.stack([T1, T2, np.conj(np.cross(T1, T2))],
                                  axis=1)[::stride])
     bases = real_coords(np.concatenate(tangents)).reshape(-1, 3, 6)
