@@ -149,10 +149,12 @@ def _direction_ops(dom: ConvexDomain, phi: BoundaryData):
 
     Returns (Ax, bx, Axx, bxx, Ay, by, Ayy, byy) with A @ f + b the
     derivative values at the active nodes; b carries the boundary values
-    injected at the cut points.
+    injected at the cut points.  Each A is built in canonical CSR, a row
+    holding its minus neighbour, its node and its plus neighbour (column
+    order, as nodes are numbered x-major) bar cut arms; the two operators
+    of a direction share that pattern (indices and indptr).
     """
     N = dom.nodes.shape[0]
-    rows = np.arange(N)
     ops = ()
     for dp, dm in ((0, 1), (2, 3)):
         hp, hm = dom.arm_len[:, dp], dom.arm_len[:, dm]
@@ -165,12 +167,12 @@ def _direction_ops(dom: ConvexDomain, phi: BoundaryData):
                  (hp - hm) / (hp * hm))
         second = (2.0 / (hp * (hp + hm)), 2.0 / (hm * (hp + hm)),
                   -2.0 / (hp * hm))
+        keep = np.stack([inm, np.ones(N, dtype=bool), inp], axis=1)
+        cols = np.stack([dom.arm_nbr[:, dm], np.arange(N), dom.arm_nbr[:, dp]], 1)
+        cols, ptr = cols[keep], np.append(0, np.cumsum(keep.sum(axis=1)))
         for cp, cm, cc in (first, second):
-            A = sp.csr_matrix(
-                (np.concatenate([cc, cp[inp], cm[inm]]),
-                 (np.concatenate([rows, rows[inp], rows[inm]]),
-                  np.concatenate([rows, dom.arm_nbr[inp, dp],
-                                  dom.arm_nbr[inm, dm]]))), shape=(N, N))
+            A = sp.csr_matrix((np.stack([cm, cc, cp], 1)[keep], cols, ptr), (N, N))
+            cols, ptr = A.indices, A.indptr
             b = np.zeros(N)
             b[~inp] += cp[~inp] * fp
             b[~inm] += cm[~inm] * fm
@@ -305,11 +307,26 @@ class ContinuationStalledWarning(UserWarning):
     """Continuation toward a = 0 stopped before the iterate tolerance."""
 
 
+def _jacobian(ops, yv, a, f):
+    """Jacobian of P at f, (c A_xx + 2 A_yy) + w A_x with c = c(f_x, y, a)
+    and w = -c^3 f_x f_xx, scaling the data of the pattern A_x and A_xx share."""
+    Ax, bx, Axx, bxx, _, _, Ayy, _ = ops
+    v = Ax @ f + bx
+    c = _coefficient(v, yv, a)
+    rows = np.repeat(np.arange(len(f)), np.diff(Ax.indptr))
+    cAxx, wAx = (sp.csr_matrix((A.data * s[rows], A.indices, A.indptr), A.shape)
+                 for A, s in ((Axx, c), (Ax, (Axx @ f + bxx) * (-v * c ** 3))))
+    return (cAxx + 2.0 * Ayy) + wAx
+
+
 def _factor(J):
     """Sparse LU of J: minimum-degree ordering on the pattern of J^T + J,
-    as for a structurally symmetric matrix, with partial pivoting."""
-    return spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     options=dict(SymmetricMode=True))
+    as for a structurally symmetric matrix, with partial pivoting.  Panel
+    width 4 and supernode relaxation 1, not SuperLU's 20 and 10, take the
+    a = 1 LU at n = 129 from 34.2 to 25.2 ms, with solves as fast."""
+    # scanned relax 1,3,5,10 x panel 4,6,8,20, n = 65-513: panel 4, relax a tie
+    return spla.splu(J.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+                     panel_size=4, options=dict(SymmetricMode=True))
 
 
 def _round_off_bound(ops, floor, domain, a, f):
@@ -333,15 +350,8 @@ def _newton(ops, domain, a, tol, initial, floor=None):
     within KAPPA times the round-off bound of P at the start iterate
     (_round_off_bound) stops "round-off floor".
     """
-    Ax, bx, Axx, bxx, _, _, Ayy, _ = ops
     yv = domain.y[domain.nodes[:, 1]]
     rec = NewtonRecord(float(a))
-
-    def jacobian(fv):
-        v = Ax @ fv + bx
-        c = _coefficient(v, yv, a)
-        return _factor(sp.diags(c) @ Axx + 2.0 * Ayy
-                       + sp.diags((Axx @ fv + bxx) * (-v * c ** 3)) @ Ax)
 
     def line_search(fv, rnorm, step):
         lam = 1.0
@@ -369,10 +379,10 @@ def _newton(ops, domain, a, tol, initial, floor=None):
         rnorm = np.linalg.norm(res)
         fresh = lu is None
         if fresh:
-            lu = jacobian(fv)
+            lu = _factor(_jacobian(ops, yv, a, fv))
         found = line_search(fv, rnorm, lu.solve(-res))
         if found is None and not fresh:
-            fresh, lu = True, jacobian(fv)
+            fresh, lu = True, _factor(_jacobian(ops, yv, a, fv))
             found = line_search(fv, rnorm, lu.solve(-res))
         rec.fresh.append(fresh)
         if found is None:

@@ -51,6 +51,38 @@ def test_stencil_exact_on_quadratics(kind, half_n, rx, ry, c):
         assert np.all(np.abs(A @ qv + b - exact[k]) <= tol)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(("disc", "ellipse")), st.integers(8, 64),
+       st.floats(0.3, 2.5), st.floats(0.3, 2.5))
+def test_direction_ops_match_a_coo_assembly(kind, half_n, rx, ry):
+    # the operators are built straight into canonical CSR; bitwise they are
+    # the COO round trip below: the same column order in every row, the
+    # first derivative's zero centre weights stored, the same index dtype
+    dom = u1.ConvexDomain(kind, rx, ry, 2 * half_n + 1)
+    ops = u1._direction_ops(dom, u1.BoundaryData(lambda x, y: x * y + y))
+    rows = np.arange(len(dom.nodes))
+    for k, A in enumerate(ops[0::2]):
+        dp, dm = 2 * (k // 2), 2 * (k // 2) + 1
+        hp, hm = dom.arm_len[:, dp], dom.arm_len[:, dm]
+        inp, inm = dom.arm_nbr[:, dp] >= 0, dom.arm_nbr[:, dm] >= 0
+        cp, cm, cc = ((hm / (hp * (hp + hm)), -hp / (hm * (hp + hm)),
+                       (hp - hm) / (hp * hm)),
+                      (2.0 / (hp * (hp + hm)), 2.0 / (hm * (hp + hm)),
+                       -2.0 / (hp * hm)))[k % 2]
+        ref = sp.coo_matrix(
+            (np.concatenate([cc, cp[inp], cm[inm]]),
+             (np.concatenate([rows, rows[inp], rows[inm]]),
+              np.concatenate([rows, dom.arm_nbr[inp, dp],
+                              dom.arm_nbr[inm, dm]]))), shape=A.shape).tocsr()
+        assert A.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            got, want = getattr(A, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    for first, second in (ops[0:3:2], ops[4:7:2]):   # one pattern a direction
+        assert np.shares_memory(first.indices, second.indices)
+        assert np.shares_memory(first.indptr, second.indptr)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(("disc", "ellipse")), st.floats(0.2, 5.0),
        st.integers(17, 513))
@@ -572,6 +604,27 @@ def _full_newton(phi, a, dom, tol, max_newton=40, damping_min=2.0 ** -20):
         fv, res = fv + lam * step, cres
     assert np.max(np.abs(res)) <= tol, "reference Newton did not converge"
     return fv
+
+
+@pytest.mark.parametrize("a", [1.0, 1e-3])
+def test_jacobian_matches_its_diagonal_product_form(a):
+    # the Jacobian scales the data of A_xx and A_x on their shared pattern;
+    # it equals the product form bitwise, summed as (c A_xx + 2 A_yy) + w A_x
+    dom = u1.ConvexDomain("ellipse", 1.3, 0.8, 65)
+    ops = u1._direction_ops(dom, u1.BoundaryData(lambda x, y: x * x + 0.1 * y))
+    Ax, bx, Axx, bxx, _, _, Ayy, _ = ops
+    yv = dom.y[dom.nodes[:, 1]]
+    rng = np.random.default_rng(34)
+    for _ in range(3):
+        fv = rng.standard_normal(len(dom.nodes))
+        v = Ax @ fv + bx
+        c = u1._coefficient(v, yv, a)
+        ref = (sp.diags(c) @ Axx + 2.0 * Ayy
+               + sp.diags((Axx @ fv + bxx) * (-v * c ** 3)) @ Ax).sorted_indices()
+        J = u1._jacobian(ops, yv, a, fv)
+        assert J.has_canonical_format
+        for name in ("data", "indices", "indptr"):
+            assert getattr(J, name).tobytes() == getattr(ref, name).tobytes()
 
 
 @settings(max_examples=20, deadline=None)
