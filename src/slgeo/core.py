@@ -41,7 +41,7 @@ class NewtonRecord:
     max-norm residual before each step and at the end, the accepted
     line-search step of each step (0.0 where none was found), whether each
     U(1) step factored a new sparse LU (``fresh``) and why it stopped:
-    "converged", "round-off floor" (a U(1) a = 0 rung accepted at the
+    "converged", "round-off floor" (a U(1) level accepted at the
     round-off bound of P), "damping underflow", "max iterations" or
     "non-finite residual" (Calabi)."""
 

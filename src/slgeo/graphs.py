@@ -90,11 +90,6 @@ def hessian(f: GraphPotential, node) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def sl_graph_residual(f: GraphPotential, node) -> float:
-    """Im det_C(I + i Hess f) at the node, via the complex determinant."""
-    return residual_from_hessian(hessian(f, node))
-
-
 def residual_from_hessian(A: np.ndarray) -> np.ndarray | float:
     """Im det_C(I + iA) for each symmetric matrix A of a stack (..., m, m)."""
     A = np.asarray(A, dtype=float)

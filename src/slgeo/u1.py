@@ -44,7 +44,7 @@ from .gridio import GridField
 EPS_REG = 1e-12  # coefficient clamp guard for a = 0 evaluation only
 DAMPING_MIN = 2.0 ** -20  # smallest line-search step before a stall
 MAX_NEWTON = 40  # Newton steps per level before "max iterations"
-KAPPA = 0.25  # a = 0 rungs stop at KAPPA times the round-off bound of P
+KAPPA = 0.25  # every level stops at KAPPA times the round-off bound of P
 ACCEPTED = ("converged", "round-off floor")  # Newton stops that keep a level
 
 
@@ -259,14 +259,15 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
     along powers of two from a = 1: from a_k the ladder steps to a_k/4 if
     KAPPA times the round-off bound of P at (f_k, a_k/4) is at most tol,
     else to a_k/2.  It stops when successive iterates agree to tol in sup
-    norm, or at the first level accepted at its round-off floor (see
-    _newton).  The first level starts from initial or from _line_average
-    of phi, the second from f_0, and later ones from the secant through the
-    last two; only Jacobians are factored, and each level takes at most
-    MAX_NEWTON steps.  If the first level fails, NewtonDivergenceError
-    carries its record; after a later failure a ContinuationStalledWarning
-    keeps the last accepted level, whose record's final residual,
-    max |P(f)|, is residual_P.
+    norm, or at the first level accepted at its round-off floor; every
+    level, whatever its a, stops at tol or at that floor (see _newton).
+    The first level starts from initial or from _line_average of phi, the
+    second from f_0, and later ones from the secant through the last two;
+    only Jacobians are factored, and each level takes at most MAX_NEWTON
+    steps.  If the first level fails, NewtonDivergenceError carries its
+    record; after a later failure a ContinuationStalledWarning keeps the
+    last accepted level, whose record's final residual, max |P(f)|, is
+    residual_P.
     """
     if not 0 < tol < np.inf:
         raise ValueError("tol must be positive and finite, got %r" % (tol,))
@@ -277,7 +278,7 @@ def solve_dirichlet(phi: BoundaryData, a: float, domain: ConvexDomain,
         raise ValueError("initial must hold one finite value per active node "
                          "(%d)" % len(domain.nodes))
     ops = _direction_ops(domain, phi)
-    floor = None if a != 0.0 else (abs(ops[2]), abs(ops[6]))
+    floor = (abs(ops[2]), abs(ops[6]))
     fv = _line_average(domain, phi) if initial is None else initial
     trace, ak = [], a if a != 0.0 else 1.0
     for k in range(1 if a != 0.0 else 60):
@@ -338,7 +339,7 @@ def _round_off_bound(ops, floor, domain, a, f):
         + 2.0 * (floor[1] @ np.abs(f) + np.abs(byy))))
 
 
-def _newton(ops, domain, a, tol, initial, floor=None):
+def _newton(ops, domain, a, tol, initial, floor):
     """Damped Newton for P(f) = 0 at level a; returns (last f, NewtonRecord).
 
     The Jacobian's LU is kept while full steps at least halve the residual
@@ -346,9 +347,9 @@ def _newton(ops, domain, a, tol, initial, floor=None):
     after one whose ratio, kept up, would not reach the stop level in the
     steps left of MAX_NEWTON.  A line search that fails on a kept LU is
     retried on a fresh one, so a stall is declared only on a fresh
-    Jacobian.  Given floor = (|A_xx|, |A_yy|), a residual above tol but
-    within KAPPA times the round-off bound of P at the start iterate
-    (_round_off_bound) stops "round-off floor".
+    Jacobian.  The stop level is max(tol, KAPPA times the round-off bound
+    of P at the start iterate, _round_off_bound with floor = (|A_xx|,
+    |A_yy|)); a residual above tol but within it stops "round-off floor".
     """
     yv = domain.y[domain.nodes[:, 1]]
     rec = NewtonRecord(float(a))
@@ -365,8 +366,7 @@ def _newton(ops, domain, a, tol, initial, floor=None):
 
     fv = np.asarray(initial, dtype=float).copy()
     res = _p_residual(ops, yv, a, fv)
-    stop_at = tol if floor is None else max(
-        tol, KAPPA * _round_off_bound(ops, floor, domain, a, fv))
+    stop_at = max(tol, KAPPA * _round_off_bound(ops, floor, domain, a, fv))
     lu = None
     for it in range(MAX_NEWTON + 1):
         rec.residuals.append(float(np.max(np.abs(res))))
@@ -431,15 +431,6 @@ def _deep_interior(domain: ConvexDomain, margin: int = 1) -> np.ndarray:
     return ok
 
 
-def _central(field: np.ndarray, axis: int, h: float) -> np.ndarray:
-    out = np.full_like(field, np.nan)
-    if axis == 0:
-        out[1:-1, :] = (field[2:, :] - field[:-2, :]) / (2.0 * h)
-    else:
-        out[:, 1:-1] = (field[:, 2:] - field[:, :-2]) / (2.0 * h)
-    return out
-
-
 def _vanishing_threshold(v: np.ndarray) -> float:
     """|v| below which v counts as zero: 1e-3 max |v|, at least 10 eps."""
     vmax = np.nanmax(np.abs(v))
@@ -458,10 +449,8 @@ def cr_residual(sol: PotentialSolution) -> float:
     dom = sol.domain
     deep = _deep_interior(dom, 2)
     uvals, vvals = sol.u.values, sol.v.values
-    ux = _central(uvals, 0, dom.hx)
-    uy = _central(uvals, 1, dom.hy)
-    vx = _central(vvals, 0, dom.hx)
-    vy = _central(vvals, 1, dom.hy)
+    ux, uy, vx, vy = (np.gradient(w, h, axis=ax) for w in (uvals, vvals)
+                      for ax, h in ((0, dom.hx), (1, dom.hy)))
     _, Y = sol.f.coords()
     root = np.sqrt(vvals ** 2 + Y ** 2 + sol.a ** 2)
     r1 = np.abs(ux - vy)

@@ -54,7 +54,7 @@ def test_gridded_potential_residual():
     f = graphs.GraphPotential(2, values=0.5 * (X ** 2 - Y ** 2),
                               spacing=(xs[1] - xs[0], xs[1] - xs[0]))
     for node in ((5, 5), (10, 10), (15, 4)):
-        assert abs(graphs.sl_graph_residual(f, node)) < 1e-10
+        assert abs(graphs.residual_from_hessian(graphs.hessian(f, node))) < 1e-10
 
 
 def test_out_of_stencil_rejected():

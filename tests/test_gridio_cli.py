@@ -430,12 +430,17 @@ def test_cli_input_scan(flag, value):
     assert code in (0, 1, 2)
 
 
-def test_cli_fine_grid_solves_at_a_tol_above_round_off(capsys):
-    # at n = 257 the round-off of P is above the default tol 1e-10
+@pytest.mark.parametrize("tol, stop", [(["--tol", "1e-9"], "converged"),
+                                       ([], "round-off floor")],
+                         ids=["tol-1e-9", "default-tol"])
+def test_cli_fine_grid_solves_at_a_tol_above_round_off(tol, stop, capsys):
+    # at n = 257 the round-off of P is above the default tol 1e-10, so a
+    # default-tol solve stops at its round-off floor, which passes 10 tol
     assert cli.main(["--no-timing", "solve-u1", "--boundary", "x2",
-                     "--grid-n", "257", "--tol", "1e-9"]) == 0
+                     "--grid-n", "257"] + tol) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["status"] == "pass" and report["factorizations"] == 1
+    assert report["stops"] == [stop]
 
 
 def test_cli_linalg_error_propagates():

@@ -706,7 +706,7 @@ def test_a_zero_ladder_stops_at_its_round_off_floor(monkeypatch, n):
     dom, tol = _disc(n), 1e-10
     starts, newton = [], u1._newton
 
-    def recording(ops, domain, a, tol, initial, floor=None):
+    def recording(ops, domain, a, tol, initial, floor):
         starts.append(initial)
         return newton(ops, domain, a, tol, initial, floor)
 
@@ -761,7 +761,7 @@ def test_a_zero_ladder_quarters_while_its_floor_is_below_tol(monkeypatch):
     phi, dom, tol = _stalling_data(), _disc(65), 1e-10
     calls, newton = [], u1._newton
 
-    def recording(ops, domain, a, tol, initial, floor=None):
+    def recording(ops, domain, a, tol, initial, floor):
         out = newton(ops, domain, a, tol, initial, floor)
         calls.append((a, initial, out[0]))
         return out
@@ -785,20 +785,19 @@ def test_a_zero_ladder_quarters_while_its_floor_is_below_tol(monkeypatch):
         assert np.array_equal(start, f1 + (a2 - a1) / (a1 - a0) * (f1 - f0))
 
 
-def test_nonzero_level_is_held_to_tol():
+def test_nonzero_level_stops_at_its_round_off_floor():
     # the a = 0 ladder accepts its last rung at the round-off floor; a solve
-    # at that level from that iterate keeps tol and stalls above it
+    # at that nonzero level from that iterate stops at the same floor at once
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.01 * x - 0.01 * y)
     dom = _disc(33)
     sol = u1.solve_dirichlet(phi, 0.0, dom, tol=1e-10)
     assert sol.trace[-1].stop == "round-off floor"
-    with pytest.raises(u1.NewtonDivergenceError) as info:
-        u1.solve_dirichlet(phi, sol.continuation_a, dom, tol=1e-10,
-                           initial=sol.fvec)
-    rec = info.value.record
-    assert rec.residuals[0] == sol.residual_P
-    assert (rec.stop == "damping underflow"
-            and info.value.record.residuals[-1] > 1e-10)
+    again = u1.solve_dirichlet(phi, sol.continuation_a, dom, tol=1e-10,
+                               initial=sol.fvec)
+    (rec,) = again.trace
+    assert rec.stop == "round-off floor" and rec.step_lengths == []
+    assert rec.residuals == [sol.residual_P] and again.factorizations == 0
+    assert np.array_equal(again.fvec, sol.fvec)
 
 
 def test_initial_seeds_the_first_rung_at_a_zero():
@@ -820,21 +819,21 @@ def test_initial_seeds_the_first_rung_at_a_zero():
 
 
 def test_failed_chord_step_is_retried_on_a_fresh_factor(monkeypatch):
-    # a kept LU that points uphill when reused: each chord step's line
-    # search fails and is retried on the Jacobian of its own iterate, so
-    # the solve is full Newton with one factorisation per step
+    # a kept LU that gives a NaN step when reused: no step length passes
+    # the line search, which is retried on the Jacobian of its own iterate,
+    # so the solve is full Newton with one factorisation per step
     factor = u1._factor
 
-    class UphillOnReuse:
+    class NaNOnReuse:
         def __init__(self, J):
             self.lu, self.used = factor(J), False
 
         def solve(self, rhs):
             step = self.lu.solve(rhs)
-            step, self.used = (-step if self.used else step), True
+            step, self.used = (step * np.nan if self.used else step), True
             return step
 
-    monkeypatch.setattr(u1, "_factor", UphillOnReuse)
+    monkeypatch.setattr(u1, "_factor", NaNOnReuse)
     tol = 1e-10
     phi = u1.BoundaryData(lambda x, y: 0.2 * x * x + 0.1 * y)
     sol = u1.solve_dirichlet(phi, 0.5, _disc(33), tol=tol)
