@@ -31,7 +31,6 @@ ICOSPHERE_LEVELS = {162: 2, 642: 3, 2562: 4}
 GRID_N_MAX = 513  # solve-u1 --grid-n
 BC_MAX = 1e100  # solve-u1 |--b|, |--c|: f_x^2 + a^2 stays finite at any a
 CALABI_GRID_MAX = {1: 2048, 2: 48}  # solve-calabi --grid, per --m
-CUTOFF_MAX = 2000  # index --cutoff
 MODULI_MAX = 5000  # moduli-dim --vars, each --degrees: C(n+d-1, d) < 2^9999
 SAMPLES_MAX = 10 ** 6  # verify --samples
 # the most time steps: evolve's t_end / dt (it keeps every state, 1.2 GB
@@ -147,8 +146,6 @@ def _boundary_from_name(name, b, c):
     if not (abs(b) <= BC_MAX and abs(c) <= BC_MAX):
         raise ValueError("b and c must be finite with |b|, |c| <= %g, got %r "
                          "and %r" % (BC_MAX, b, c))
-    if name == "zero":
-        return BoundaryData(lambda x, y: np.zeros_like(np.asarray(x)))
     if name == "affine":
         return BoundaryData(lambda x, y: b * np.asarray(x) + c * np.asarray(y))
     return BoundaryData(lambda x, y: np.asarray(x) ** 2
@@ -279,14 +276,11 @@ def _cmd_evolve(args):
 
 def _cmd_index(args):
     from . import families
-    if args.cutoff > CUTOFF_MAX:
-        raise ValueError("cutoff must be at most %d" % CUTOFF_MAX)
-    rep = Report("index", {"gram": args.gram, "m": args.m,
-                           "cutoff": args.cutoff})
-    G = families.l0_link_gram() if args.gram == "l0" else np.eye(2)
-    count = families.legendrian_index_flat_torus(G, args.m, args.cutoff)
+    rep = Report("index", {"gram": args.gram, "m": args.m})
+    G = families.l0_link_gram() if args.gram == "cone" else np.eye(2)
+    count = families.legendrian_index_flat_torus(G, args.m)
     rep.envelope["index"] = count
-    if args.gram == "l0":
+    if args.gram == "cone":
         rep.check("l_index", count - 6, 0)
     return rep
 
@@ -328,8 +322,7 @@ def build_parser():
 
     s = sub.add_parser("solve-u1", parents=[common])
     s.add_argument("--a", type=float, default=1.0)
-    s.add_argument("--boundary", default="zero",
-                   choices=("zero", "affine", "x2"))
+    s.add_argument("--boundary", default="affine", choices=("affine", "x2"))
     s.add_argument("--b", type=float, default=0.0)
     s.add_argument("--c", type=float, default=0.0)
     s.add_argument("--grid-n", type=int, default=65)
@@ -362,9 +355,8 @@ def build_parser():
     e.set_defaults(func=_cmd_evolve)
 
     ix = sub.add_parser("index", parents=[common])
-    ix.add_argument("--gram", default="l0", choices=("l0", "identity"))
+    ix.add_argument("--gram", default="cone", choices=("cone", "identity"))
     ix.add_argument("--m", type=int, default=3)
-    ix.add_argument("--cutoff", type=int, default=20)
     ix.set_defaults(func=_cmd_index)
 
     md = sub.add_parser("moduli-dim", parents=[common])

@@ -36,10 +36,6 @@ class ParameterRangeError(ValueError):
     """Family parameters outside their validity range."""
 
 
-class NeedsLargerCutoffError(ValueError):
-    """Frequency cutoff cannot certify the eigenvalue count."""
-
-
 class DegenerateModuliError(ValueError):
     """Moduli dimension request for a degenerate (linear) system."""
 
@@ -292,50 +288,48 @@ def l0_link_gram() -> np.ndarray:
     return np.array([[np.real(np.vdot(a, b)) for b in frame] for a in frame])
 
 
-def _lattice_eigenvalues(Ginv: np.ndarray, cutoff: int) -> np.ndarray:
-    """lambda(n) = n^T Ginv n for every nonzero integer frequency n in the
-    box |n1|, |n2| <= cutoff."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be at least 1, got %r" % (cutoff,))
-    k = np.arange(-cutoff, cutoff + 1)
+# the widest frequency box, |n1|, |n2| <= BOX_MAX: 4001^2 eigenvalues
+BOX_MAX = 2000
+
+
+def _lattice_eigenvalues(gram: np.ndarray, bound: float) -> np.ndarray:
+    """lambda(n) = n^T G^{-1} n for every nonzero integer frequency n in the
+    least box |n1|, |n2| <= c with lam_min(G^{-1}) c^2 > bound: outside it
+    |n| > c, so every lambda there exceeds bound."""
+    G = np.asarray(gram, dtype=float)
+    if G.shape != (2, 2) or not np.allclose(G, G.T):
+        raise ValueError("gram must be a symmetric 2x2 matrix")
+    evals = np.linalg.eigvalsh(G)
+    if evals[0] <= 0:
+        raise ValueError("gram must be positive definite")
+    # c is the least integer above (bound / lam_min(G^{-1}))^{1/2}, and
+    # lam_min(G^{-1}) = 1 / lam_max(G)
+    half = np.sqrt(max(bound, 0.0) * evals[1])
+    if not half < BOX_MAX:
+        raise ValueError("eigenvalues up to %g need a frequency box wider "
+                         "than %d" % (bound, BOX_MAX))
+    c = int(half) + 1
+    Ginv = np.linalg.inv(G)
+    k = np.arange(-c, c + 1)
     n1, n2 = np.meshgrid(k, k, indexing="ij", sparse=True)
     lam = Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2 + Ginv[1, 1] * n2 * n2
     return lam[(n1 != 0) | (n2 != 0)]
 
 
-def legendrian_index_flat_torus(gram: np.ndarray, m: int,
-                                cutoff: int = 20) -> int:
+def legendrian_index_flat_torus(gram: np.ndarray, m: int) -> int:
     """Eigenvalues of the Laplacian on the flat torus R^2 / 2 pi Z^2 with
     metric Gram matrix G are lambda(n) = n^T G^{-1} n over integer
-    frequencies n; count those in (0, 2m) with multiplicity.
-
-    The cutoff is certified: every frequency outside the enumeration box
-    must have lambda > 2m, else the count could be short.
-    """
+    frequencies n; count those in (0, 2m) with multiplicity."""
     if m < 1:
         raise ValueError("complex dimension m must be at least 1")
-    G = np.asarray(gram, dtype=float)
-    if G.shape != (2, 2) or not np.allclose(G, G.T):
-        raise ValueError("gram must be a symmetric 2x2 matrix")
-    evals = np.linalg.eigvalsh(G)
-    if np.min(evals) <= 0:
-        raise ValueError("gram must be positive definite")
-    Ginv = np.linalg.inv(G)
-    # smallest lambda outside the box is at least lam_min(Ginv) * cutoff^2
-    lam_min_out = float(np.min(np.linalg.eigvalsh(Ginv))) * cutoff ** 2
-    if lam_min_out <= 2 * m:
-        raise NeedsLargerCutoffError(
-            "cutoff %d cannot exclude eigenvalues below 2m = %d" % (cutoff, 2 * m))
-    lam = _lattice_eigenvalues(Ginv, cutoff)
+    lam = _lattice_eigenvalues(gram, 2.0 * m)
     return int(np.count_nonzero((0.0 < lam) & (lam < 2.0 * m - 1e-12)))
 
 
-def eigenvalue_multiplicity(gram: np.ndarray, value: float,
-                            cutoff: int = 20) -> int:
+def eigenvalue_multiplicity(gram: np.ndarray, value: float) -> int:
     """Multiplicity of a given Laplacian eigenvalue on the flat torus link,
     to 1e-9 (raw report used for rigidity inspection)."""
-    lam = _lattice_eigenvalues(np.linalg.inv(np.asarray(gram, dtype=float)),
-                               cutoff)
+    lam = _lattice_eigenvalues(gram, value + 1e-9)
     return int(np.count_nonzero(np.abs(lam - value) <= 1e-9))
 
 

@@ -592,10 +592,8 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs):
     """Disjointness report for parameter pairs.
 
     Same-a pairs must have zero difference zeros of (u, v); different-a
-    pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a, and
-    report the least distance between 200 seeded points of each fiber.
+    pairs are separated by the moment-map level |z1|^2 - |z2|^2 = 2a.
     """
-    rng = np.random.default_rng(0)
     report = []
     for alpha, alpha2 in alpha_pairs:
         entry = {"alpha": tuple(alpha), "alpha2": tuple(alpha2)}
@@ -617,14 +615,6 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs):
                                              np.max(np.abs(lvl2 - alpha2[0]))))
             entry["disjoint"] = bool(
                 abs(alpha[0] - alpha2[0]) > 2.0 * entry["level_error"])
-            idx1 = rng.choice(len(c1.points), min(200, len(c1.points)),
-                              replace=False)
-            idx2 = rng.choice(len(c2.points), min(200, len(c2.points)),
-                              replace=False)
-            p1, p2 = (np.concatenate([p.real, p.imag], axis=-1)
-                      for p in (c1.points[idx1], c2.points[idx2]))
-            d = np.linalg.norm(p1[:, None, :] - p2[None, :, :], axis=-1)
-            entry["min_distance"] = float(np.min(d))
         report.append(entry)
     return report
 

@@ -172,14 +172,21 @@ def test_criterion_05_fibrations():
 def test_criterion_06_legendrian_index():
     t0 = time.monotonic()
     G = families.l0_link_gram()
-    idx = families.legendrian_index_flat_torus(G, 3, cutoff=20)
-    idx2 = families.legendrian_index_flat_torus(G, 3, cutoff=40)
+    idx = families.legendrian_index_flat_torus(G, 3)
+    # the count over a box of half-width 20, walked one frequency at a time
+    Ginv = np.linalg.inv(G)
+    idx_loop = sum(0.0 < Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2
+                   + Ginv[1, 1] * n2 * n2 < 6.0 - 1e-12
+                   for n1 in range(-20, 21) for n2 in range(-20, 21))
     mult2 = families.eigenvalue_multiplicity(G, 2.0)
+    # n = (+-40, 0) lies outside that box
+    mult_wide = families.eigenvalue_multiplicity(np.diag([1000.0, 1.0]), 1.6)
     dt = time.monotonic() - t0
-    ok = idx == 6 and idx2 == 6 and mult2 >= 1 and dt < 1.0
+    ok = idx == idx_loop == 6 and mult2 >= 1 and mult_wide == 2 and dt < 1.0
     _report(6, "Legendrian index", ok,
-            "index %d (cutoff x2: %d), eigenvalue-2 multiplicity %d, %.2f s"
-            % (idx, idx2, mult2, dt))
+            "index %d (double loop: %d), eigenvalue-2 multiplicity %d, "
+            "diag(1000, 1) multiplicity of 1.6: %d, %.2f s"
+            % (idx, idx_loop, mult2, mult_wide, dt))
 
 
 def test_criterion_07_moduli_dimensions():

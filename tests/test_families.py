@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from slgeo import families
@@ -198,11 +198,26 @@ def test_l0_link_gram_matrix():
     assert np.allclose(G, np.array([[2.0, 1.0], [1.0, 2.0]]) / 3.0)
 
 
+def _loop_eigenvalues(gram, half):
+    # reference: the frequency box |n1|, |n2| <= half walked one (n1, n2)
+    # at a time
+    Ginv = np.linalg.inv(gram)
+    lams = []
+    for n1 in range(-half, half + 1):
+        for n2 in range(-half, half + 1):
+            if n1 == 0 and n2 == 0:
+                continue
+            lams.append(Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2
+                        + Ginv[1, 1] * n2 * n2)
+    return np.array(lams)
+
+
 def test_l0_index_is_six():
     G = families.l0_link_gram()
     assert families.legendrian_index_flat_torus(G, 3) == 6
-    # stable under cutoff doubling
-    assert families.legendrian_index_flat_torus(G, 3, cutoff=40) == 6
+    # the same count over a box of half-width 40
+    lams = _loop_eigenvalues(G, 40)
+    assert np.count_nonzero((0.0 < lams) & (lams < 6.0 - 1e-12)) == 6
 
 
 def test_identity_gram_index():
@@ -217,53 +232,51 @@ def test_eigenvalue_two_present():
     assert mult >= 1
 
 
-@pytest.mark.parametrize("cutoff", [0, -3, -20])
-def test_nonpositive_cutoff_rejected(cutoff):
-    # a box with no frequencies would count nothing
-    G = families.l0_link_gram()
-    with pytest.raises(ValueError):
-        families.eigenvalue_multiplicity(G, 2.0, cutoff=cutoff)
-    with pytest.raises(ValueError):
-        families.legendrian_index_flat_torus(G, 3, cutoff=cutoff)
+@pytest.mark.parametrize("gram, message", [
+    ([[1.0, 0.5], [0.0, 1.0]], "symmetric 2x2"),
+    (np.diag([1.0, -1.0]), "positive definite"),
+    (np.ones((2, 2)), "positive definite")],
+    ids=["nonsymmetric", "indefinite", "singular"])
+def test_bad_gram_rejected(gram, message):
+    with pytest.raises(ValueError, match=message):
+        families.eigenvalue_multiplicity(gram, 2.0)
+    with pytest.raises(ValueError, match=message):
+        families.legendrian_index_flat_torus(gram, 3)
 
 
-def test_cutoff_certification():
-    G = families.l0_link_gram()
-    with pytest.raises(families.NeedsLargerCutoffError):
-        families.legendrian_index_flat_torus(G, 3, cutoff=2)
+def test_box_wider_than_bound_rejected():
+    # half-width (2m lam_max(G))^{1/2} > 2000 is refused before the box is
+    # built; the widest allowed box is counted
+    with pytest.raises(ValueError, match="wider than 2000"):
+        families.legendrian_index_flat_torus(np.eye(2), 2 * 10 ** 6)
+    with pytest.raises(ValueError, match="wider than 2000"):
+        families.eigenvalue_multiplicity(np.diag([1e7, 1.0]), 0.5)
+    with pytest.raises(ValueError, match="wider than 2000"):
+        families.eigenvalue_multiplicity(np.eye(2), np.nan)
+    assert families.eigenvalue_multiplicity(np.eye(2), 1999.0 ** 2) == 4
 
 
-def _loop_eigenvalues(gram, cutoff):
-    # reference: the frequency box walked one (n1, n2) at a time
-    Ginv = np.linalg.inv(gram)
-    lams = []
-    for n1 in range(-cutoff, cutoff + 1):
-        for n2 in range(-cutoff, cutoff + 1):
-            if n1 == 0 and n2 == 0:
-                continue
-            lams.append(Ginv[0, 0] * n1 * n1 + 2 * Ginv[0, 1] * n1 * n2
-                        + Ginv[1, 1] * n2 * n2)
-    return lams
-
-
+# grams R(theta) diag(big, big / ratio) R(theta)^T with eigenvalue ratios up
+# to 1e3; the example is the anisotropic gram whose eigenvalue 1.6, at
+# n = (+-40, 0), lies outside a box of half-width 20
 @settings(max_examples=60, deadline=None)
-@given(st.floats(0.3, 3.0), st.floats(-2.0, 2.0), st.floats(0.3, 3.0),
-       st.integers(3, 25), st.integers(1, 4), st.data())
-def test_lattice_counts_match_double_loop(l11, l21, l22, cutoff, m, data):
-    L = np.array([[l11, 0.0], [l21, l22]])
-    G = L @ L.T
-    lams = _loop_eigenvalues(G, cutoff)
-    try:
-        count = families.legendrian_index_flat_torus(G, m, cutoff)
-    except families.NeedsLargerCutoffError:
-        lam_min = np.min(np.linalg.eigvalsh(np.linalg.inv(G)))
-        assert lam_min * cutoff ** 2 <= 2 * m
-    else:
-        assert count == sum(0.0 < lam < 2.0 * m - 1e-12 for lam in lams)
-    # the multiplicity of an eigenvalue that occurs in the box
-    value = lams[data.draw(st.integers(0, len(lams) - 1))]
-    assert families.eigenvalue_multiplicity(G, value, cutoff) == \
-        sum(abs(lam - value) <= 1e-9 for lam in lams)
+@given(st.floats(0.3, 30.0), st.floats(1.0, 1e3), st.floats(0.0, np.pi),
+       st.integers(1, 4), st.floats(-1.0, 8.0))
+@example(1000.0, 1000.0, 0.0, 1, 1.6)
+def test_lattice_counts_match_double_loop(big, ratio, theta, m, value):
+    rot = np.array([[np.cos(theta), -np.sin(theta)],
+                    [np.sin(theta), np.cos(theta)]])
+    G = rot @ np.diag([big, big / ratio]) @ rot.T
+    # |n|^2 <= lambda(n) lam_max(G) <= lambda(n) tr(G): every eigenvalue up
+    # to the bound lies in this box, wider than the one the library takes
+    bound = max(2.0 * m, value)
+    lams = _loop_eigenvalues(G, int(np.sqrt(bound * np.trace(G))) + 2)
+    assert families.legendrian_index_flat_torus(G, m) == np.count_nonzero(
+        (0.0 < lams) & (lams < 2.0 * m - 1e-12))
+    # every eigenvalue below 2m, and the drawn value
+    for v in set(lams[lams < 2.0 * m]) | {value}:
+        assert families.eigenvalue_multiplicity(G, v) == np.count_nonzero(
+            np.abs(lams - v) <= 1e-9)
 
 
 def test_index_rejects_nonpositive_dimension():

@@ -202,7 +202,7 @@ def test_import_slgeo_loads_no_scipy():
 
 @pytest.mark.parametrize("argv", [
     ["verify", "--example", "hl-lt", "--samples", "100"],
-    ["index", "--gram", "l0", "--m", "3"],
+    ["index", "--gram", "cone", "--m", "3"],
     ["moduli-dim", "--vars", "5", "--degrees", "5"],
     ["fibration", "--a", "0.5", "--b", "0.3+0.0j"],
     ["fibration", "--a", "0.5", "--b", "0.3+0.0j", "--scan"],
@@ -257,8 +257,9 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
                  ["evolve", "--nodes", "100"],
                  ["solve-u1", "--grid-n", "5"],
                  ["solve-u1", "--tol", "0"],
-                 ["index", "--cutoff", "1"],
-                 ["index", "--cutoff", "-20"],
+                 ["index", "--gram", "l0"],
+                 ["index", "--cutoff", "20"],
+                 ["solve-u1", "--boundary", "zero"],
                  ["moduli-dim", "--vars", "5", "--degrees", "x"],
                  ["evolve", "--dt", "0"],
                  ["solve-calabi", "--grid", "0"],
@@ -308,7 +309,8 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
              "grid must be at most 2048 for m = 1"),
             (["solve-calabi", "--m", "2", "--grid", "49"],
              "grid must be at most 48 for m = 2"),
-            (["index", "--cutoff", "100000"], "cutoff must be at most 2000"),
+            (["index", "--m", "10000000"],
+             "eigenvalues up to 2e+07 need a frequency box wider than 2000"),
             (["verify", "--example", "hl-cone", "--samples", "100000000"],
              "samples must be at most 1000000"),
             (["moduli-dim", "--vars", "8000", "--degrees", "8000"],
@@ -393,15 +395,16 @@ _SCAN_FLAGS = [(command, flag) for command, flags in (
     ("fibration", ("a", "b")),
     ("solve-calabi", ("m", "grid", "t-steps", "tol")),
     ("evolve", ("nodes", "dt", "t-end")),
-    ("index", ("m", "cutoff")),
+    ("index", ("m",)),
     ("moduli-dim", ("vars", "degrees"))) for flag in flags]
 _SCAN_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320",
                 "-1e-3", "-0.0", "0", "-1", "2", "3", "1e6", "100000", "abc")
 
 
 # every (flag, value) pair: the budget exceeds their count and Hypothesis
-# stops once they are exhausted; the examples are the five cases that
-# ended outside the contract before the size and step bounds, and four
+# stops once they are exhausted; the examples are the four cases that
+# ended outside the contract before the size and step bounds, an index
+# --m whose frequency box is wider than the library's bound, and four
 # that ended in a traceback before unwritable output paths and moduli-dim
 # sizes exited 2 (a value may carry a further flag after a space)
 @settings(max_examples=2 * len(_SCAN_FLAGS) * len(_SCAN_VALUES),
@@ -409,7 +412,7 @@ _SCAN_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "1e400", "1e-320",
 @given(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES))
 @example(("solve-u1", "grid-n"), "100000")
 @example(("solve-calabi", "grid"), "100000")
-@example(("index", "cutoff"), "100000")
+@example(("index", "m"), "10000000")
 @example(("solve-calabi", "tol"), "1e-320")
 @example(("solve-calabi", "t-steps"), "100000")
 @example(("index", "out"), "/nonexistent/r.json")
@@ -598,7 +601,7 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch):
 
 
 def test_cli_index_report():
-    p = _run_cli(["--no-timing", "index", "--gram", "l0"])
+    p = _run_cli(["--no-timing", "index", "--gram", "cone"])
     assert p.returncode == 0
     report = json.loads(p.stdout)
     assert report["index"] == 6
@@ -778,7 +781,7 @@ _WRONG_ANSWERS = [
      "symplectic_drift"),
     (_EVOLVE, evolution, "compare_so3", lambda dev: 1.0,
      "so3_family_deviation"),
-    (["index", "--gram", "l0"], families, "legendrian_index_flat_torus",
+    (["index", "--gram", "cone"], families, "legendrian_index_flat_torus",
      lambda count: 5, "l_index"),
 ]
 
