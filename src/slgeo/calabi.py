@@ -450,23 +450,17 @@ def ricci_form(ratio: TorusField):
     vals = ratio.values
     if not np.min(vals) > 0.0:      # a NaN minimum fails too
         raise InvalidVolumeError("volume ratio must be positive")
-    if ratio.m == 1:
-        coeff = np.empty_like(vals)
-
-        def slab(rows, H11, *_):    # -2 (log f)_{z zbar} = -Lap(log f) / 2
-            np.negative(H11, out=coeff[rows])
-
-        _map_slabs(vals, ratio.h, slab, log=True)
-        return coeff, 0.0
-    rho = np.empty((4,) + vals.shape)
+    # m = 1: -2 (log f)_{z zbar} = -Lap(log f) / 2 = -H11
+    rho = np.empty((1 if ratio.m == 1 else 4,) + vals.shape)
+    scale = -1.0 if ratio.m == 1 else -0.5
 
     def slab(rows, *H):
-        """writes the slab's rho from H11, H22, Re H12 and Im H12"""
-        for k, a in enumerate(H):
-            np.multiply(a, -0.5, out=rho[k][rows])
+        """writes the slab's rho from H11 (and H22, Re H12, Im H12)"""
+        for r, a in zip(rho, H):
+            np.multiply(a, scale, out=r[rows])
 
     _map_slabs(vals, ratio.h, slab, log=True)
-    return rho, 0.0
+    return (rho[0] if ratio.m == 1 else rho), 0.0
 
 
 # ---------------------------------------------------------------------------

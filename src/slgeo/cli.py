@@ -276,6 +276,9 @@ def _cmd_evolve(args):
 
 def _cmd_index(args):
     from . import families
+    if args.gram == "cone" and args.m != 3:
+        # the checked index 6 is that of the T^2 cone in C^3
+        raise ValueError("m must be 3 for the T^2 cone in C^3")
     rep = Report("index", {"gram": args.gram, "m": args.m})
     G = families.l0_link_gram() if args.gram == "cone" else np.eye(2)
     count = families.legendrian_index_flat_torus(G, args.m)

@@ -349,8 +349,9 @@ def ci_moduli_dimension(num_vars: int, degrees) -> int:
     """Dimension of the space of defining systems modulo rescaling and the
     projective automorphism group.
 
-    One hypersurface of degree d in n variables: C(n+d-1, d) - 1 - (n^2-1).
-    k >= 2 hypersurfaces of equal degree d: dim Gr(k, C(n+d-1, d)) - (n^2-1).
+    k hypersurfaces of equal degree d in n variables span a point of the
+    Grassmannian Gr(k, D), D = C(n+d-1, d); the dimension is
+    k (D - k) - (n^2 - 1), which for k = 1 is D - 1 - (n^2 - 1).
     """
     n = int(num_vars)
     if n < 2:   # the hypersurfaces live in P^{n-1}
@@ -360,16 +361,11 @@ def ci_moduli_dimension(num_vars: int, degrees) -> int:
         raise ValueError("need at least one degree")
     if any(d < 2 for d in degrees):
         raise DegenerateModuliError("degrees must be at least 2")
-    k = len(degrees)
-    if k == 1:
-        d = degrees[0]
-        dim = math.comb(n + d - 1, d) - 1 - (n * n - 1)
-    else:
-        if len(set(degrees)) != 1:
-            raise ValueError("mixed degrees are not supported")
-        d = degrees[0]
-        D = math.comb(n + d - 1, d)
-        dim = k * (D - k) - (n * n - 1)
+    if len(set(degrees)) != 1:
+        raise ValueError("mixed degrees are not supported")
+    k, d = len(degrees), degrees[0]
+    D = math.comb(n + d - 1, d)
+    dim = k * (D - k) - (n * n - 1)
     if dim < 0:
         raise OverdeterminedModuliError("moduli dimension %d is negative" % dim)
     return dim

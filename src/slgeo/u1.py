@@ -606,10 +606,9 @@ def check_disjoint(fam: FibrationFamily, alpha_pairs):
             entry["identical"] = rep.identical
             entry["disjoint"] = (rep.total == 0) and not rep.identical
         else:
-            c1 = fam.fiber(alpha)
-            c2 = fam.fiber(alpha2)
-            lvl1, lvl2 = (0.5 * moment_map_values((1, -1, 0), c.points)
-                          for c in (c1, c2))
+            clouds = [lift_to_sl3(fam.solution(al), samples_per_node=2)
+                      for al in (alpha, alpha2)]
+            lvl1, lvl2 = (0.5 * c.moment_values for c in clouds)
             entry["mechanism"] = "moment-level"
             entry["level_error"] = float(max(np.max(np.abs(lvl1 - alpha[0])),
                                              np.max(np.abs(lvl2 - alpha2[0]))))

@@ -56,9 +56,8 @@ def test_criterion_02_graph_algebra():
         return (np.cos(x[0]) * np.sin(x[1]) * np.cos(x[2])
                 + 0.2 * x[0] * x[1] * x[2])
 
-    f = graphs.GraphPotential(3, func=potential)
     eps = [0.1, 0.05, 0.025, 0.0125]
-    slope = graphs.loglog_slope(eps, graphs.linearization_gap(f, eps))
+    slope = graphs.loglog_slope(eps, graphs.linearization_gap(potential, 3, eps))
     dt = time.monotonic() - t0
     ok = (worst < 1e-12 and abs(witness - 2.0) < 1e-12
           and abs(slope - 3.0) < 0.05 and dt < 5.0)

@@ -212,9 +212,12 @@ def test_numpy_only_commands_load_no_scipy(argv):
     assert _scipy_modules(code) == []
 
 
-def test_evolution_loads_no_scipy():
-    # the surface flow's stencil is a numpy table, not a sparse matrix
-    assert _scipy_modules("import slgeo.evolution") == []
+@pytest.mark.parametrize("module", ["core", "graphs", "gridio", "families",
+                                    "fibrations", "evolution"])
+def test_numpy_only_modules_load_no_scipy(module):
+    # README's pure-numpy modules; the surface flow's stencil, in
+    # evolution, is a numpy table, not a sparse matrix
+    assert _scipy_modules("import slgeo." + module) == []
 
 
 @pytest.mark.parametrize("code", [
@@ -266,7 +269,8 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
                  ["solve-calabi", "--t-steps", "0"],
                  ["solve-calabi", "--t-steps", "-1"],
                  ["solve-calabi", "--tol", "0"],
-                 ["index", "--m", "0"],
+                 ["index", "--gram", "identity", "--m", "0"],
+                 ["index", "--gram", "cone", "--m", "4"],
                  ["solve-u1", "--out-grid", "sol.npz"]):
         code, err = _cli_error(args, capsys)
         assert code == 2
@@ -309,7 +313,9 @@ def test_cli_exit_codes(capsys, tmp_path, monkeypatch):
              "grid must be at most 2048 for m = 1"),
             (["solve-calabi", "--m", "2", "--grid", "49"],
              "grid must be at most 48 for m = 2"),
-            (["index", "--m", "10000000"],
+            (["index", "--gram", "cone", "--m", "1"],
+             "index: m must be 3 for the T^2 cone in C^3"),
+            (["index", "--gram", "identity", "--m", "10000000"],
              "eigenvalues up to 2e+07 need a frequency box wider than 2000"),
             (["verify", "--example", "hl-cone", "--samples", "100000000"],
              "samples must be at most 1000000"),
@@ -387,7 +393,7 @@ _SCAN_BASES = {
     "fibration": ["fibration"],
     "solve-calabi": ["solve-calabi", "--grid", "8", "--t-steps", "2"],
     "evolve": ["evolve", "--nodes", "162", "--dt", "0.05", "--t-end", "0.1"],
-    "index": ["index"],
+    "index": ["index", "--gram", "identity"],
     "moduli-dim": ["moduli-dim", "--vars", "5", "--degrees", "2"]}
 _SCAN_FLAGS = [(command, flag) for command, flags in (
     ("verify", ("samples", "seed", "tol", "t")),
